@@ -10,203 +10,24 @@ and machine-checkable independence certificates.
 
 from __future__ import annotations
 
-from .cfk import (
-    Arrow,
-    CfkComplex,
-    Generator,
-    ValidationReport,
-    Violation,
-    change_basis,
-    deserialize,
-    direct_sum,
-    dual,
-    j_drop,
-    reduce,
-    serialize,
-    square_complex,
-    tensor,
-    unknot_complex,
-    validate,
-)
-from .concordance import (
-    Certificate,
-    ChainEntry,
-    ChainLink,
-    ClassRep,
-    DominanceEvidence,
-    DominationResult,
-    Ordering,
-    abs_class,
-    cable_tau,
-    class_cmp,
-    class_sign,
-    dominance_evidence,
-    dominates_by_invariants,
-    epsilon_from_cable_taus,
-    independence_certificate,
-    recheck_certificate,
-)
-from .errors import (
-    CertificateError,
-    CfkError,
-    EpsilonNotOne,
-    ExpressionError,
-    InconsistentInput,
-    InexactDivision,
-    InputError,
-    InternalInconsistency,
-    MathError,
-    NotAChain,
-    NotCoprime,
-    NotStaircaseForm,
-    ParseError,
-    RankNotOne,
-    SearchExhausted,
-    TooShort,
-    UnsupportedExpression,
-)
-from .invariants import (
-    WhiteheadModelReport,
-    WHITEHEAD_RANK_TABLE,
-    a1,
-    a2,
-    check_whitehead_model,
-    epsilon,
-    epsilon_oracle,
-    f_map_trivial,
-    g_map_trivial,
-    hfk_table,
-    staircase_a_invariants,
-    tau,
-    vertical_class,
-)
-from .knots import (
-    Cable,
-    KnotExpr,
-    Mirror,
-    Sum,
-    Torus,
-    Unknot,
-    WhiteheadDoubleTrefoil,
-    alexander,
-    class_complex,
-    parse,
-    staircase,
-)
-from .laurent import (
-    LaurentPoly,
-    StaircaseExponents,
-    cable_alexander,
-    staircase_exponents,
-    torus_alexander,
-)
-from .regions import (
-    Column0,
-    FullHook,
-    GHook,
-    HomologyData,
-    HookWithTail,
-    Region,
-    RegionComplex,
-    Row,
-    TruncatedHook,
-    homology_data,
-    homology_rank,
-    region_complex,
-)
+from . import cfk, concordance, errors, invariants, knots, laurent, regions
+from .cfk import *  # noqa: F401,F403
+from .concordance import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
+from .knots import *  # noqa: F401,F403
+from .laurent import *  # noqa: F401,F403
+from .regions import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arrow",
-    "CfkComplex",
-    "Generator",
-    "ValidationReport",
-    "Violation",
-    "change_basis",
-    "deserialize",
-    "direct_sum",
-    "dual",
-    "j_drop",
-    "reduce",
-    "serialize",
-    "square_complex",
-    "tensor",
-    "unknot_complex",
-    "validate",
-    "Certificate",
-    "ChainEntry",
-    "ChainLink",
-    "ClassRep",
-    "DominanceEvidence",
-    "DominationResult",
-    "Ordering",
-    "abs_class",
-    "cable_tau",
-    "class_cmp",
-    "class_sign",
-    "dominance_evidence",
-    "dominates_by_invariants",
-    "epsilon_from_cable_taus",
-    "independence_certificate",
-    "recheck_certificate",
-    "CertificateError",
-    "CfkError",
-    "EpsilonNotOne",
-    "ExpressionError",
-    "InconsistentInput",
-    "InexactDivision",
-    "InputError",
-    "InternalInconsistency",
-    "MathError",
-    "NotAChain",
-    "NotCoprime",
-    "NotStaircaseForm",
-    "ParseError",
-    "RankNotOne",
-    "SearchExhausted",
-    "TooShort",
-    "UnsupportedExpression",
-    "WhiteheadModelReport",
-    "WHITEHEAD_RANK_TABLE",
-    "a1",
-    "a2",
-    "check_whitehead_model",
-    "epsilon",
-    "epsilon_oracle",
-    "f_map_trivial",
-    "g_map_trivial",
-    "hfk_table",
-    "staircase_a_invariants",
-    "tau",
-    "vertical_class",
-    "Cable",
-    "KnotExpr",
-    "Mirror",
-    "Sum",
-    "Torus",
-    "Unknot",
-    "WhiteheadDoubleTrefoil",
-    "alexander",
-    "class_complex",
-    "parse",
-    "staircase",
-    "LaurentPoly",
-    "StaircaseExponents",
-    "cable_alexander",
-    "staircase_exponents",
-    "torus_alexander",
-    "Column0",
-    "FullHook",
-    "GHook",
-    "HomologyData",
-    "HookWithTail",
-    "Region",
-    "RegionComplex",
-    "Row",
-    "TruncatedHook",
-    "homology_data",
-    "homology_rank",
-    "region_complex",
+    *cfk.__all__,
+    *concordance.__all__,
+    *errors.__all__,
+    *invariants.__all__,
+    *knots.__all__,
+    *laurent.__all__,
+    *regions.__all__,
     "__version__",
 ]

@@ -13,6 +13,10 @@ knot-like complex (column homology of rank one):
 
 epsilon_oracle recomputes epsilon by an independent second route inside the
 row j = tau and must always agree with epsilon.
+
+The four invariants share one analysis of the most recent complex: asking
+for them in turn on one complex finds the class once, and an earlier
+complex is dropped as soon as another one is analysed.
 """
 
 from __future__ import annotations
@@ -37,13 +41,10 @@ from .regions import (
     Column0,
     FullHook,
     GHook,
-    HomologyData,
     HookWithTail,
-    RegionComplex,
     Row,
     TruncatedHook,
     homology_data,
-    homology_rank,
     region_complex,
 )
 
@@ -64,49 +65,58 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
-class _ColumnAnalysis:
-    rc: RegionComplex
-    boundary_space: Gf2Space
-    vclass_mask: int
-    tau: int
-    class_names: tuple[str, ...]
+class _Analysis:
+    """What the invariants read off one complex.
+
+    The vertical class of the column complex is found on construction;
+    epsilon, a1 and a2 are stored in ``known`` on first use.
+    """
+
+    def __init__(self, c: CfkComplex):
+        rc = region_complex(c, Column0())
+        kernel, image = kernel_and_image(rc.boundary)
+        space = Gf2Space(image)
+        rank = len(kernel) - space.dim
+        if rank != 1:
+            raise RankNotOne(f"column homology rank {rank}, expected 1")
+        z0 = next(k for k in kernel if k not in space)
+        # reducing against the boundary space minimizes the top element, and
+        # elements are sorted by Alexander grading, so the top bit realizes tau
+        zmin = space.reduce(z0)
+        assert zmin != 0
+        top = rc.elements[zmin.bit_length() - 1]
+        alex = [g.alexander for g in c.generators]
+        self.column = rc
+        self.boundary_space = space
+        self.vclass_mask = zmin
+        self.tau = c.alexander_of(top.gen)
+        self.class_names = tuple(el.gen for el in rc.chain_elements(zmin))
+        self.search_bound = max(alex) - min(alex)
+        self.known: dict[str, int | None] = {}
 
 
-@functools.lru_cache(maxsize=None)
-def _column_analysis(c: CfkComplex) -> _ColumnAnalysis:
-    """Column complex, its boundary space, and the minimal-top class cycle."""
-    rc = region_complex(c, Column0())
-    kernel, image = kernel_and_image(rc.boundary)
-    space = Gf2Space(image)
-    rank = len(kernel) - space.dim
-    if rank != 1:
-        raise RankNotOne(f"column homology rank {rank}, expected 1")
-    z0 = next(k for k in kernel if k not in space)
-    # reducing against the boundary space minimizes the top element, and
-    # elements are sorted by Alexander grading, so the top bit realizes tau
-    zmin = space.reduce(z0)
-    assert zmin != 0
-    top = rc.elements[zmin.bit_length() - 1]
-    names = tuple(el.gen for el in rc.chain_elements(zmin))
-    return _ColumnAnalysis(rc, space, zmin, c.alexander_of(top.gen), names)
+@functools.lru_cache(maxsize=1)
+def _analysis(c: CfkComplex) -> _Analysis:
+    """The analysis of the most recent complex; earlier ones are dropped."""
+    return _Analysis(c)
 
 
 def tau(c: CfkComplex) -> int:
     """Least s admitting a Column0 cycle supported in j <= s that is not a
     boundary; raises RankNotOne on complexes without rank-one column
     homology."""
-    return _column_analysis(c).tau
+    return _analysis(c).tau
 
 
 def vertical_class(c: CfkComplex) -> tuple[str, ...]:
     """Canonical representative of the vertical homology generator, as
     generator names; it is supported in j <= tau(c)."""
-    return _column_analysis(c).class_names
+    return _analysis(c).class_names
 
 
-def _class_image_is_boundary(c: CfkComplex, region, names, level: int) -> bool:
+def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
     """Push the class through (drop j < level, include into region)."""
+    names = _analysis(c).class_names
     rc = region_complex(c, region)
     mask = rc.chain([(x, 0) for x in names if c.alexander_of(x) >= level])
     return homology_data(rc).is_boundary(mask)
@@ -115,25 +125,23 @@ def _class_image_is_boundary(c: CfkComplex, region, names, level: int) -> bool:
 def f_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether the class dies in the full hook at level s (quotient the
     column by j < s, then include)."""
-    col = _column_analysis(c)
-    return _class_image_is_boundary(c, FullHook(s), col.class_names, s)
+    return _class_image_is_boundary(c, FullHook(s), s)
 
 
 def g_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether no cycle of the G-hook at level s projects onto a
     non-boundary of the column (drop elements with i < 0)."""
-    col = _column_analysis(c)
+    col = _analysis(c)
     gh = region_complex(c, GHook(s))
     for cyc in homology_data(gh).cycle_basis:
         kept = [el for el in gh.chain_elements(cyc) if el.u_power == 0]
-        mask = col.rc.chain([(el.gen, 0) for el in kept])
-        assert col.rc.differential(mask) == 0
+        mask = col.column.chain([(el.gen, 0) for el in kept])
+        assert col.column.differential(mask) == 0
         if mask not in col.boundary_space:
             return False
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def epsilon(c: CfkComplex) -> int:
     """+1 when F is trivial at tau, -1 when G is, 0 when neither.
 
@@ -141,18 +149,16 @@ def epsilon(c: CfkComplex) -> int:
     InternalInconsistency.
     """
     t = tau(c)
-    f = f_map_trivial(c, t)
-    g = g_map_trivial(c, t)
-    if f and g:
-        raise InternalInconsistency("F and G both trivial at tau")
-    if f:
-        return 1
-    if g:
-        return -1
-    return 0
+    known = _analysis(c).known
+    if "epsilon" not in known:
+        f = f_map_trivial(c, t)
+        g = g_map_trivial(c, t)
+        if f and g:
+            raise InternalInconsistency("F and G both trivial at tau")
+        known["epsilon"] = 1 if f else -1 if g else 0
+    return known["epsilon"]
 
 
-@functools.lru_cache(maxsize=None)
 def epsilon_oracle(c: CfkComplex) -> int:
     """Independent recomputation of epsilon inside the row j = tau.
 
@@ -167,12 +173,12 @@ def epsilon_oracle(c: CfkComplex) -> int:
     supported on the column; they are quotiented out of both membership
     tests.
     """
-    col = _column_analysis(c)
+    col = _analysis(c)
     t = col.tau
     row = region_complex(c, Row(t))
 
     cutoff = 0
-    for idx, el in enumerate(col.rc.elements):
+    for idx, el in enumerate(col.column.elements):
         if c.alexander_of(el.gen) <= t:
             cutoff = idx + 1
     low_boundaries = [
@@ -181,7 +187,7 @@ def epsilon_oracle(c: CfkComplex) -> int:
 
     def phi(mask: int) -> int:
         out = 0
-        for el in col.rc.chain_elements(mask):
+        for el in col.column.chain_elements(mask):
             if c.alexander_of(el.gen) == t:
                 out |= 1 << row.index[(el.gen, 0)]
         return out
@@ -203,38 +209,43 @@ def epsilon_oracle(c: CfkComplex) -> int:
     return -1
 
 
-def _search_bound(c: CfkComplex) -> int:
-    alex = [g.alexander for g in c.generators]
-    return max(alex) - min(alex)
+def _hook_search(c: CfkComplex, region_at, dies: bool) -> int | None:
+    """Least s from 1 up to the Alexander span of c at which the class is a
+    boundary in region_at(s) exactly when dies is True; None when no s is.
+    The search behind both a1 and a2."""
+    col = _analysis(c)
+    for s in range(1, col.search_bound + 1):
+        if _class_image_is_boundary(c, region_at(s), col.tau) == dies:
+            return s
+    return None
 
 
-@functools.lru_cache(maxsize=None)
 def a1(c: CfkComplex) -> int:
     """Least hook width s >= 1 at which the class dies in the truncated
     hook; defined only when epsilon(c) = +1."""
     if epsilon(c) != 1:
         raise EpsilonNotOne(f"epsilon is {epsilon(c)}, not +1")
-    col = _column_analysis(c)
-    t = col.tau
-    if _class_image_is_boundary(c, TruncatedHook(t, 0), col.class_names, t):
-        raise InternalInconsistency("class already dies in the bare column ray")
-    for s in range(1, _search_bound(c) + 1):
-        if _class_image_is_boundary(c, TruncatedHook(t, s), col.class_names, t):
-            return s
-    raise SearchExhausted("no hook width killed the class despite epsilon = +1")
+    col = _analysis(c)
+    if "a1" not in col.known:
+        t = col.tau
+        if _class_image_is_boundary(c, TruncatedHook(t, 0), t):
+            raise InternalInconsistency("class already dies in the bare column ray")
+        width = _hook_search(c, functools.partial(TruncatedHook, t), dies=True)
+        if width is None:
+            raise SearchExhausted("no hook width killed the class despite epsilon = +1")
+        col.known["a1"] = width
+    return col.known["a1"]
 
 
-@functools.lru_cache(maxsize=None)
 def a2(c: CfkComplex) -> int | None:
     """Least tail depth s >= 1 at which the class comes back to life in the
     hook-with-tail; None when no depth up to the search bound does."""
     width = a1(c)
-    col = _column_analysis(c)
-    t = col.tau
-    for s in range(1, _search_bound(c) + 1):
-        if not _class_image_is_boundary(c, HookWithTail(t, width, s), col.class_names, t):
-            return s
-    return None
+    col = _analysis(c)
+    if "a2" not in col.known:
+        tail = functools.partial(HookWithTail, col.tau, width)
+        col.known["a2"] = _hook_search(c, tail, dies=False)
+    return col.known["a2"]
 
 
 def staircase_a_invariants(exps: StaircaseExponents) -> tuple[int, int]:

@@ -18,7 +18,6 @@ products, mirrors become duals, and D is carried by the trefoil staircase
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Union
 
@@ -166,10 +165,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest nesting parse accepts, counting every mirror, parenthesis, cable
+# and '+' on a path from the root.  str, repr, alexander and class_complex
+# recurse once per level, str and repr with three frames each, so a tree of
+# this depth stays well inside the default recursion limit.
+MAX_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # mirrors, parentheses and cables entered, not yet left
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -187,6 +194,16 @@ class _Parser:
             raise ParseError(f"expected {text!r}, got {tok.text!r}", 1, tok.column)
         return tok
 
+    def check_depth(self, depth: int, tok: _Token) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nests deeper than {MAX_DEPTH} levels", 1, tok.column
+            )
+
+    def enter(self, tok: _Token) -> None:
+        self.open += 1
+        self.check_depth(self.open, tok)
+
     def integer(self) -> int:
         sign = 1
         tok = self.take()
@@ -197,46 +214,58 @@ class _Parser:
             raise ParseError(f"expected an integer, got {tok.text!r}", 1, tok.column)
         return sign * int(tok.text)
 
-    def expr(self) -> KnotExpr:
-        node = self.term()
-        while self.peek().text == "+":
-            self.take()
-            node = Sum(node, self.term())
-        return node
+    # Each rule returns its node and the node's depth: the nesting levels on
+    # its deepest path.  A sum's depth is checked together with the levels
+    # open around it.
 
-    def term(self) -> KnotExpr:
+    def expr(self) -> tuple[KnotExpr, int]:
+        node, depth = self.term()
+        while self.peek().text == "+":
+            plus = self.take()
+            right, right_depth = self.term()
+            node, depth = Sum(node, right), 1 + max(depth, right_depth)
+            self.check_depth(self.open + depth, plus)
+        return node, depth
+
+    def term(self) -> tuple[KnotExpr, int]:
         if self.peek().text == "-":
-            self.take()
-            return Mirror(self.term())
+            self.enter(self.take())
+            inner, depth = self.term()
+            self.open -= 1
+            return Mirror(inner), depth + 1
         return self.atom()
 
-    def atom(self) -> KnotExpr:
+    def atom(self) -> tuple[KnotExpr, int]:
         tok = self.take()
         if tok.text == "(":
-            node = self.expr()
+            self.enter(tok)
+            node, depth = self.expr()
             self.expect(")")
-            return node
+            self.open -= 1
+            return node, depth + 1
         if tok.kind == "name":
             if tok.text == "U":
-                return Unknot()
+                return Unknot(), 0
             if tok.text == "D":
-                return WhiteheadDoubleTrefoil()
+                return WhiteheadDoubleTrefoil(), 0
             if tok.text == "T":
                 self.expect("(")
                 p = self.integer()
                 self.expect(",")
                 q = self.integer()
                 self.expect(")")
-                return Torus(p, q)
+                return Torus(p, q), 0
             if tok.text == "C":
                 self.expect("(")
-                inner = self.expr()
+                self.enter(tok)
+                inner, depth = self.expr()
                 self.expect(";")
                 p = self.integer()
                 self.expect(",")
                 q = self.integer()
                 self.expect(")")
-                return Cable(inner, p, q)
+                self.open -= 1
+                return Cable(inner, p, q), depth + 1
             raise ParseError(f"unknown knot symbol {tok.text!r}", 1, tok.column)
         if tok.kind == "end":
             raise ParseError("expected an expression but the input ended", 1, tok.column)
@@ -244,9 +273,12 @@ class _Parser:
 
 
 def parse(text: str) -> KnotExpr:
-    """Parse a knot expression; positions in errors are 1-based columns."""
+    """Parse a knot expression; positions in errors are 1-based columns.
+
+    Expressions nested deeper than MAX_DEPTH levels raise ParseError.
+    """
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.text!r}", 1, trailing.column)
@@ -318,7 +350,6 @@ def _replace_double(e: KnotExpr) -> KnotExpr:
     return e
 
 
-@functools.lru_cache(maxsize=None)
 def _class_of(e: KnotExpr) -> CfkComplex:
     if isinstance(e, Unknot):
         return unknot_complex()

@@ -16,7 +16,7 @@ region complex therefore still squares to zero.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from .gf2 import Gf2Space, kernel_and_image
 
@@ -40,35 +40,30 @@ __all__ = [
 ]
 
 
-class Region(Protocol):
+class Region:
     """A subset of the lattice queried along diagonals."""
-
-    def contains(self, i: int, j: int) -> bool: ...
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
         """All (i, j) in the region with j - i = a."""
-        ...
+        raise NotImplementedError
+
+    def contains(self, i: int, j: int) -> bool:
+        return (i, j) in self.diagonal_hits(j - i)
 
 
 @dataclasses.dataclass(frozen=True)
-class Column0:
+class Column0(Region):
     """The column i = 0; one element per generator, at (0, A(x))."""
-
-    def contains(self, i: int, j: int) -> bool:
-        return i == 0
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
         return ((0, a),)
 
 
 @dataclasses.dataclass(frozen=True)
-class FullHook:
+class FullHook(Region):
     """{i = 0, j >= level} united with {j = level, i >= 0}."""
 
     level: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return (i == 0 and j >= self.level) or (j == self.level and i >= 0)
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
         if a >= self.level:
@@ -77,13 +72,10 @@ class FullHook:
 
 
 @dataclasses.dataclass(frozen=True)
-class GHook:
+class GHook(Region):
     """{i = 0, j <= level} united with {j = level, i <= 0}."""
 
     level: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return (i == 0 and j <= self.level) or (j == self.level and i <= 0)
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
         if a <= self.level:
@@ -92,16 +84,11 @@ class GHook:
 
 
 @dataclasses.dataclass(frozen=True)
-class TruncatedHook:
+class TruncatedHook(Region):
     """{i = 0, j >= level} united with {j = level, 0 <= i <= width}."""
 
     level: int
     width: int
-
-    def contains(self, i: int, j: int) -> bool:
-        if i == 0 and j >= self.level:
-            return True
-        return j == self.level and 0 <= i <= self.width
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
         if a >= self.level:
@@ -112,36 +99,25 @@ class TruncatedHook:
 
 
 @dataclasses.dataclass(frozen=True)
-class HookWithTail:
+class HookWithTail(TruncatedHook):
     """A truncated hook plus the tail {i = width, level - depth <= j < level}."""
 
-    level: int
-    width: int
     depth: int
 
-    def contains(self, i: int, j: int) -> bool:
-        if TruncatedHook(self.level, self.width).contains(i, j):
-            return True
-        return i == self.width and self.level - self.depth <= j < self.level
-
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        hits = TruncatedHook(self.level, self.width).diagonal_hits(a)
         j = a + self.width
         if self.level - self.depth <= j < self.level:
-            # the A-ranges of hook and tail are disjoint, so at most one hit
-            assert not hits
-            hits = hits + ((self.width, j),)
-        return hits
+            # the tail's diagonals all lie below the hook's, so this is the
+            # only hit
+            return ((self.width, j),)
+        return super().diagonal_hits(a)
 
 
 @dataclasses.dataclass(frozen=True)
-class Row:
+class Row(Region):
     """The row j = level; one element per generator."""
 
     level: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return j == self.level
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
         return ((self.level - a, self.level),)
@@ -220,22 +196,15 @@ def region_complex(c: CfkComplex, region: Region) -> RegionComplex:
 
 @dataclasses.dataclass(frozen=True)
 class HomologyData:
-    """Cycle and boundary bases of a region complex, with membership queries."""
+    """Cycle and boundary bases of a region complex, with boundary membership."""
 
     cycle_basis: tuple[int, ...]
     boundary_basis: tuple[int, ...]
     rank: int
     _boundary_space: Gf2Space = dataclasses.field(repr=False, compare=False)
-    _cycle_space: Gf2Space = dataclasses.field(repr=False, compare=False)
-
-    def is_cycle(self, mask: int) -> bool:
-        return mask in self._cycle_space
 
     def is_boundary(self, mask: int) -> bool:
         return mask in self._boundary_space
-
-    def boundary_space(self) -> Gf2Space:
-        return self._boundary_space
 
 
 def homology_data(rc: RegionComplex) -> HomologyData:
@@ -246,9 +215,7 @@ def homology_data(rc: RegionComplex) -> HomologyData:
     """
     kernel, image = kernel_and_image(rc.boundary)
     space = Gf2Space(image)
-    return HomologyData(
-        tuple(kernel), tuple(image), len(kernel) - space.dim, space, Gf2Space(kernel)
-    )
+    return HomologyData(tuple(kernel), tuple(image), len(kernel) - space.dim, space)
 
 
 def homology_rank(rc: RegionComplex) -> int:

@@ -144,6 +144,23 @@ def test_invariants_rejects_unsupported_cables(capsys):
     assert "framing must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 3000 + "U" + ")" * 3000,
+        "-" * 5000 + "U",
+        " + ".join(["U"] * 600),
+        "-" * 500 + "T(2,3)",
+    ],
+    ids=["parentheses", "mirrors", "sum", "mirrored-torus"],
+)
+def test_deeply_nested_expressions_are_input_errors(text, capsys):
+    assert main(["invariants", "--", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # cmp
 

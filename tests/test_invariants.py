@@ -8,18 +8,25 @@ are checked against each other on a grid of torus staircases.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from cfkcalc import (
     Arrow,
     CfkComplex,
+    Column0,
     EpsilonNotOne,
+    FullHook,
+    GHook,
     Generator,
+    HookWithTail,
     RankNotOne,
     StaircaseExponents,
     TooShort,
+    TruncatedHook,
     WHITEHEAD_RANK_TABLE,
     a1,
     a2,
@@ -41,6 +48,7 @@ from cfkcalc import (
     unknot_complex,
     vertical_class,
 )
+from cfkcalc import invariants
 from conftest import (
     figure_eight_like,
     random_basis_change,
@@ -121,6 +129,37 @@ def test_square_summands_do_not_move_invariants():
     assert epsilon(padded) == epsilon(base)
     assert a1(padded) == a1(base)
     assert a2(padded) == a2(base)
+
+
+# ---------------------------------------------------------------------------
+# one analysis shared by the four invariants
+
+
+def test_invariants_in_turn_build_each_region_once(monkeypatch):
+    c = torus_staircase(4, 5)
+    tau(unknot_complex())  # make sure no analysis of c is left over
+    built = []
+    real = invariants.region_complex
+
+    def counting(c, region):
+        built.append(region)
+        return real(c, region)
+
+    monkeypatch.setattr(invariants, "region_complex", counting)
+    for _ in range(2):
+        assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
+    assert built.count(Column0()) == 1
+    assert len(built) == len(set(built))
+    assert {FullHook(6), GHook(6), TruncatedHook(6, 1), HookWithTail(6, 1, 3)} <= set(built)
+
+
+def test_analysis_of_an_earlier_complex_is_released():
+    c = torus_staircase(3, 4)
+    assert a2(c) == 2
+    ref = weakref.ref(invariants._analysis(c))
+    assert epsilon(trefoil_complex()) == 1
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from cfkcalc import (
     unknot_complex,
     validate,
 )
+from cfkcalc.knots import MAX_DEPTH
 from conftest import trefoil_complex
 
 T23 = Torus(2, 3)
@@ -142,6 +143,29 @@ def test_parse_errors_carry_columns(text, column, fragment):
         parse(text)
     assert exc.value.column == column
     assert fragment in str(exc.value)
+
+
+def _nested(kind: str, depth: int) -> str:
+    """An expression whose deepest path has exactly depth levels."""
+    if kind == "parentheses":
+        return "(" * depth + "U" + ")" * depth
+    if kind == "mirrors":
+        return "-" * depth + "T(2,3)"
+    if kind == "sum":
+        return " + ".join(["U"] * (depth + 1))
+    # a long sum whose first term is deep: the two add up
+    return "-" * (depth // 2) + "U" + " + U" * (depth - depth // 2)
+
+
+@pytest.mark.parametrize("kind", ["parentheses", "mirrors", "sum", "mixed"])
+def test_parse_bounds_nesting_depth(kind):
+    e = parse(_nested(kind, MAX_DEPTH))
+    assert parse(str(e)) == e
+    repr(e)
+    alexander(e)
+    class_complex(e)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(_nested(kind, MAX_DEPTH + 1))
 
 
 def test_parse_rejects_invalid_parameters_with_input_errors():
@@ -261,12 +285,6 @@ def test_unsupported_cables():
         class_complex(Cable(Sum(T23, Unknot()), 2, 3))
     with pytest.raises(UnsupportedExpression):
         class_complex(Cable(Mirror(T23), 2, 3))
-
-
-def test_class_complex_is_cached_per_expression():
-    a = class_complex(parse("T(4,5)")).complex
-    b = class_complex(parse("T(4,5)")).complex
-    assert a is b
 
 
 # ---------------------------------------------------------------------------
