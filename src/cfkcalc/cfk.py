@@ -229,10 +229,10 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     if knot_class and not errors:
         from . import regions
 
-        col = regions.homology_rank(regions.region_complex(c, regions.Column0()))
+        col = regions.homology_data(regions.region_complex(c, regions.Column0())).rank
         if col != 1:
             errors.append(Violation("column-rank", f"column homology rank {col}, expected 1"))
-        row = regions.homology_rank(regions.region_complex(c, regions.Row(0)))
+        row = regions.homology_data(regions.region_complex(c, regions.Row(0))).rank
         if row != 1:
             errors.append(Violation("row-rank", f"row homology rank {row}, expected 1"))
     if not errors:

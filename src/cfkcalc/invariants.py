@@ -35,7 +35,7 @@ from .errors import (
     SearchExhausted,
     TooShort,
 )
-from .gf2 import Gf2Space, kernel_and_image
+from .gf2 import Gf2Space
 from .laurent import StaircaseExponents
 from .regions import (
     Column0,
@@ -74,12 +74,11 @@ class _Analysis:
 
     def __init__(self, c: CfkComplex):
         rc = region_complex(c, Column0())
-        kernel, image = kernel_and_image(rc.boundary)
-        space = Gf2Space(image)
-        rank = len(kernel) - space.dim
-        if rank != 1:
-            raise RankNotOne(f"column homology rank {rank}, expected 1")
-        z0 = next(k for k in kernel if k not in space)
+        data = homology_data(rc)
+        if data.rank != 1:
+            raise RankNotOne(f"column homology rank {data.rank}, expected 1")
+        space = data.boundary_space
+        z0 = next(k for k in data.cycle_basis if k not in space)
         # reducing against the boundary space minimizes the top element, and
         # elements are sorted by Alexander grading, so the top bit realizes tau
         zmin = space.reduce(z0)
@@ -133,9 +132,12 @@ def g_map_trivial(c: CfkComplex, s: int) -> bool:
     non-boundary of the column (drop elements with i < 0)."""
     col = _analysis(c)
     gh = region_complex(c, GHook(s))
+    # Column0 and GHook(s) both hold one element per generator, in generator
+    # order, so bit k names the same generator in both: dropping i < 0 from a
+    # G-hook chain is a mask with the column's own indices.
+    on_column = sum(1 << idx for idx, el in enumerate(gh.elements) if el.u_power == 0)
     for cyc in homology_data(gh).cycle_basis:
-        kept = [el for el in gh.chain_elements(cyc) if el.u_power == 0]
-        mask = col.column.chain([(el.gen, 0) for el in kept])
+        mask = cyc & on_column
         assert col.column.differential(mask) == 0
         if mask not in col.boundary_space:
             return False
@@ -195,7 +197,7 @@ def epsilon_oracle(c: CfkComplex) -> int:
     data = homology_data(row)
     ambiguity = [phi(b) for b in low_boundaries]
     left_of_column = [1 << idx for idx, el in enumerate(row.elements) if el.u_power > 0]
-    image_side = Gf2Space(data.boundary_basis)
+    image_side = Gf2Space(data.boundary_space.pivot_vectors())
     for v in itertools.chain(ambiguity, left_of_column):
         image_side.add(v)
     kernel_side = Gf2Space(data.cycle_basis)

@@ -350,6 +350,32 @@ def _replace_double(e: KnotExpr) -> KnotExpr:
     return e
 
 
+def _lspace_cable_alexander(e: Cable) -> LaurentPoly:
+    """Alexander polynomial of a cable built on a torus knot or the unknot,
+    checking every cable in the nest against the L-space bound.
+
+    For p >= 2 the (p, q) cable of an L-space knot K is an L-space knot, and
+    so has a staircase complex, exactly when q >= p(2g(K) - 1) (Hedden,
+    arXiv:0806.2172; Hom, arXiv:1009.2413).  A cable below the bound raises
+    UnsupportedExpression.
+    """
+    nest = []
+    while isinstance(e, Cable):
+        nest.append(e)
+        e = e.inner
+    poly = alexander(e)
+    for cable in reversed(nest):
+        genus = poly.degree // 2
+        bound = cable.p * (2 * genus - 1)
+        if cable.p >= 2 and cable.q < bound:
+            raise UnsupportedExpression(
+                f"cable ({cable.p},{cable.q}) of a genus {genus} companion is not "
+                f"an L-space knot (needs q >= {bound}), so no staircase models it"
+            )
+        poly = cable_alexander(poly, cable.p, cable.q)
+    return poly
+
+
 def _class_of(e: KnotExpr) -> CfkComplex:
     if isinstance(e, Unknot):
         return unknot_complex()
@@ -370,8 +396,7 @@ def _class_of(e: KnotExpr) -> CfkComplex:
             raise UnsupportedExpression(
                 "no class construction for cables of sums or mirrors"
             )
-        companion = _replace_double(e.inner)
-        poly = cable_alexander(alexander(companion), e.p, e.q)
+        poly = _lspace_cable_alexander(_replace_double(e))
         try:
             exps = staircase_exponents(poly)
         except NotStaircaseForm as exc:

@@ -16,7 +16,7 @@ region complex therefore still squares to zero.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .gf2 import Gf2Space, kernel_and_image
 
@@ -36,7 +36,6 @@ __all__ = [
     "region_complex",
     "HomologyData",
     "homology_data",
-    "homology_rank",
 ]
 
 
@@ -123,29 +122,33 @@ class Row(Region):
         return ((self.level - a, self.level),)
 
 
-@dataclasses.dataclass(frozen=True)
-class RegionElement:
-    """U^u_power generator, pinned at pos = (-u_power, A - u_power)."""
+class RegionElement(NamedTuple):
+    """U^u_power generator; it sits at (-u_power, A - u_power)."""
 
     gen: str
     u_power: int
-    pos: tuple[int, int]
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class RegionComplex:
     """Elements of a region with the induced boundary as bit columns."""
 
-    __slots__ = ("source", "region", "elements", "index", "boundary")
+    __slots__ = ("elements", "index", "boundary")
 
     def __init__(self, source: CfkComplex, region: Region):
-        self.source = source
-        self.region = region
         elements: list[RegionElement] = []
         index: dict[tuple[str, int], int] = {}
         for g in source.generators:
-            for (i, j) in region.diagonal_hits(g.alexander):
-                el = RegionElement(g.name, -i, (i, j))
-                index[(g.name, -i)] = len(elements)
+            for (i, _) in region.diagonal_hits(g.alexander):
+                el = RegionElement(g.name, -i)
+                index[el] = len(elements)
                 elements.append(el)
         self.elements = tuple(elements)
         self.index = index
@@ -170,23 +173,12 @@ class RegionComplex:
         return mask
 
     def chain_elements(self, mask: int) -> list[RegionElement]:
-        out = []
-        idx = 0
-        while mask:
-            if mask & 1:
-                out.append(self.elements[idx])
-            mask >>= 1
-            idx += 1
-        return out
+        return [self.elements[idx] for idx in _set_bits(mask)]
 
     def differential(self, mask: int) -> int:
         out = 0
-        idx = 0
-        while mask:
-            if mask & 1:
-                out ^= self.boundary[idx]
-            mask >>= 1
-            idx += 1
+        for idx in _set_bits(mask):
+            out ^= self.boundary[idx]
         return out
 
 
@@ -196,27 +188,24 @@ def region_complex(c: CfkComplex, region: Region) -> RegionComplex:
 
 @dataclasses.dataclass(frozen=True)
 class HomologyData:
-    """Cycle and boundary bases of a region complex, with boundary membership."""
+    """Cycle basis and boundary space of a region complex."""
 
     cycle_basis: tuple[int, ...]
-    boundary_basis: tuple[int, ...]
-    rank: int
-    _boundary_space: Gf2Space = dataclasses.field(repr=False, compare=False)
+    boundary_space: Gf2Space
+
+    @property
+    def rank(self) -> int:
+        return len(self.cycle_basis) - self.boundary_space.dim
 
     def is_boundary(self, mask: int) -> bool:
-        return mask in self._boundary_space
+        return mask in self.boundary_space
 
 
 def homology_data(rc: RegionComplex) -> HomologyData:
-    """Kernel basis, image basis and homology rank of the boundary map.
+    """Kernel basis and image span of the boundary map.
 
     The boundary matrix is indexed by region elements on both sides, so
     kernel combination masks are themselves chains: the cycle basis.
     """
     kernel, image = kernel_and_image(rc.boundary)
-    space = Gf2Space(image)
-    return HomologyData(tuple(kernel), tuple(image), len(kernel) - space.dim, space)
-
-
-def homology_rank(rc: RegionComplex) -> int:
-    return homology_data(rc).rank
+    return HomologyData(tuple(kernel), Gf2Space(image))

@@ -197,14 +197,14 @@ def test_criterion_08_torus_and_cable_certificates():
     assert recheck_certificate(Certificate.from_json(cert.to_json())) is True
 
     cable_reps = [
-        class_complex(parse(f"C(T({i},{i + 1});2,15)")) for i in (2, 3, 4)
+        class_complex(parse(f"C(T({i},{i + 1});2,23)")) for i in (2, 3, 4)
     ]
     cable_cert = independence_certificate(cable_reps)
     assert [(e.a1, e.a2) for e in cable_cert.entries] == [(1, 7), (1, 5), (1, 3)]
     assert [e.expression for e in cable_cert.entries] == [
-        "C(T(4,5);2,15)",
-        "C(T(3,4);2,15)",
-        "C(T(2,3);2,15)",
+        "C(T(4,5);2,23)",
+        "C(T(3,4);2,23)",
+        "C(T(2,3);2,23)",
     ]
     assert recheck_certificate(Certificate.from_json(cable_cert.to_json())) is True
 

@@ -147,6 +147,23 @@ def test_invariants_rejects_unsupported_cables(capsys):
 @pytest.mark.parametrize(
     "text",
     [
+        "C(T(2,3);2,1)",
+        "C(D;2,1)",
+        "C(T(3,4);3,4)",
+        "C(T(4,5);2,15)",
+        "C(C(T(2,3);2,1);2,1)",
+    ],
+)
+def test_invariants_rejects_cables_below_the_lspace_bound(text, capsys):
+    assert main(["invariants", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not an L-space knot" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         "(" * 3000 + "U" + ")" * 3000,
         "-" * 5000 + "U",
         " + ".join(["U"] * 600),

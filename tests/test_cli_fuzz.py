@@ -1,0 +1,98 @@
+"""Seeded fuzz of the CLI's exit code contract.
+
+Expressions are drawn from the grammar with integers up to 5 and at most
+two summands, so every class complex stays small.  Whatever the input,
+main must return 0, 1 or 2, let no exception escape, and start stderr with
+"error:" whenever it returns non-zero.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cfkcalc.cli import main
+from cfkcalc.knots import MAX_DEPTH
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+SMALL = st.integers(min_value=-1, max_value=5)
+POSITIVE = st.integers(min_value=1, max_value=5)
+ATOMS = st.one_of(
+    st.sampled_from(["U", "D"]),
+    st.builds("T({},{})".format, POSITIVE, POSITIVE),
+)
+TERMS = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.builds("C({};{},{})".format, inner, POSITIVE, SMALL),
+    ),
+    max_leaves=3,
+)
+EXPRS = st.one_of(
+    TERMS,
+    st.builds("{} + {}".format, TERMS, TERMS),
+    st.builds("-({} + {})".format, TERMS, TERMS),
+    st.builds("C({} + {};2,{})".format, TERMS, TERMS, SMALL),
+)
+
+ADVERSARIAL = [
+    "-" * MAX_DEPTH + "T(2,3)",
+    "-" * (MAX_DEPTH + 1) + "T(2,3)",
+    "(" * MAX_DEPTH + "U" + ")" * MAX_DEPTH,
+    "(" * (MAX_DEPTH + 1) + "U" + ")" * (MAX_DEPTH + 1),
+    "C(" * MAX_DEPTH + "U" + ";1,1)" * MAX_DEPTH,
+    "C(" * (MAX_DEPTH + 1) + "U" + ";1,1)" * (MAX_DEPTH + 1),
+    "T(0,3)",
+    "T(-2,3)",
+    "T(2,4)",
+    "T(2,3",
+    "T(2,,3)",
+    "T(2,3)) + U",
+    "C(T(2,3);0,3)",
+    "C(T(2,3);2,1)",
+    "C(D;2,1)",
+    "C(T(3,4);3,4)",
+    "C(T(4,5);2,15)",
+    "C(C(T(2,3);2,1);2,1)",
+    "",
+    "+",
+    "X",
+]
+
+
+def run(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code != 0:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+def check_single(text: str) -> None:
+    for command in ("invariants", "alexander", "show"):
+        run([command, "--", text])
+
+
+@FUZZ
+@given(EXPRS)
+def test_single_expression_commands_keep_the_exit_contract(text):
+    check_single(text)
+
+
+@FUZZ
+@given(TERMS, TERMS)
+def test_cmp_keeps_the_exit_contract(left, right):
+    run(["cmp", "--", left, right])
+
+
+@pytest.mark.parametrize("text", ADVERSARIAL, ids=range(len(ADVERSARIAL)))
+def test_adversarial_expressions_keep_the_exit_contract(text):
+    check_single(text)
+    run(["cmp", "--", text, "T(2,3)"])

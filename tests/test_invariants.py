@@ -38,7 +38,9 @@ from cfkcalc import (
     f_map_trivial,
     g_map_trivial,
     hfk_table,
+    homology_data,
     reduce,
+    region_complex,
     square_complex,
     staircase_a_invariants,
     staircase_exponents,
@@ -52,6 +54,7 @@ from cfkcalc import invariants
 from conftest import (
     figure_eight_like,
     random_basis_change,
+    random_staircase,
     torus_staircase,
     trefoil_complex,
     with_random_squares,
@@ -202,6 +205,36 @@ def test_f_and_g_disagree_with_each_other_on_epsilon_zero_input():
     c = unknot_complex()
     assert not f_map_trivial(c, 0)
     assert not g_map_trivial(c, 0)
+
+
+def reference_g_map_trivial(c: CfkComplex, s: int) -> bool:
+    """The G map by per-element projection: walk each G-hook cycle, keep the
+    elements with u_power == 0 and rebuild the column chain by name."""
+    column = region_complex(c, Column0())
+    boundaries = homology_data(column).boundary_space
+    gh = region_complex(c, GHook(s))
+    for cyc in homology_data(gh).cycle_basis:
+        kept = [el for k, el in enumerate(gh.elements) if cyc >> k & 1 and el.u_power == 0]
+        mask = column.chain([(el.gen, 0) for el in kept])
+        assert column.differential(mask) == 0
+        if mask not in boundaries:
+            return False
+    return True
+
+
+def test_g_map_matches_the_per_element_projection(rng):
+    corpus = [with_random_squares(rng, random_staircase(rng), rng.randint(0, 2)) for _ in range(8)]
+    corpus += [with_random_squares(rng, dual(random_staircase(rng)), rng.randint(0, 2)) for _ in range(8)]
+    for base in [trefoil_complex(), dual(trefoil_complex()), unknot_complex(), figure_eight_like()]:
+        corpus.append(random_basis_change(rng, with_random_squares(rng, base, 2)))
+    for _ in range(6):
+        left = random_staircase(rng, max_steps=2, max_len=2)
+        right = random_staircase(rng, max_steps=2, max_len=2)
+        corpus.append(reduce(tensor(left, dual(right))))
+    for c in corpus:
+        alex = [g.alexander for g in c.generators]
+        for s in range(min(alex) - 1, max(alex) + 2):
+            assert g_map_trivial(c, s) == reference_g_map_trivial(c, s), (c, s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from cfkcalc import (
     TruncatedHook,
     dual,
     homology_data,
-    homology_rank,
     region_complex,
     tensor,
 )
-from conftest import random_staircase, trefoil_complex, with_random_squares
+from conftest import random_staircase, torus_staircase, trefoil_complex, with_random_squares
 
 ALL_REGIONS = [
     Column0(),
@@ -152,7 +151,7 @@ def test_column_complex_of_trefoil():
     x1 = rc.chain([("x1", 0)])
     assert rc.differential(x1) == rc.chain([("x2", 0)])
     assert rc.differential(rc.chain([("x0", 0)])) == 0
-    assert homology_rank(rc) == 1
+    assert homology_data(rc).rank == 1
 
 
 def test_full_hook_complex_of_trefoil():
@@ -197,7 +196,7 @@ def test_row_complex_sees_horizontal_arrows_only():
     ]
     x1 = rc.chain([("x1", -1)])
     assert rc.differential(x1) == rc.chain([("x0", 0)])
-    assert homology_rank(rc) == 1
+    assert homology_data(rc).rank == 1
 
 
 def test_truncated_hook_search_shape_on_trefoil():
@@ -229,16 +228,38 @@ def test_cycle_and_boundary_membership():
     assert rc.differential(rc.chain([("x1", 0)])) != 0
 
 
+def brute_chain_elements(rc, mask: int) -> list:
+    return [el for k, el in enumerate(rc.elements) if mask >> k & 1]
+
+
+def brute_differential(rc, mask: int) -> int:
+    out = 0
+    for k, column in enumerate(rc.boundary):
+        if mask >> k & 1:
+            out ^= column
+    return out
+
+
 def test_differential_squares_to_zero_everywhere(rng):
     samples = [
         trefoil_complex(),
         dual(trefoil_complex()),
         tensor(trefoil_complex(), dual(trefoil_complex())),
         with_random_squares(rng, random_staircase(rng), 2),
+        # more than 64 elements, so masks span several machine words
+        torus_staircase(2, 141),
     ]
     for c in samples:
         for region in ALL_REGIONS:
             rc = region_complex(c, region)
-            for idx in range(len(rc.elements)):
+            n = len(rc.elements)
+            for idx in range(n):
                 once = rc.differential(1 << idx)
                 assert rc.differential(once) == 0
+            masks = [0]
+            if n:
+                masks += [1 << (n - 1)] + [rng.getrandbits(n) for _ in range(6)]
+            for mask in masks:
+                assert rc.chain_elements(mask) == brute_chain_elements(rc, mask)
+                assert rc.differential(mask) == brute_differential(rc, mask)
+                assert rc.differential(rc.differential(mask)) == 0
