@@ -11,6 +11,13 @@ knot-like complex (column homology of rank one):
 * a1 is the least hook width that kills the class, a2 the least tail depth
   that revives it; both require epsilon = +1.
 
+a1 and a2 are searched over regions of size 1, 2, 4, ... up to the
+Alexander span, and each region answers every smaller width or depth
+through one elimination, so the search stops at the first region large
+enough to hold the answer.  A narrower truncated hook is a subcomplex of a
+wider one, and a shallower tail is a quotient of a deeper one; see
+_least_killing_width and _least_reviving_depth.
+
 epsilon_oracle recomputes epsilon by an independent second route inside the
 row j = tau and must always agree with epsilon.
 
@@ -25,6 +32,7 @@ import dataclasses
 import functools
 import itertools
 import json
+from typing import Iterator
 
 from .cfk import Arrow, CfkComplex, Generator, dual, reduce, tensor
 from .errors import (
@@ -113,12 +121,16 @@ def vertical_class(c: CfkComplex) -> tuple[str, ...]:
     return _analysis(c).class_names
 
 
+def _class_image(c: CfkComplex, rc, level: int) -> int:
+    """The class with j < level dropped, as a chain of rc (i = 0 part)."""
+    names = _analysis(c).class_names
+    return rc.chain([(x, 0) for x in names if c.alexander_of(x) >= level])
+
+
 def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
     """Push the class through (drop j < level, include into region)."""
-    names = _analysis(c).class_names
     rc = region_complex(c, region)
-    mask = rc.chain([(x, 0) for x in names if c.alexander_of(x) >= level])
-    return homology_data(rc).is_boundary(mask)
+    return homology_data(rc).is_boundary(_class_image(c, rc, level))
 
 
 def f_map_trivial(c: CfkComplex, s: int) -> bool:
@@ -211,14 +223,65 @@ def epsilon_oracle(c: CfkComplex) -> int:
     return -1
 
 
-def _hook_search(c: CfkComplex, region_at, dies: bool) -> int | None:
-    """Least s from 1 up to the Alexander span of c at which the class is a
-    boundary in region_at(s) exactly when dies is True; None when no s is.
-    The search behind both a1 and a2."""
+def _region_sizes(bound: int) -> Iterator[int]:
+    """Region sizes 1, 2, 4, ... capped at bound, ending with bound itself."""
+    size = 1
+    while True:
+        yield min(size, bound)
+        if size >= bound:
+            return
+        size *= 2
+
+
+def _least_killing_width(c: CfkComplex) -> int:
+    """a1 by regions of doubling width.
+
+    Arrows never raise i, so the elements of width <= s in TruncatedHook(t, w)
+    are the subcomplex TruncatedHook(t, s): the class dies at width s exactly
+    when it lies in the span of their boundary columns.  One region answers
+    every width up to its own, one layer (``-u_power``) at a time.
+    """
     col = _analysis(c)
-    for s in range(1, col.search_bound + 1):
-        if _class_image_is_boundary(c, region_at(s), col.tau) == dies:
-            return s
+    t = col.tau
+    for size in _region_sizes(col.search_bound):
+        rc = region_complex(c, TruncatedHook(t, size))
+        point = _class_image(c, rc, t)
+        layers: list[list[int]] = [[] for _ in range(size + 1)]
+        for el, column in zip(rc.elements, rc.boundary):
+            layers[-el.u_power].append(column)
+        boundaries = Gf2Space()
+        for width, columns in enumerate(layers):
+            for column in columns:
+                boundaries.add(column)
+            if point in boundaries:
+                if width == 0:
+                    raise InternalInconsistency("class already dies in the bare column ray")
+                return width
+    raise SearchExhausted("no hook width killed the class despite epsilon = +1")
+
+
+def _least_reviving_depth(c: CfkComplex, width: int) -> int | None:
+    """a2 by regions of doubling tail depth.
+
+    The tail points deeper than e form a subcomplex of HookWithTail(t, a1, d),
+    and the quotient by it is HookWithTail(t, a1, e): the class is alive at
+    depth e exactly when it is not in B + span(tail points deeper than e).
+    Those points have the lowest Alexander gradings, hence the lowest bits,
+    and reducing against B minimizes the top bit, so the top element of the
+    residual is the shallowest tail point the class cannot shed: its depth
+    is a2.
+    """
+    col = _analysis(c)
+    t = col.tau
+    for size in _region_sizes(col.search_bound):
+        rc = region_complex(c, HookWithTail(t, width, size))
+        residual = Gf2Space(rc.boundary).reduce(_class_image(c, rc, t))
+        if residual:
+            top = rc.elements[residual.bit_length() - 1]
+            depth = t - width - c.alexander_of(top.gen)
+            if depth < 1:
+                raise InternalInconsistency("class survives in the hook of width a1")
+            return depth
     return None
 
 
@@ -229,13 +292,7 @@ def a1(c: CfkComplex) -> int:
         raise EpsilonNotOne(f"epsilon is {epsilon(c)}, not +1")
     col = _analysis(c)
     if "a1" not in col.known:
-        t = col.tau
-        if _class_image_is_boundary(c, TruncatedHook(t, 0), t):
-            raise InternalInconsistency("class already dies in the bare column ray")
-        width = _hook_search(c, functools.partial(TruncatedHook, t), dies=True)
-        if width is None:
-            raise SearchExhausted("no hook width killed the class despite epsilon = +1")
-        col.known["a1"] = width
+        col.known["a1"] = _least_killing_width(c)
     return col.known["a1"]
 
 
@@ -245,8 +302,7 @@ def a2(c: CfkComplex) -> int | None:
     width = a1(c)
     col = _analysis(c)
     if "a2" not in col.known:
-        tail = functools.partial(HookWithTail, col.tau, width)
-        col.known["a2"] = _hook_search(c, tail, dies=False)
+        col.known["a2"] = _least_reviving_depth(c, width)
     return col.known["a2"]
 
 

@@ -8,6 +8,7 @@ are checked against each other on a grid of torus staircases.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import weakref
@@ -31,7 +32,7 @@ from cfkcalc import (
     a1,
     a2,
     check_whitehead_model,
-    direct_sum,
+    class_complex,
     dual,
     epsilon,
     epsilon_oracle,
@@ -39,9 +40,9 @@ from cfkcalc import (
     g_map_trivial,
     hfk_table,
     homology_data,
+    parse,
     reduce,
     region_complex,
-    square_complex,
     staircase_a_invariants,
     staircase_exponents,
     tau,
@@ -52,9 +53,11 @@ from cfkcalc import (
 )
 from cfkcalc import invariants
 from conftest import (
+    direct_sum,
     figure_eight_like,
     random_basis_change,
     random_staircase,
+    square_complex,
     torus_staircase,
     trefoil_complex,
     with_random_squares,
@@ -151,9 +154,17 @@ def test_invariants_in_turn_build_each_region_once(monkeypatch):
     monkeypatch.setattr(invariants, "region_complex", counting)
     for _ in range(2):
         assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
-    assert built.count(Column0()) == 1
-    assert len(built) == len(set(built))
-    assert {FullHook(6), GHook(6), TruncatedHook(6, 1), HookWithTail(6, 1, 3)} <= set(built)
+    # a1 = 1 is read off the first width region; a2 = 3 off the tail regions
+    # of depth 1, 2 and 4
+    assert built == [
+        Column0(),
+        FullHook(6),
+        GHook(6),
+        TruncatedHook(6, 1),
+        HookWithTail(6, 1, 1),
+        HookWithTail(6, 1, 2),
+        HookWithTail(6, 1, 4),
+    ]
 
 
 def test_analysis_of_an_earlier_complex_is_released():
@@ -275,7 +286,11 @@ def test_epsilon_oracle_on_connect_sum_with_inverse():
 # region search against staircase closed forms
 
 
-STAIRCASE_GRID = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6)]
+# a2 = 8, 9 and 16 on (9, 10), (10, 11) and (17, 18): on a region size of the
+# doubling search, one past it, and on the next size
+STAIRCASE_GRID = [
+    (2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6), (9, 10), (10, 11), (17, 18),
+]
 
 
 @pytest.mark.parametrize("p,q", STAIRCASE_GRID)
@@ -285,6 +300,67 @@ def test_hook_search_matches_staircase_closed_forms(p, q):
     want_a1, want_a2 = staircase_a_invariants(exps)
     assert a1(c) == want_a1
     assert a2(c) == want_a2
+
+
+def test_region_sizes_double_up_to_the_bound():
+    assert list(invariants._region_sizes(0)) == [0]
+    assert list(invariants._region_sizes(1)) == [1]
+    assert list(invariants._region_sizes(5)) == [1, 2, 4, 5]
+    assert list(invariants._region_sizes(8)) == [1, 2, 4, 8]
+
+
+def class_dies_in(c: CfkComplex, region) -> bool:
+    """Whether the class, with j < tau dropped, is a boundary in region."""
+    t = tau(c)
+    rc = region_complex(c, region)
+    names = [x for x in vertical_class(c) if c.alexander_of(x) >= t]
+    return homology_data(rc).is_boundary(rc.chain([(x, 0) for x in names]))
+
+
+def search_span(c: CfkComplex) -> range:
+    alex = [g.alexander for g in c.generators]
+    return range(1, max(alex) - min(alex) + 1)
+
+
+def reference_hook_search(c: CfkComplex, region_at, dies: bool) -> int | None:
+    """The per-step search: least s from 1 up to the Alexander span at which
+    the class is a boundary in region_at(s) exactly when dies is True, with
+    one region build and one elimination per s."""
+    for s in search_span(c):
+        if class_dies_in(c, region_at(s)) == dies:
+            return s
+    return None
+
+
+def hook_search_corpus(rng) -> list[CfkComplex]:
+    corpus = [with_random_squares(rng, random_staircase(rng), rng.randint(0, 2)) for _ in range(10)]
+    for base in [trefoil_complex(), torus_staircase(3, 4), random_staircase(rng)]:
+        corpus.append(random_basis_change(rng, with_random_squares(rng, base, 2)))
+    for _ in range(8):
+        left = random_staircase(rng, max_steps=2, max_len=3)
+        right = random_staircase(rng, max_steps=2, max_len=2)
+        corpus.append(reduce(tensor(left, right)))
+        corpus.append(reduce(tensor(left, dual(right))))
+    corpus += [
+        class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex for p in range(2, 7)
+    ]
+    return [c for c in corpus if epsilon(c) == 1]
+
+
+def test_a_invariants_match_the_per_step_search(rng):
+    corpus = hook_search_corpus(rng)
+    assert len(corpus) >= 20
+    for c in corpus:
+        t = tau(c)
+        width = reference_hook_search(c, functools.partial(TruncatedHook, t), dies=True)
+        tail = functools.partial(HookWithTail, t, width)
+        assert (a1(c), a2(c)) == (width, reference_hook_search(c, tail, dies=False)), c
+        # the doubling search relies on both answers being thresholds: once
+        # dead at a width, dead at every wider one; once alive at a depth,
+        # alive at every deeper one
+        dead = [class_dies_in(c, TruncatedHook(t, s)) for s in search_span(c)]
+        alive = [not class_dies_in(c, tail(s)) for s in search_span(c)]
+        assert dead == sorted(dead) and alive == sorted(alive), c
 
 
 def test_staircase_closed_forms_on_known_exponents():
