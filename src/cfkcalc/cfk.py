@@ -34,6 +34,8 @@ __all__ = [
     "serialize",
     "deserialize",
     "unknot_complex",
+    "square_complex",
+    "direct_sum",
     "change_basis",
     "j_drop",
 ]
@@ -341,12 +343,53 @@ def reduce(c: CfkComplex, check_steps: bool = False) -> CfkComplex:
 
 
 # ---------------------------------------------------------------------------
-# the unknot and filtered changes of basis
+# constructors used across the test suites
 
 
 def unknot_complex(name: str = "x0") -> CfkComplex:
     """One generator at (A, M) = (0, 0) with zero differential."""
     return CfkComplex([Generator(name, 0, 0)])
+
+
+def square_complex(
+    width: int = 1,
+    height: int = 1,
+    alexander: int = 0,
+    maslov: int = 0,
+    prefix: str = "sq",
+) -> CfkComplex:
+    """Acyclic box summand on four generators a, b, c, d.
+
+    d(b) = U^width a + c and d(c) = U^width d, d(a) = d (vertical); width is
+    the horizontal arrow length and height the vertical one.  (alexander,
+    maslov) places the corner generator b.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("square sides must be at least 1")
+    a, m = alexander, maslov
+    gens = [
+        Generator(prefix + "b", a, m),
+        Generator(prefix + "a", a + width, m - 1 + 2 * width),
+        Generator(prefix + "c", a - height, m - 1),
+        Generator(prefix + "d", a + width - height, m - 2 + 2 * width),
+    ]
+    arrows = [
+        Arrow(prefix + "b", prefix + "a", width),
+        Arrow(prefix + "b", prefix + "c", 0),
+        Arrow(prefix + "a", prefix + "d", 0),
+        Arrow(prefix + "c", prefix + "d", width),
+    ]
+    return CfkComplex(gens, arrows)
+
+
+def direct_sum(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
+    """Disjoint union; generator names must not collide."""
+    overlap = set(g.name for g in c1.generators) & set(g.name for g in c2.generators)
+    if overlap:
+        raise ValueError(f"direct summands share names: {sorted(overlap)}")
+    return CfkComplex(
+        list(c1.generators) + list(c2.generators), list(c1.arrows) + list(c2.arrows)
+    )
 
 
 def change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkComplex:

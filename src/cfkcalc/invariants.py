@@ -9,14 +9,8 @@ knot-like complex (column homology of rank one):
   F (quotient then include into a full hook) and G (project a G-hook onto
   the column); exactly one of four outcomes survives.
 * a1 is the least hook width that kills the class, a2 the least tail depth
-  that revives it; both require epsilon = +1.
-
-a1 and a2 are searched over regions of size 1, 2, 4, ... up to the
-Alexander span, and each region answers every smaller width or depth
-through one elimination, so the search stops at the first region large
-enough to hold the answer.  A narrower truncated hook is a subcomplex of a
-wider one, and a shallower tail is a quotient of a deeper one; see
-_least_killing_width and _least_reviving_depth.
+  that revives it; both require epsilon = +1 and are read off regions of
+  doubling size (_least_killing_width, _least_reviving_depth).
 
 epsilon_oracle recomputes epsilon by an independent second route inside the
 row j = tau and must always agree with epsilon.
@@ -224,7 +218,16 @@ def epsilon_oracle(c: CfkComplex) -> int:
 
 
 def _region_sizes(bound: int) -> Iterator[int]:
-    """Region sizes 1, 2, 4, ... capped at bound, ending with bound itself."""
+    """Region sizes 1, 2, 4, ... capped at bound, ending with bound itself.
+
+    A truncated hook of width w holds only the generators with A >= tau - w,
+    so regions stay small while the answer is small against the span.  One
+    build at the bound holds nearly every generator: over ten alternating
+    benchmark pairs (2 vCPUs, Python 3.11) it moved torus_invariants (span
+    about 4,000 with a1 = a2 = 1, then about 160,000 with a2 about 400) from
+    0.24 to 0.33 s and from 23 to 30 MB peak, while certificates, where a2 is
+    a large share of the span, gained only 0.59 to 0.55 s.
+    """
     size = 1
     while True:
         yield min(size, bound)
@@ -243,6 +246,9 @@ def _least_killing_width(c: CfkComplex) -> int:
     """
     col = _analysis(c)
     t = col.tau
+    # layer 0 of every region below is this ray, so no width found is 0
+    if _class_image_is_boundary(c, TruncatedHook(t, 0), t):
+        raise InternalInconsistency("class already dies in the bare column ray")
     for size in _region_sizes(col.search_bound):
         rc = region_complex(c, TruncatedHook(t, size))
         point = _class_image(c, rc, t)
@@ -254,8 +260,6 @@ def _least_killing_width(c: CfkComplex) -> int:
             for column in columns:
                 boundaries.add(column)
             if point in boundaries:
-                if width == 0:
-                    raise InternalInconsistency("class already dies in the bare column ray")
                 return width
     raise SearchExhausted("no hook width killed the class despite epsilon = +1")
 

@@ -23,6 +23,7 @@ from cfkcalc import (
     check_whitehead_model,
     class_cmp,
     class_complex,
+    direct_sum,
     dominance_evidence,
     dual,
     epsilon,
@@ -33,6 +34,7 @@ from cfkcalc import (
     parse,
     recheck_certificate,
     reduce,
+    square_complex,
     staircase,
     staircase_a_invariants,
     staircase_exponents,
@@ -44,11 +46,9 @@ from cfkcalc import (
 )
 from conftest import (
     SEED,
-    direct_sum,
     figure_eight_like,
     random_basis_change,
     random_staircase,
-    square_complex,
     torus_staircase,
     trefoil_complex,
     with_random_squares,

@@ -12,21 +12,21 @@ from cfkcalc import (
     ParseError,
     change_basis,
     deserialize,
+    direct_sum,
     dual,
     epsilon,
     j_drop,
     reduce,
     serialize,
+    square_complex,
     tau,
     tensor,
     unknot_complex,
     validate,
 )
 from conftest import (
-    direct_sum,
     random_basis_change,
     random_staircase,
-    square_complex,
     torus_staircase,
     trefoil_complex,
     with_random_squares,

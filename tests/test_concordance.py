@@ -28,6 +28,7 @@ from cfkcalc import (
     cable_tau,
     class_cmp,
     class_sign,
+    direct_sum,
     dominance_evidence,
     dominates_by_invariants,
     dual,
@@ -42,7 +43,7 @@ from cfkcalc import (
     unknot_complex,
 )
 from cfkcalc.concordance import LARGER_A2, SMALLER_A1, _Summary, _compare_summaries
-from conftest import direct_sum, torus_staircase, trefoil_complex
+from conftest import torus_staircase, trefoil_complex
 
 T23 = ClassRep(trefoil_complex())
 T34 = ClassRep(torus_staircase(3, 4))

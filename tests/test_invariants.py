@@ -33,6 +33,7 @@ from cfkcalc import (
     a2,
     check_whitehead_model,
     class_complex,
+    direct_sum,
     dual,
     epsilon,
     epsilon_oracle,
@@ -43,6 +44,7 @@ from cfkcalc import (
     parse,
     reduce,
     region_complex,
+    square_complex,
     staircase_a_invariants,
     staircase_exponents,
     tau,
@@ -53,11 +55,9 @@ from cfkcalc import (
 )
 from cfkcalc import invariants
 from conftest import (
-    direct_sum,
     figure_eight_like,
     random_basis_change,
     random_staircase,
-    square_complex,
     torus_staircase,
     trefoil_complex,
     with_random_squares,
@@ -154,12 +154,13 @@ def test_invariants_in_turn_build_each_region_once(monkeypatch):
     monkeypatch.setattr(invariants, "region_complex", counting)
     for _ in range(2):
         assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
-    # a1 = 1 is read off the first width region; a2 = 3 off the tail regions
-    # of depth 1, 2 and 4
+    # after the bare-ray check, a1 = 1 is read off the first width region;
+    # a2 = 3 off the tail regions of depth 1, 2 and 4
     assert built == [
         Column0(),
         FullHook(6),
         GHook(6),
+        TruncatedHook(6, 0),
         TruncatedHook(6, 1),
         HookWithTail(6, 1, 1),
         HookWithTail(6, 1, 2),
