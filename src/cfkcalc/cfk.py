@@ -17,7 +17,7 @@ import dataclasses
 import json
 import re
 from collections import Counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from .errors import InternalInconsistency, ParseError
 
@@ -129,9 +129,6 @@ class CfkComplex:
 
     def arrows_from(self, name: str) -> tuple[Arrow, ...]:
         return self._from[name]
-
-    def names(self) -> Iterator[str]:
-        return (g.name for g in self.generators)
 
     def grading_table(self) -> dict[tuple[int, int], int]:
         """Generator count per (alexander, maslov) pair."""

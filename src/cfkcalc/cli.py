@@ -43,6 +43,8 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InconsistentInput(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InconsistentInput(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write_file(path: str, text: str) -> None:

@@ -99,7 +99,7 @@ def abs_class(k: ClassRep) -> ClassRep:
         from .knots import Mirror
 
         provenance = Mirror(k.provenance)
-    return ClassRep(reduce(dual(k.complex)), provenance)
+    return ClassRep(dual(k.complex), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
         raise InconsistentInput("max_multiple must be at least 1")
     if epsilon(j.complex) != 1:
         return DominanceEvidence(False, 0)
-    minus_j = reduce(dual(j.complex))
+    minus_j = dual(j.complex)
     acc = k.complex
     for n in range(1, max_multiple + 1):
         acc = reduce(tensor(acc, minus_j))
@@ -230,6 +230,25 @@ class ChainLink:
     above: int
     below: int
     criterion: str
+
+
+# JSON types of the certificate fields, in constructor order
+_ENTRY_FIELDS = {
+    "expression": (str, type(None)),
+    "complex": (str,),
+    "a1": (int,),
+    "a2": (int, type(None)),
+    "epsilon": (int,),
+}
+_LINK_FIELDS = {"above": (int,), "below": (int,), "criterion": (str,)}
+
+
+def _fields(record: dict, types: dict[str, tuple[type, ...]]) -> list:
+    for key, allowed in types.items():
+        if type(record[key]) not in allowed:  # exact types: true is not an int
+            kind = "null" if record[key] is None else type(record[key]).__name__
+            raise CertificateError(f"malformed certificate body: {key!r} cannot be {kind}")
+    return [record[key] for key in types]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,21 +284,13 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("format") != CERTIFICATE_FORMAT:
             raise CertificateError(f"missing format tag {CERTIFICATE_FORMAT!r}")
         try:
-            entries = tuple(
-                ChainEntry(
-                    e["expression"], e["complex"], e["a1"], e["a2"], e["epsilon"]
-                )
-                for e in raw["chain"]
-            )
-            links = tuple(
-                ChainLink(l["above"], l["below"], l["criterion"])
-                for l in raw["links"]
-            )
+            entries = tuple(ChainEntry(*_fields(e, _ENTRY_FIELDS)) for e in raw["chain"])
+            links = tuple(ChainLink(*_fields(l, _LINK_FIELDS)) for l in raw["links"])
         except (KeyError, TypeError) as exc:
             raise CertificateError(f"malformed certificate body: {exc}") from exc
         return cls(entries, links)

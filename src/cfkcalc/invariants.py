@@ -28,7 +28,7 @@ import itertools
 import json
 from typing import Iterator
 
-from .cfk import Arrow, CfkComplex, Generator, dual, reduce, tensor
+from .cfk import CfkComplex, dual, reduce, tensor
 from .errors import (
     EpsilonNotOne,
     InternalInconsistency,
@@ -340,13 +340,6 @@ WHITEHEAD_RANK_TABLE: dict[tuple[int, int], int] = {
 }
 
 
-def _trefoil_staircase() -> CfkComplex:
-    return CfkComplex(
-        [Generator("x0", 1, 0), Generator("x1", 0, -1), Generator("x2", -1, -2)],
-        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class WhiteheadModelReport:
     """Whether a candidate behaves like the doubled trefoil class."""
@@ -391,6 +384,8 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     epsilon = +1, (c) tensoring with the mirrored trefoil staircase gives
     epsilon 0, i.e. the candidate and the trefoil share a concordance class.
     """
+    from .knots import Torus, class_complex
+
     table = hfk_table(c)
     table_ok = table == WHITEHEAD_RANK_TABLE
     try:
@@ -398,7 +393,7 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     except MathError:
         local_ok = False
     try:
-        diff = reduce(tensor(dual(_trefoil_staircase()), c))
+        diff = reduce(tensor(dual(class_complex(Torus(2, 3)).complex), c))
         class_ok = epsilon(diff) == 0
     except MathError:
         class_ok = False

@@ -9,10 +9,11 @@ connected sums, mirrors, and the doubled trefoil D.  Grammar:
           | '(' expr ')'
 
 '+' is connected sum and '-' is mirror reversal.  class_complex maps an
-expression to a reduced representative of its concordance class: torus
-knots and supported cables become staircases, sums become reduced tensor
-products, mirrors become duals, and D is carried by the trefoil staircase
-(its class, not its full complex, which no small model determines).
+expression to a reduced representative of its concordance class: the
+unknot, torus knots and supported cables become staircases, sums become
+reduced tensor products, mirrors become duals, and D is carried by the
+trefoil staircase (its class, not its full complex, which no small model
+determines).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 import math
 from typing import Union
 
-from .cfk import Arrow, CfkComplex, Generator, dual, reduce, tensor, unknot_complex
+from .cfk import Arrow, CfkComplex, Generator, dual, reduce, tensor
 from .concordance import ClassRep
 from .errors import (
     ExpressionError,
@@ -318,7 +319,7 @@ def alexander(e: KnotExpr) -> LaurentPoly:
     Note D itself has trivial polynomial, so for D-cables this differs from
     the polynomial of the class representative on purpose.
     """
-    if isinstance(e, Unknot):
+    if isinstance(e, (Unknot, WhiteheadDoubleTrefoil)):
         return LaurentPoly.one()
     if isinstance(e, Torus):
         return torus_alexander(e.p, e.q)
@@ -326,85 +327,48 @@ def alexander(e: KnotExpr) -> LaurentPoly:
         return (alexander(e.left) * alexander(e.right)).normalized()
     if isinstance(e, Mirror):
         return alexander(e.inner)
-    if isinstance(e, WhiteheadDoubleTrefoil):
-        return LaurentPoly.one()
     if isinstance(e, Cable):
         return cable_alexander(alexander(e.inner), e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")
 
 
-def _contains_sum_or_mirror(e: KnotExpr) -> bool:
-    if isinstance(e, (Sum, Mirror)):
-        return True
-    if isinstance(e, Cable):
-        return _contains_sum_or_mirror(e.inner)
-    return False
-
-
-def _replace_double(e: KnotExpr) -> KnotExpr:
-    """Rewrite D to the trefoil, which carries the same class."""
-    if isinstance(e, WhiteheadDoubleTrefoil):
-        return Torus(2, 3)
-    if isinstance(e, Cable):
-        return Cable(_replace_double(e.inner), e.p, e.q)
-    return e
-
-
-def _lspace_cable_alexander(e: Cable) -> LaurentPoly:
-    """Alexander polynomial of a cable built on a torus knot or the unknot,
-    checking every cable in the nest against the L-space bound.
-
+def _lspace_polynomial(e: KnotExpr) -> LaurentPoly:
+    """Alexander polynomial of the L-space knot whose staircase carries the
+    class of e: U, T(p,q), D (as the trefoil) or cables nested on one of them.
     For p >= 2 the (p, q) cable of an L-space knot K is an L-space knot, and
     so has a staircase complex, exactly when q >= p(2g(K) - 1) (Hedden,
-    arXiv:0806.2172; Hom, arXiv:1009.2413).  A cable below the bound raises
-    UnsupportedExpression.
+    arXiv:0806.2172; Hom, arXiv:1009.2413); every cable in the nest must
+    have q > 0 and meet that bound, or UnsupportedExpression is raised.
     """
-    nest = []
-    while isinstance(e, Cable):
-        nest.append(e)
-        e = e.inner
-    poly = alexander(e)
-    for cable in reversed(nest):
-        genus = poly.degree // 2
-        bound = cable.p * (2 * genus - 1)
-        if cable.p >= 2 and cable.q < bound:
-            raise UnsupportedExpression(
-                f"cable ({cable.p},{cable.q}) of a genus {genus} companion is not "
-                f"an L-space knot (needs q >= {bound}), so no staircase models it"
-            )
-        poly = cable_alexander(poly, cable.p, cable.q)
-    return poly
+    if isinstance(e, WhiteheadDoubleTrefoil):
+        return torus_alexander(2, 3)
+    if isinstance(e, (Sum, Mirror)):
+        raise UnsupportedExpression("no class construction for cables of sums or mirrors")
+    if not isinstance(e, Cable):
+        return alexander(e)
+    if e.q <= 0:
+        raise UnsupportedExpression(f"cable framing must be positive to build a class, got q={e.q}")
+    poly = _lspace_polynomial(e.inner)
+    genus = poly.degree // 2
+    bound = e.p * (2 * genus - 1)
+    if e.p >= 2 and e.q < bound:
+        raise UnsupportedExpression(
+            f"cable ({e.p},{e.q}) of a genus {genus} companion is not "
+            f"an L-space knot (needs q >= {bound}), so no staircase models it"
+        )
+    return cable_alexander(poly, e.p, e.q)
 
 
 def _class_of(e: KnotExpr) -> CfkComplex:
-    if isinstance(e, Unknot):
-        return unknot_complex()
-    if isinstance(e, Torus):
-        return staircase(staircase_exponents(torus_alexander(e.p, e.q)))
-    if isinstance(e, WhiteheadDoubleTrefoil):
-        return staircase(StaircaseExponents((2, 1, 0)))
     if isinstance(e, Mirror):
         return dual(_class_of(e.inner))
     if isinstance(e, Sum):
         return reduce(tensor(_class_of(e.left), _class_of(e.right)))
-    if isinstance(e, Cable):
-        if e.q <= 0:
-            raise UnsupportedExpression(
-                f"cable framing must be positive to build a class, got q={e.q}"
-            )
-        if _contains_sum_or_mirror(e.inner):
-            raise UnsupportedExpression(
-                "no class construction for cables of sums or mirrors"
-            )
-        poly = _lspace_cable_alexander(_replace_double(e))
-        try:
-            exps = staircase_exponents(poly)
-        except NotStaircaseForm as exc:
-            raise UnsupportedExpression(
-                f"cable polynomial {poly} is not in staircase form: {exc}"
-            ) from exc
-        return staircase(exps)
-    raise TypeError(f"not a knot expression: {e!r}")
+    try:
+        exps = staircase_exponents(_lspace_polynomial(e))
+    except NotStaircaseForm as exc:
+        raise UnsupportedExpression(f"polynomial of {e} is not in staircase form: {exc}") from exc
+    return staircase(exps)
 
 
 def class_complex(e: KnotExpr) -> ClassRep:

@@ -142,6 +142,11 @@ def test_invariants_rejects_non_coprime_parameters(capsys):
 def test_invariants_rejects_unsupported_cables(capsys):
     assert main(["invariants", "C(T(2,3);2,-3)"]) == 2
     assert "framing must be positive" in capsys.readouterr().err
+    # C(U;3,-2) is the left-handed trefoil, not a staircase
+    assert main(["invariants", "C(C(U;3,-2);2,3)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "framing must be positive" in err
 
 
 @pytest.mark.parametrize(
@@ -268,6 +273,69 @@ def test_independence_recheck_notices_tampering(tmp_path, capsys):
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["independence", "--recheck", str(path)]) == 2
     assert "certificate says" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry,link",
+    [
+        ({"complex": 5}, {}),
+        ({"complex": None}, {}),
+        ({"expression": 3}, {}),
+        ({"a1": "1"}, {}),
+        ({"a1": True}, {}),
+        ({"epsilon": True}, {}),
+        ({"epsilon": 1.0}, {}),
+        ({"a2": "none"}, {}),
+        ({}, {"above": "0"}),
+        ({}, {"below": 1.5}),
+        ({}, {"criterion": 7}),
+    ],
+    ids=[
+        "complex-int",
+        "complex-null",
+        "expression-int",
+        "a1-str",
+        "a1-bool",
+        "epsilon-bool",
+        "epsilon-float",
+        "a2-str",
+        "above-str",
+        "below-float",
+        "criterion-int",
+    ],
+)
+def test_independence_recheck_rejects_mistyped_fields(tmp_path, capsys, entry, link):
+    path = tmp_path / "chain.json"
+    assert main(["independence", "T(2,3)", "T(3,4)", "--out", str(path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["chain"][0].update(entry)
+    payload["links"][0].update(link)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["independence", "--recheck", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed certificate body: ")
+    assert "cannot be" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants"], ["validate"], ["independence", "--recheck"]],
+    ids=["invariants", "validate", "recheck"],
+)
+def test_binary_files_are_input_errors(tmp_path, capsys, argv):
+    path = tmp_path / "binary.cfk"
+    path.write_bytes(b"cfk v1\n\xff\xfe\x00\x81")
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+
+
+def test_independence_recheck_rejects_json_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["independence", "--recheck", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
 def test_independence_rejects_expressions_plus_recheck_file(tmp_path, capsys):

@@ -63,6 +63,7 @@ ADVERSARIAL = [
     "",
     "+",
     "X",
+    "C(C(U;3,-2);2,3)",
 ]
 
 

@@ -245,6 +245,7 @@ def test_tau_of_torus_classes(p, q):
 
 def test_unknot_class_is_a_point():
     assert len(class_complex(Unknot()).complex.generators) == 1
+    assert class_complex(Unknot()).complex == unknot_complex()
 
 
 def test_double_shares_the_trefoil_class():
@@ -269,7 +270,15 @@ def test_sum_class_reduces_the_tensor_product():
 
 @pytest.mark.parametrize(
     "inner,p,q",
-    [("T(2,3)", 2, 5), ("T(2,3)", 3, 4), ("T(2,3)", 2, 15), ("T(3,4)", 2, 15), ("D", 2, 7)],
+    [
+        ("T(2,3)", 2, 5),
+        ("T(2,3)", 3, 4),
+        ("T(2,3)", 2, 15),
+        ("T(3,4)", 2, 15),
+        ("D", 2, 7),
+        ("C(T(2,3);2,3)", 2, 13),
+        ("C(D;2,3)", 3, 16),
+    ],
 )
 def test_cable_class_tau_matches_the_cable_rule(inner, p, q):
     companion = class_complex(parse(inner)).complex
@@ -285,6 +294,11 @@ def test_unsupported_cables():
         class_complex(Cable(Sum(T23, Unknot()), 2, 3))
     with pytest.raises(UnsupportedExpression):
         class_complex(Cable(Mirror(T23), 2, 3))
+    # q > 0 is required at every level of a nest, not only the outermost
+    with pytest.raises(UnsupportedExpression):
+        class_complex(Cable(Cable(Unknot(), 3, -2), 2, 3))
+    with pytest.raises(UnsupportedExpression):
+        class_complex(Cable(Cable(T23, 2, 3), 2, -1))
 
 
 # ---------------------------------------------------------------------------
