@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from typing import Iterable
 
-from .errors import InternalInconsistency, ParseError
+from .errors import ParseError
 
 __all__ = [
     "Generator",
@@ -253,7 +253,9 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
 
 def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Tensor product; gradings add and the differential obeys the
-    Leibniz rule, so every arrow acts on one factor and fixes the other."""
+    Leibniz rule, so every arrow acts on one factor and fixes the other,
+    keeping its U power and Alexander drop: a tensor product of reduced
+    complexes is reduced, like the dual of one."""
     name: dict[tuple[str, str], str] = {}
     used: set[str] = set()
     for g1 in c1.generators:
@@ -298,13 +300,13 @@ def dual(c: CfkComplex) -> CfkComplex:
     return CfkComplex(gens, arrows)
 
 
-def reduce(c: CfkComplex, check_steps: bool = False) -> CfkComplex:
+def reduce(c: CfkComplex) -> CfkComplex:
     """Cancel every arrow with u_exp = 0 and Alexander drop 0.
 
     Cancelling x -> y removes both generators and, for every w -> y (power
     n1) and x -> z (power n2), toggles w -> z with power n1 + n2.  Arrows
     are cancelled in (source, target) order, so the result is deterministic.
-    With check_steps=True every intermediate complex is re-validated.
+    When nothing cancels, c itself is returned.
     """
     gens = {g.name: g for g in c.generators}
     arrows = {(a.source, a.target, a.u_exp) for a in c.arrows}
@@ -331,11 +333,8 @@ def reduce(c: CfkComplex, check_steps: bool = False) -> CfkComplex:
                     arrows.add(key)
         del gens[x]
         del gens[y]
-        if check_steps:
-            step = CfkComplex(gens.values(), (Arrow(*k) for k in arrows))
-            broken = _math_errors(step)
-            if broken:
-                raise InternalInconsistency(f"cancellation broke the complex: {broken[0].message}")
+    if len(gens) == len(c.generators):
+        return c
     return CfkComplex(gens.values(), (Arrow(*k) for k in arrows))
 
 

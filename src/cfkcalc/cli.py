@@ -76,8 +76,8 @@ def _load_source(source: str) -> tuple[str, str, CfkComplex]:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     kind, label, c = _load_source(args.source)
     generators = len(c.generators)
+    t = tau(c)  # first: it rejects the empty complex, which has no max_alex
     max_alex = max(g.alexander for g in c.generators)
-    t = tau(c)
     e = epsilon(c)
     a1_value = a2_value = None
     a1_reason = a2_reason = None

@@ -15,7 +15,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .cfk import CfkComplex, deserialize, dual, j_drop, reduce, serialize, tensor, validate
+from .cfk import CfkComplex, deserialize, dual, j_drop, serialize, tensor, validate
 from .errors import (
     CertificateError,
     InconsistentInput,
@@ -81,7 +81,7 @@ class Ordering(enum.Enum):
 def class_cmp(k: ClassRep, j: ClassRep) -> Ordering:
     """Position of k against j in the total order: the sign of epsilon on
     the difference class."""
-    e = epsilon(reduce(tensor(k.complex, dual(j.complex))))
+    e = epsilon(tensor(k.complex, dual(j.complex)))
     return {1: Ordering.GT, 0: Ordering.EQ, -1: Ordering.LT}[e]
 
 
@@ -200,7 +200,7 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
     minus_j = dual(j.complex)
     acc = k.complex
     for n in range(1, max_multiple + 1):
-        acc = reduce(tensor(acc, minus_j))
+        acc = tensor(acc, minus_j)
         if epsilon(acc) != 1:
             return DominanceEvidence(False, n)
     return DominanceEvidence(True, max_multiple)
@@ -362,8 +362,8 @@ def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
 
 
 def recheck_certificate(cert: Certificate) -> bool:
-    """Recompute every stated invariant and link from the embedded
-    complexes; raises CertificateError on the first discrepancy."""
+    """Check each embedded complex is knot-like and recompute every stated
+    invariant and link from them; raises CertificateError on the first defect."""
     if not cert.entries:
         raise CertificateError("certificate has no chain entries")
     summaries = []
@@ -372,6 +372,9 @@ def recheck_certificate(cert: Certificate) -> bool:
             c = deserialize(entry.complex_text)
         except ParseError as exc:
             raise CertificateError(f"entry {i}: embedded complex does not parse: {exc}") from exc
+        errors = validate(c, knot_class=True).errors
+        if errors:
+            raise CertificateError(f"entry {i}: not a knot-like complex: {errors[0].message}")
         try:
             summary = _summarize(c)
         except Exception as exc:

@@ -124,7 +124,7 @@ def _class_image(c: CfkComplex, rc, level: int) -> int:
 def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
     """Push the class through (drop j < level, include into region)."""
     rc = region_complex(c, region)
-    return homology_data(rc).is_boundary(_class_image(c, rc, level))
+    return _class_image(c, rc, level) in homology_data(rc).boundary_space
 
 
 def f_map_trivial(c: CfkComplex, s: int) -> bool:
@@ -252,12 +252,12 @@ def _least_killing_width(c: CfkComplex) -> int:
     for size in _region_sizes(col.search_bound):
         rc = region_complex(c, TruncatedHook(t, size))
         point = _class_image(c, rc, t)
-        layers: list[list[int]] = [[] for _ in range(size + 1)]
+        layers: dict[int, list[int]] = {}
         for el, column in zip(rc.elements, rc.boundary):
-            layers[-el.u_power].append(column)
+            layers.setdefault(-el.u_power, []).append(column)
         boundaries = Gf2Space()
-        for width, columns in enumerate(layers):
-            for column in columns:
+        for width in sorted(layers):
+            for column in layers[width]:
                 boundaries.add(column)
             if point in boundaries:
                 return width

@@ -11,9 +11,9 @@ connected sums, mirrors, and the doubled trefoil D.  Grammar:
 '+' is connected sum and '-' is mirror reversal.  class_complex maps an
 expression to a reduced representative of its concordance class: the
 unknot, torus knots and supported cables become staircases, sums become
-reduced tensor products, mirrors become duals, and D is carried by the
-trefoil staircase (its class, not its full complex, which no small model
-determines).
+tensor products, mirrors become duals (both keep a complex reduced), and D
+is carried by the trefoil staircase (its class, not its full complex, which
+no small model determines).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import dataclasses
 import math
 from typing import Union
 
-from .cfk import Arrow, CfkComplex, Generator, dual, reduce, tensor
+from .cfk import Arrow, CfkComplex, Generator, dual, tensor
 from .concordance import ClassRep
 from .errors import (
     ExpressionError,
@@ -363,7 +363,7 @@ def _class_of(e: KnotExpr) -> CfkComplex:
     if isinstance(e, Mirror):
         return dual(_class_of(e.inner))
     if isinstance(e, Sum):
-        return reduce(tensor(_class_of(e.left), _class_of(e.right)))
+        return tensor(_class_of(e.left), _class_of(e.right))
     try:
         exps = staircase_exponents(_lspace_polynomial(e))
     except NotStaircaseForm as exc:

@@ -197,9 +197,6 @@ class HomologyData:
     def rank(self) -> int:
         return len(self.cycle_basis) - self.boundary_space.dim
 
-    def is_boundary(self, mask: int) -> bool:
-        return mask in self.boundary_space
-
 
 def homology_data(rc: RegionComplex) -> HomologyData:
     """Kernel basis and image span of the boundary map.

@@ -8,6 +8,7 @@ run.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -19,8 +20,11 @@ from cfkcalc import (
     Generator,
     StaircaseExponents,
     change_basis,
+    class_complex,
     direct_sum,
     dual,
+    independence_certificate,
+    parse,
     square_complex,
     staircase,
     torus_alexander,
@@ -101,6 +105,26 @@ def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> Cf
         if out != c:
             return out
     return c
+
+
+def tampered_certificate() -> str:
+    """Certificate JSON for C(D;3,4) - T(3,4) > C(D;2,3) - T(2,3) whose first
+    embedded complex has one Maslov grading raised by 7.
+
+    The invariants it states still recompute, so only validating the
+    embedded complex notices the edit.
+    """
+    reps = [class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2)]
+    payload = json.loads(independence_certificate(reps).to_json())
+    entry = payload["chain"][0]
+    entry["complex"] = re.sub(
+        r"^(gen \S+ A=-?\d+ M=)(-?\d+)",
+        lambda m: m.group(1) + str(int(m.group(2)) + 7),
+        entry["complex"],
+        count=1,
+        flags=re.M,
+    )
+    return json.dumps(payload, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ from cfkcalc import (
     Arrow,
     CfkComplex,
     Generator,
-    InternalInconsistency,
     ParseError,
     change_basis,
+    class_complex,
     deserialize,
     direct_sum,
     dual,
     epsilon,
     j_drop,
+    parse,
     reduce,
     serialize,
     square_complex,
@@ -193,10 +194,11 @@ def test_reduce_cancels_synthetic_pair():
     ]
     c = CfkComplex(gens, arrows)
     assert validate(c).ok
-    r = reduce(c, check_steps=True)
+    r = reduce(c)
     assert len(r.generators) == 4
     assert r.arrows == (Arrow("b", "a", 1), Arrow("r", "s", 0))
     assert validate(r).ok
+    assert reduce(r) is r
 
 
 def test_reduce_identity_on_reduced():
@@ -210,9 +212,9 @@ def test_reduce_idempotent_random(rng):
     for _ in range(8):
         c = with_random_squares(rng, random_staircase(rng), rng.randint(0, 2))
         c = random_basis_change(rng, c)
-        r = reduce(c, check_steps=True)
-        assert reduce(r) == r
+        r = reduce(c)
         assert validate(r).ok
+        assert reduce(r) is r
 
 
 def test_square_complex_validates():
@@ -263,8 +265,28 @@ def test_change_basis_round_trip_is_identity():
     assert twice == c
 
 
-def test_reduce_check_steps_accepts_catalog(rng):
+def test_reduce_accepts_catalog(rng):
     for _ in range(5):
         c = tensor(random_staircase(rng), dual(random_staircase(rng)))
-        r = reduce(c, check_steps=True)
+        r = reduce(c)
         assert validate(r, knot_class=True).ok
+        assert reduce(r) is r
+
+
+def test_tensor_and_dual_keep_classes_reduced(rng):
+    # the class algebra skips reduce after tensor and dual: on reduced
+    # inputs reduce must hand back the very object it was given
+    pool = [random_staircase(rng) for _ in range(4)]
+    pool += [dual(random_staircase(rng)) for _ in range(3)]
+    pool += [tensor(random_staircase(rng, 2, 2), random_staircase(rng, 2, 2)) for _ in range(3)]
+    pool += [
+        class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex for p in (2, 3, 4)
+    ]
+    for a in pool:
+        assert reduce(a) is a
+        d = dual(a)
+        assert reduce(d) is d
+    for _ in range(12):
+        a, b = rng.sample(pool, 2)
+        c = tensor(a, b)
+        assert reduce(c) is c

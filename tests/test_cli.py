@@ -8,12 +8,15 @@ result, 2 bad input.
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cfkcalc import serialize
+from cfkcalc import class_complex, parse, serialize
 from cfkcalc.cli import main
-from conftest import trefoil_complex
+from conftest import tampered_certificate, trefoil_complex
 
 T45_INVARIANTS = (
     "expression: T(4,5)\n"
@@ -125,6 +128,13 @@ def test_invariants_rejects_an_invalid_complex_file(tmp_path, capsys):
     path.write_text("cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\narr a b u=0\n")
     assert main(["invariants", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invariants_of_an_empty_complex_file_is_a_math_error(tmp_path, capsys):
+    path = tmp_path / "empty.cfk"
+    path.write_text("cfk v1\n", encoding="utf-8")
+    assert main(["invariants", str(path)]) == 1
+    assert capsys.readouterr().err == "error: column homology rank 0, expected 1\n"
 
 
 def test_invariants_rejects_a_bad_expression(capsys):
@@ -273,6 +283,14 @@ def test_independence_recheck_notices_tampering(tmp_path, capsys):
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["independence", "--recheck", str(path)]) == 2
     assert "certificate says" in capsys.readouterr().err
+
+
+def test_independence_recheck_validates_the_embedded_complexes(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(tampered_certificate(), encoding="utf-8")
+    assert main(["independence", "--recheck", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry 0: not a knot-like complex: arrow ")
 
 
 @pytest.mark.parametrize(
@@ -508,3 +526,29 @@ def test_identical_invocations_are_byte_identical(capsys):
         first = run_capture(capsys, argv)
         second = run_capture(capsys, argv)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# README transcripts
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+TRANSCRIPTS = re.findall(
+    r"^```\n\$ (cfkcalc [^\n]*)\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S
+)
+
+
+def test_readme_shows_every_subcommand():
+    assert {shlex.split(command)[1] for command, _ in TRANSCRIPTS} == {
+        "invariants", "cmp", "dominates", "independence", "alexander", "show", "validate",
+        "tau-cable",
+    }
+
+
+@pytest.mark.parametrize("command,stdout", TRANSCRIPTS, ids=range(len(TRANSCRIPTS)))
+def test_readme_transcripts_are_byte_identical(command, stdout, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    trefoil = serialize(class_complex(parse("T(2,3)")).complex)
+    (tmp_path / "trefoil.cfk").write_text(trefoil, encoding="utf-8")
+    assert main(shlex.split(command)[1:]) in (0, 1)  # dominates says "not proved"
+    assert capsys.readouterr().out == stdout

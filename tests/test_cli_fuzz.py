@@ -3,7 +3,8 @@
 Expressions are drawn from the grammar with integers up to 5 and at most
 two summands, so every class complex stays small.  Whatever the input,
 main must return 0, 1 or 2, let no exception escape, and start stderr with
-"error:" whenever it returns non-zero.
+"error:" whenever it returns non-zero (validate reports an invalid complex
+on stdout instead).  File inputs go through the commands that read files.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfkcalc import StaircaseExponents, serialize, staircase
 from cfkcalc.cli import main
 from cfkcalc.knots import MAX_DEPTH
+from conftest import tampered_certificate
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -72,7 +75,9 @@ def run(argv: list[str]) -> None:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
-    if code != 0:
+    if code == 1 and argv[0] == "validate":  # an invalid complex: the report lists why
+        assert out.getvalue().startswith("error "), (argv, out.getvalue())
+    elif code != 0:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
 
 
@@ -97,3 +102,23 @@ def test_cmp_keeps_the_exit_contract(left, right):
 def test_adversarial_expressions_keep_the_exit_contract(text):
     check_single(text)
     run(["cmp", "--", text, "T(2,3)"])
+
+
+BIG_STEP = 10**9
+
+FILES = {
+    "empty.cfk": lambda: "cfk v1\n",
+    "rank-two.cfk": lambda: "cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n",
+    "big-step.cfk": lambda: serialize(
+        staircase(StaircaseExponents((2 * BIG_STEP, BIG_STEP, 0)))
+    ),
+    "tampered.json": tampered_certificate,
+}
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_file_inputs_keep_the_exit_contract(name, tmp_path):
+    path = tmp_path / name
+    path.write_text(FILES[name](), encoding="utf-8")
+    for command in (["invariants"], ["validate", "--knot-class"], ["independence", "--recheck"]):
+        run(command + [str(path)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -45,6 +46,7 @@ from cfkcalc import (
     reduce,
     region_complex,
     square_complex,
+    staircase,
     staircase_a_invariants,
     staircase_exponents,
     tau,
@@ -310,12 +312,27 @@ def test_region_sizes_double_up_to_the_bound():
     assert list(invariants._region_sizes(8)) == [1, 2, 4, 8]
 
 
+def test_a1_memory_follows_the_generators_not_the_step_length():
+    # three generators, but the class dies only at width n
+    n = 10**6
+    exps = StaircaseExponents((2 * n, n, 0))
+    c = staircase(exps)
+    tracemalloc.start()
+    try:
+        width = a1(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (width, a2(c)) == staircase_a_invariants(exps) == (n, n)
+    assert peak < 5_000_000
+
+
 def class_dies_in(c: CfkComplex, region) -> bool:
     """Whether the class, with j < tau dropped, is a boundary in region."""
     t = tau(c)
     rc = region_complex(c, region)
     names = [x for x in vertical_class(c) if c.alexander_of(x) >= t]
-    return homology_data(rc).is_boundary(rc.chain([(x, 0) for x in names]))
+    return rc.chain([(x, 0) for x in names]) in homology_data(rc).boundary_space
 
 
 def search_span(c: CfkComplex) -> range:
