@@ -27,7 +27,7 @@ from .concordance import (
     independence_certificate,
     recheck_certificate,
 )
-from .errors import InconsistentInput, InputError, MathError
+from .errors import InconsistentInput, InputError, MathError, RankNotOne
 from .invariants import a1, a2, epsilon, tau
 from .knots import alexander, class_complex, parse
 
@@ -59,11 +59,11 @@ def _load_source(source: str) -> tuple[str, str, CfkComplex]:
     """An argument names either a complex file on disk or an expression."""
     if os.path.isfile(source):
         c = deserialize(_read_file(source))
-        report = validate(c)
-        if not report.ok:
-            raise InconsistentInput(
-                f"{source}: {report.errors[0].message}"
-            )
+        errors = validate(c, knot_class=True).errors
+        if errors and errors[0].kind in ("column-rank", "row-rank"):
+            raise RankNotOne(errors[0].message)
+        if errors:
+            raise InconsistentInput(f"{source}: {errors[0].message}")
         return ("file", source, c)
     expr = parse(source)
     return ("expression", str(expr), class_complex(expr).complex)
@@ -71,9 +71,14 @@ def _load_source(source: str) -> tuple[str, str, CfkComplex]:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each returns its exit code, its --json payload (a dict, or JSON text the
+# library already rendered) and its text lines; main alone prints them.
+
+_Output = tuple[int, dict[str, object] | str | None, list[str]]
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> _Output:
     kind, label, c = _load_source(args.source)
     generators = len(c.generators)
     t = tau(c)  # first: it rejects the empty complex, which has no max_alex
@@ -88,177 +93,120 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             a2_reason = "no tail depth within the search bound revives the class"
     else:
         a1_reason = a2_reason = "defined only when epsilon is +1"
-    if args.json:
-        payload: dict[str, object] = {
-            "kind": kind,
-            "source": label,
-            "generators": generators,
-            "max_alexander": max_alex,
-            "tau": t,
-            "epsilon": e,
-            "a1": a1_value,
-            "a2": a2_value,
-        }
-        if a1_reason is not None:
-            payload["a1_reason"] = a1_reason
-        if a2_reason is not None:
-            payload["a2_reason"] = a2_reason
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"{kind}: {label}")
-    print(f"generators: {generators}")
-    print(f"max alexander grading: {max_alex}")
-    print(f"tau: {t}")
-    print(f"epsilon: {EPSILON_TEXT[e]}")
-    print(f"a1: {a1_value}" if a1_value is not None else f"a1: n/a ({a1_reason})")
-    if a2_value is not None:
-        print(f"a2: {a2_value}")
-    else:
-        print(f"a2: n/a ({a2_reason})")
-    return 0
+    payload: dict[str, object] = {
+        "kind": kind,
+        "source": label,
+        "generators": generators,
+        "max_alexander": max_alex,
+        "tau": t,
+        "epsilon": e,
+        "a1": a1_value,
+        "a2": a2_value,
+    }
+    if a1_reason is not None:
+        payload["a1_reason"] = a1_reason
+    if a2_reason is not None:
+        payload["a2_reason"] = a2_reason
+    return 0, payload, [
+        f"{kind}: {label}",
+        f"generators: {generators}",
+        f"max alexander grading: {max_alex}",
+        f"tau: {t}",
+        f"epsilon: {EPSILON_TEXT[e]}",
+        f"a1: {a1_value}" if a1_value is not None else f"a1: n/a ({a1_reason})",
+        f"a2: {a2_value}" if a2_value is not None else f"a2: n/a ({a2_reason})",
+    ]
 
 
-def _cmd_cmp(args: argparse.Namespace) -> int:
+def _cmd_cmp(args: argparse.Namespace) -> _Output:
     left = class_complex(parse(args.left))
     right = class_complex(parse(args.right))
     order = class_cmp(left, right)
-    if args.json:
-        print(
-            json.dumps(
-                {"left": str(left), "right": str(right), "order": order.value},
-                indent=2,
-            )
-        )
-        return 0
-    print(f"{left} {order.value} {right}")
-    return 0
+    payload = {"left": str(left), "right": str(right), "order": order.value}
+    return 0, payload, [f"{left} {order.value} {right}"]
 
 
-def _cmd_dominates(args: argparse.Namespace) -> int:
+def _cmd_dominates(args: argparse.Namespace) -> _Output:
     above = class_complex(parse(args.above))
     below = class_complex(parse(args.below))
     result = dominates_by_invariants(above, below)
-    evidence = None
+    payload: dict[str, object] = {
+        "above": str(above),
+        "below": str(below),
+        "proved": result.proved,
+        "criterion": result.criterion,
+        "reason": result.reason,
+    }
+    verdict = f"proved ({result.criterion})" if result.proved else "not proved"
+    lines = [f"{above} dominates {below}: {verdict}", f"  reason: {result.reason}"]
     if args.evidence is not None:
         evidence = dominance_evidence(above, below, args.evidence)
-    if args.json:
-        payload: dict[str, object] = {
-            "above": str(above),
-            "below": str(below),
-            "proved": result.proved,
-            "criterion": result.criterion,
-            "reason": result.reason,
-        }
-        if evidence is not None:
-            payload["evidence"] = {
-                "consistent": evidence.consistent,
-                "checked": evidence.checked,
-            }
-        print(json.dumps(payload, indent=2))
-    else:
-        if result.proved:
-            print(f"{above} dominates {below}: proved ({result.criterion})")
-        else:
-            print(f"{above} dominates {below}: not proved")
-        print(f"  reason: {result.reason}")
-        if evidence is not None:
-            print(f"  evidence: {evidence}")
-    return 0 if result.proved else 1
+        payload["evidence"] = {"consistent": evidence.consistent, "checked": evidence.checked}
+        lines.append(f"  evidence: {evidence}")
+    return (0 if result.proved else 1), payload, lines
 
 
-def _cmd_independence(args: argparse.Namespace) -> int:
-    if isinstance(args.recheck, str):
+def _cmd_independence(args: argparse.Namespace) -> _Output:
+    from_file = isinstance(args.recheck, str)
+    if from_file:
         if args.exprs:
             raise InconsistentInput(
                 "give either expressions to certify or --recheck FILE, not both"
             )
         cert = Certificate.from_json(_read_file(args.recheck))
-        recheck_certificate(cert)
-        print(str(cert))
-        print("recheck: ok")
-        return 0
-    if not args.exprs:
-        raise InconsistentInput("no expressions given")
-    reps = [class_complex(parse(text)) for text in args.exprs]
-    cert = independence_certificate(reps)
-    if args.json:
-        print(cert.to_json())
+    elif args.exprs:
+        cert = independence_certificate([class_complex(parse(text)) for text in args.exprs])
     else:
-        print(str(cert))
+        raise InconsistentInput("no expressions given")
+    doc = cert.to_json()
+    lines = [str(cert)]
     if args.recheck:
-        recheck_certificate(Certificate.from_json(cert.to_json()))
-        print("recheck: ok")
-    if args.out is not None:
-        _write_file(args.out, cert.to_json() + "\n")
-        print(f"saved: {args.out}")
-    return 0
+        recheck_certificate(Certificate.from_json(doc))
+        lines.append("recheck: ok")
+    if args.out is not None and not from_file:
+        _write_file(args.out, doc + "\n")
+        lines.append(f"saved: {args.out}")
+    return 0, doc, lines
 
 
-def _cmd_alexander(args: argparse.Namespace) -> int:
+def _cmd_alexander(args: argparse.Namespace) -> _Output:
     expr = parse(args.expr)
     poly = alexander(expr)
-    if args.json:
-        print(json.dumps({"expression": str(expr), "alexander": str(poly)}, indent=2))
-        return 0
-    print(str(poly))
-    return 0
+    return 0, {"expression": str(expr), "alexander": str(poly)}, [str(poly)]
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    expr = parse(args.expr)
-    c = class_complex(expr).complex
-    dots, hsegs, vsegs = _diagram_geometry(c)
-    if args.format == "svg":
-        text = _svg_diagram(dots, hsegs, vsegs)
-    else:
-        text = _ascii_diagram(dots, hsegs, vsegs)
-    if args.out is not None:
-        _write_file(args.out, text)
-        print(f"saved: {args.out}")
-        return 0
-    print(text, end="" if text.endswith("\n") else "\n")
-    return 0
+def _cmd_show(args: argparse.Namespace) -> _Output:
+    c = class_complex(parse(args.expr)).complex
+    draw = _svg_diagram if args.format == "svg" else _ascii_diagram
+    text = draw(*_diagram_geometry(c))
+    if args.out is None:
+        return 0, None, [text]
+    _write_file(args.out, text + "\n")
+    return 0, None, [f"saved: {args.out}"]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    c = deserialize(_read_file(args.file))
-    report = validate(c, knot_class=args.knot_class)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(str(report))
-    return 0 if report.ok else 1
+def _cmd_validate(args: argparse.Namespace) -> _Output:
+    report = validate(deserialize(_read_file(args.file)), knot_class=args.knot_class)
+    return (0 if report.ok else 1), report.to_json(), [str(report)]
 
 
-def _cmd_tau_cable(args: argparse.Namespace) -> int:
+def _cmd_tau_cable(args: argparse.Namespace) -> _Output:
     value = cable_tau(args.tau, args.epsilon, args.p, args.q)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "p": args.p,
-                    "q": args.q,
-                    "tau": args.tau,
-                    "epsilon": args.epsilon,
-                    "cable_tau": value,
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(value)
-    return 0
+    payload = dict(p=args.p, q=args.q, tau=args.tau, epsilon=args.epsilon, cable_tau=value)
+    return 0, payload, [str(value)]
 
 
 # ---------------------------------------------------------------------------
 # staircase diagrams
 
 
-def _layout_offsets(c: CfkComplex) -> dict[str, int] | None:
+def _layout_offsets(c: CfkComplex) -> dict[str, int]:
     """U-power offset per generator making every arrow axis-aligned.
 
-    Breadth-first over the arrow graph; an inconsistent cycle returns None
-    (then everything is drawn at its own U^0 translate).
+    Breadth-first over the arrow graph.  A class complex is built from
+    staircases by tensor products and duals, so every arrow is horizontal
+    (u > 0, no Alexander drop) or vertical (u = 0), and offsets add under
+    tensor products: they agree around every cycle.
     """
     adjacency: dict[str, list[tuple[str, int]]] = {g.name: [] for g in c.generators}
     for a in c.arrows:
@@ -272,13 +220,9 @@ def _layout_offsets(c: CfkComplex) -> dict[str, int] | None:
         queue = [start]
         while queue:
             x = queue.pop(0)
-            for y, delta in sorted(adjacency[x]):
-                want = offsets[x] + delta
-                if y in offsets:
-                    if offsets[y] != want:
-                        return None
-                else:
-                    offsets[y] = want
+            for y, delta in adjacency[x]:
+                if y not in offsets:
+                    offsets[y] = offsets[x] + delta
                     queue.append(y)
     return offsets
 
@@ -293,9 +237,6 @@ def _diagram_geometry(
     """Dots plus horizontal (i1, i2, j) and vertical (i, j1, j2) segments,
     shifted so both coordinates start at 0."""
     offsets = _layout_offsets(c)
-    aligned = offsets is not None
-    if offsets is None:
-        offsets = {g.name: 0 for g in c.generators}
     pos = {
         g.name: (-offsets[g.name], g.alexander - offsets[g.name])
         for g in c.generators
@@ -308,14 +249,16 @@ def _diagram_geometry(
     vsegs = []
     for a in c.arrows:
         (i1, j1), (i2, j2) = pos[a.source], pos[a.target]
-        if j1 == j2 and i1 != i2:
+        assert (i1 == i2) != (j1 == j2), f"arrow {a.source}->{a.target} is not axis-aligned"
+        if j1 == j2:
             hsegs.append((min(i1, i2), max(i1, i2), j1))
-        elif i1 == i2 and j1 != j2:
-            vsegs.append((i1, min(j1, j2), max(j1, j2)))
         else:
-            # only possible in the unaligned fallback; skip the segment
-            assert not aligned
+            vsegs.append((i1, min(j1, j2), max(j1, j2)))
     return dots, sorted(set(hsegs)), sorted(set(vsegs))
+
+
+# the ASCII grid is quadratic in the Alexander span; SVG output is linear in it
+ASCII_MAX_CELLS = 4_000_000
 
 
 def _ascii_diagram(dots, hsegs, vsegs) -> str:
@@ -323,7 +266,13 @@ def _ascii_diagram(dots, hsegs, vsegs) -> str:
     sx, sy = 4, 2
     imax = max(i for i, _ in dots)
     jmax = max(j for _, j in dots)
-    grid = [[" "] * (imax * sx + 1) for _ in range(jmax * sy + 1)]
+    width, height = imax * sx + 1, jmax * sy + 1
+    if width * height > ASCII_MAX_CELLS:
+        raise InputError(
+            f"an ASCII diagram of {width} x {height} characters is over the limit of "
+            f"{ASCII_MAX_CELLS} characters; use --format svg"
+        )
+    grid = [[" "] * width for _ in range(height)]
 
     def put(row: int, col: int, ch: str) -> None:
         old = grid[row][col]
@@ -343,7 +292,7 @@ def _ascii_diagram(dots, hsegs, vsegs) -> str:
             put(row, col, "|")
     for i, j in dots:
         grid[(jmax - j) * sy][i * sx] = "o"
-    return "\n".join("".join(row).rstrip() for row in grid) + "\n"
+    return "\n".join("".join(row).rstrip() for row in grid)
 
 
 SVG_PITCH = 24
@@ -380,7 +329,7 @@ def _svg_diagram(dots, hsegs, vsegs) -> str:
     for i, j in dots:
         lines.append(f'<circle cx="{x(i)}" cy="{y(j)}" r="4" fill="black"/>')
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        code, payload, lines = args.func(args)
+    except (InputError, MathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
+    if getattr(args, "json", False):  # show has no --json
+        print(payload if isinstance(payload, str) else json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cfkcalc import class_complex, parse, serialize
-from cfkcalc.cli import main
+from cfkcalc.cli import _diagram_geometry, _layout_offsets, main
 from conftest import tampered_certificate, trefoil_complex
 
 T45_INVARIANTS = (
@@ -135,6 +136,19 @@ def test_invariants_of_an_empty_complex_file_is_a_math_error(tmp_path, capsys):
     path.write_text("cfk v1\n", encoding="utf-8")
     assert main(["invariants", str(path)]) == 1
     assert capsys.readouterr().err == "error: column homology rank 0, expected 1\n"
+
+
+def test_invariants_of_a_file_that_is_not_knot_like_is_a_math_error(tmp_path, capsys):
+    # column homology has rank one, row homology rank three
+    path = tmp_path / "row-rank.cfk"
+    path.write_text(
+        "cfk v1\ngen x0 A=0 M=0\ngen y A=1 M=0\ngen z A=0 M=-1\narr y z u=0\n",
+        encoding="utf-8",
+    )
+    assert main(["invariants", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row homology rank 3, expected 1\n"
 
 
 def test_invariants_rejects_a_bad_expression(capsys):
@@ -375,6 +389,48 @@ def test_independence_json_output(capsys):
     assert payload["links"] == [{"above": 0, "below": 1, "criterion": "larger-a2"}]
 
 
+def test_independence_json_with_recheck_pipes_into_a_recheck(tmp_path, capsys):
+    family = ["C(D;3,4) + -T(3,4)", "C(D;2,3) + -T(2,3)"]
+    assert main(["independence", *family, "--json", "--recheck"]) == 0
+    path = tmp_path / "cert.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["independence", "--recheck", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("recheck: ok\n")
+
+
+def test_independence_recheck_file_json(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    assert main(["independence", "T(2,3)", "T(3,4)", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["independence", "--recheck", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_independence_json_with_out_prints_the_saved_file(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    assert main(["independence", "T(2,3)", "T(3,4)", "--json", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    json.loads(out)
+    assert out == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["independence", "T(2,3)", "T(3,4)"],
+        ["independence", "T(2,3)", "T(3,4)", "--json"],
+        ["show", "T(2,3)"],
+    ],
+    ids=["independence", "independence-json", "show"],
+)
+def test_a_failed_save_leaves_stdout_empty(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+
+
 def test_independence_without_arguments_is_an_input_error(capsys):
     assert main(["independence"]) == 2
     assert "no expressions" in capsys.readouterr().err
@@ -421,6 +477,48 @@ def test_show_writes_files(tmp_path, capsys):
     assert main(["show", "T(2,3)", "--format", "svg", "--out", str(path)]) == 0
     assert capsys.readouterr().out == f"saved: {path}\n"
     assert path.read_text(encoding="utf-8") == TREFOIL_SVG
+
+
+def test_show_refuses_an_oversized_ascii_diagram(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["show", "T(2,4001)"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: an ASCII diagram of 8001 x 4001 characters ")
+    assert captured.err.endswith("use --format svg\n")
+    assert peak < 20 * 2**20
+    assert main(["show", "T(2,4001)", "--format", "svg"]) == 0
+    assert capsys.readouterr().out.endswith("</svg>\n")
+
+
+LAYOUT_CORPUS = [
+    "U",
+    "D",
+    "T(2,3)",
+    "T(3,4)",
+    "T(2,5)",
+    "-T(4,5)",
+    "C(D;2,3)",
+    "C(T(2,3);2,3)",
+    "C(C(T(2,3);2,3);2,11)",
+    "T(2,3) + T(2,3)",
+    "T(2,3) + -T(2,3)",
+    "T(3,4) + -T(2,5)",
+    "-(T(2,3) + T(3,4))",
+    "T(2,3) + T(2,3) + -T(3,4)",
+] + [f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 8)]
+
+
+@pytest.mark.parametrize("text", LAYOUT_CORPUS)
+def test_every_arrow_of_a_class_is_drawn_as_a_segment(text):
+    c = class_complex(parse(text)).complex
+    offsets = _layout_offsets(c)
+    assert all(offsets[a.target] == offsets[a.source] + a.u_exp for a in c.arrows)
+    _diagram_geometry(c)  # asserts that every arrow is horizontal or vertical
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ Expressions are drawn from the grammar with integers up to 5 and at most
 two summands, so every class complex stays small.  Whatever the input,
 main must return 0, 1 or 2, let no exception escape, and start stderr with
 "error:" whenever it returns non-zero (validate reports an invalid complex
-on stdout instead).  File inputs go through the commands that read files.
+on stdout instead).  An error leaves stdout empty; otherwise, with --json,
+stdout is exactly one JSON document.  File inputs go through the commands
+that read files.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,11 +82,21 @@ def run(argv: list[str]) -> None:
         assert out.getvalue().startswith("error "), (argv, out.getvalue())
     elif code != 0:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+    if err.getvalue():
+        assert out.getvalue() == "", (argv, out.getvalue())
+    elif "--json" in argv:
+        json.loads(out.getvalue())
+
+
+def run_with_and_without_json(argv: list[str]) -> None:
+    run(argv)
+    run(argv[:1] + ["--json"] + argv[1:])
 
 
 def check_single(text: str) -> None:
-    for command in ("invariants", "alexander", "show"):
-        run([command, "--", text])
+    run_with_and_without_json(["invariants", "--", text])
+    run_with_and_without_json(["alexander", "--", text])
+    run(["show", "--", text])
 
 
 @FUZZ
@@ -95,13 +108,13 @@ def test_single_expression_commands_keep_the_exit_contract(text):
 @FUZZ
 @given(TERMS, TERMS)
 def test_cmp_keeps_the_exit_contract(left, right):
-    run(["cmp", "--", left, right])
+    run_with_and_without_json(["cmp", "--", left, right])
 
 
 @pytest.mark.parametrize("text", ADVERSARIAL, ids=range(len(ADVERSARIAL)))
 def test_adversarial_expressions_keep_the_exit_contract(text):
     check_single(text)
-    run(["cmp", "--", text, "T(2,3)"])
+    run_with_and_without_json(["cmp", "--", text, "T(2,3)"])
 
 
 BIG_STEP = 10**9
@@ -109,6 +122,9 @@ BIG_STEP = 10**9
 FILES = {
     "empty.cfk": lambda: "cfk v1\n",
     "rank-two.cfk": lambda: "cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n",
+    "row-rank-three.cfk": lambda: (
+        "cfk v1\ngen x0 A=0 M=0\ngen y A=1 M=0\ngen z A=0 M=-1\narr y z u=0\n"
+    ),
     "big-step.cfk": lambda: serialize(
         staircase(StaircaseExponents((2 * BIG_STEP, BIG_STEP, 0)))
     ),
@@ -120,5 +136,10 @@ FILES = {
 def test_file_inputs_keep_the_exit_contract(name, tmp_path):
     path = tmp_path / name
     path.write_text(FILES[name](), encoding="utf-8")
-    for command in (["invariants"], ["validate", "--knot-class"], ["independence", "--recheck"]):
+    for command in (
+        ["invariants"],
+        ["invariants", "--json"],
+        ["validate", "--knot-class"],
+        ["independence", "--recheck"],
+    ):
         run(command + [str(path)])
