@@ -17,6 +17,8 @@ import dataclasses
 import json
 import re
 from collections import Counter
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import ParseError
@@ -63,72 +65,88 @@ def _gen_key(g: Generator) -> tuple[int, int, str]:
     return (g.alexander, g.maslov, g.name)
 
 
-_NAME = re.compile(r"\S+$")
+def _odd(keys: Iterable[tuple]) -> set[tuple]:
+    """The keys that occur an odd number of times: their sum over F2."""
+    return {k for k, n in Counter(keys).items() if n % 2}
+
+
+_NAME = re.compile(r"\S+")
 
 
 class CfkComplex:
     """Immutable complex: generators plus an F2 set of arrows.
+
+    Generators are sorted by (alexander, maslov, name).  Each arrow is kept
+    once, as a sorted triple (src, tgt, u) of generator indices and U power:
+    the arrows leaving generator k are ``triples[offsets[k]:offsets[k + 1]]``.
 
     The constructor checks structure only (names usable and unique, arrow
     endpoints present, U-exponents nonnegative) and cancels duplicate arrow
     triples mod 2; grading laws and d^2 = 0 are checked by validate().
     """
 
-    __slots__ = ("generators", "arrows", "_by_name", "_from", "_hash")
+    __slots__ = ("generators", "triples", "offsets", "_named", "_hash")
 
     def __init__(self, generators: Iterable[Generator], arrows: Iterable[Arrow] = ()):
-        gens = tuple(sorted(generators, key=_gen_key))
-        by_name: dict[str, Generator] = {}
-        for g in gens:
-            if not _NAME.match(g.name):
+        gens = sorted(generators, key=_gen_key)
+        index: dict[str, int] = {}
+        for k, g in enumerate(gens):
+            if not _NAME.fullmatch(g.name):
                 raise ValueError(f"unusable generator name {g.name!r}")
-            if g.name in by_name:
+            if g.name in index:
                 raise ValueError(f"duplicate generator name {g.name!r}")
-            by_name[g.name] = g
-        parity: dict[tuple[str, str, int], int] = {}
+            index[g.name] = k
+        triples = []
         for a in arrows:
             if a.u_exp < 0:
                 raise ValueError(f"negative U-exponent on arrow {a}")
-            if a.source not in by_name or a.target not in by_name:
+            if a.source not in index or a.target not in index:
                 raise ValueError(f"arrow {a} references a missing generator")
-            key = (a.source, a.target, a.u_exp)
-            parity[key] = parity.get(key, 0) ^ 1
-        self.generators = gens
-        self.arrows = tuple(Arrow(*k) for k in sorted(k for k, v in parity.items() if v))
-        self._by_name = by_name
-        outgoing: dict[str, list[Arrow]] = {g.name: [] for g in gens}
-        for a in self.arrows:
-            outgoing[a.source].append(a)
-        self._from = {n: tuple(v) for n, v in outgoing.items()}
-        self._hash: int | None = None
+            triples.append((index[a.source], index[a.target], a.u_exp))
+        self._store(gens, triples)
+
+    def _store(self, gens: list[Generator], triples: list[tuple[int, int, int]]) -> None:
+        """Sort gens, renumber the triples to match, cancel equal ones mod 2."""
+        order = sorted(range(len(gens)), key=lambda k: _gen_key(gens[k]))
+        rank = {k: r for r, k in enumerate(order)}
+        triples = sorted((rank[s], rank[t], u) for s, t, u in triples)
+        if len(set(triples)) != len(triples):
+            triples = sorted(_odd(triples))
+        counts = Counter(map(itemgetter(0), triples))
+        self.generators = tuple(gens[k] for k in order)
+        self.triples = tuple(triples)
+        self.offsets = tuple(accumulate(map(counts.__getitem__, range(len(gens))), initial=0))
+        self._named = self._hash = None
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """Named arrows in (source, target, u_exp) order, built on each access."""
+        names = [g.name for g in self.generators]
+        return tuple(Arrow(*k) for k in sorted((names[s], names[t], u) for s, t, u in self.triples))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CfkComplex):
             return NotImplemented
-        return self.generators == other.generators and self.arrows == other.arrows
+        return self.generators == other.generators and self.triples == other.triples
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.generators, self.arrows))
+            self._hash = hash((self.generators, self.triples))
         return self._hash
 
     def __len__(self) -> int:
         return len(self.generators)
 
     def __repr__(self) -> str:
-        return f"CfkComplex({len(self.generators)} generators, {len(self.arrows)} arrows)"
+        return f"CfkComplex({len(self.generators)} generators, {len(self.triples)} arrows)"
 
     def generator(self, name: str) -> Generator:
-        return self._by_name[name]
+        if self._named is None:
+            self._named = {g.name: g for g in self.generators}
+        return self._named[name]
 
     def alexander_of(self, name: str) -> int:
-        return self._by_name[name].alexander
-
-    def maslov_of(self, name: str) -> int:
-        return self._by_name[name].maslov
-
-    def arrows_from(self, name: str) -> tuple[Arrow, ...]:
-        return self._from[name]
+        return self.generator(name).alexander
 
     def grading_table(self) -> dict[tuple[int, int], int]:
         """Generator count per (alexander, maslov) pair."""
@@ -183,30 +201,28 @@ class ValidationReport:
 
 
 def _d_squared_witnesses(c: CfkComplex) -> list[tuple[str, str, int]]:
-    parity: dict[tuple[str, str, int], int] = {}
-    for a in c.arrows:
-        for b in c.arrows_from(a.target):
-            key = (a.source, b.target, a.u_exp + b.u_exp)
-            parity[key] = parity.get(key, 0) ^ 1
-    return sorted(k for k, v in parity.items() if v)
+    tr, off = c.triples, c.offsets
+    paths = _odd((s, z, u + v) for s, t, u in tr for _, z, v in tr[off[t] : off[t + 1]])
+    names = [g.name for g in c.generators]
+    return sorted((names[s], names[z], n) for s, z, n in paths)
 
 
 def _math_errors(c: CfkComplex) -> list[Violation]:
+    gens = c.generators
+    bad = []
+    for s, t, u in c.triples:
+        gs, gt = gens[s], gens[t]
+        drop = gs.alexander - gt.alexander + u
+        maslov_ok = gs.maslov - 1 == gt.maslov - 2 * u
+        if drop < 0 or not maslov_ok:
+            bad.append(((gs.name, gt.name, u), drop, maslov_ok))
     errors: list[Violation] = []
-    for a in c.arrows:
-        drop = j_drop(c, a)
+    for (src, tgt, u), drop, maslov_ok in sorted(bad):
         if drop < 0:
-            errors.append(
-                Violation("j-drop", f"arrow {a.source}->{a.target} u={a.u_exp} rises by {-drop}")
-            )
-        if c.maslov_of(a.source) - 1 != c.maslov_of(a.target) - 2 * a.u_exp:
-            errors.append(
-                Violation(
-                    "maslov",
-                    f"arrow {a.source}->{a.target} u={a.u_exp}: "
-                    f"M({a.source})-1 != M({a.target})-2u",
-                )
-            )
+            errors.append(Violation("j-drop", f"arrow {src}->{tgt} u={u} rises by {-drop}"))
+        if not maslov_ok:
+            message = f"arrow {src}->{tgt} u={u}: M({src})-1 != M({tgt})-2u"
+            errors.append(Violation("maslov", message))
     for src, tgt, power in _d_squared_witnesses(c):
         errors.append(
             Violation("d-squared", f"d^2 sends {src} to U^{power} {tgt} with odd multiplicity")
@@ -251,36 +267,41 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
 # operations
 
 
+def _indexed(gens: list[Generator], triples: list[tuple[int, int, int]]) -> CfkComplex:
+    """Complex on gens (usable, unique names) and triples over their list order."""
+    c = CfkComplex.__new__(CfkComplex)
+    c._store(gens, triples)
+    return c
+
+
 def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Tensor product; gradings add and the differential obeys the
     Leibniz rule, so every arrow acts on one factor and fixes the other,
     keeping its U power and Alexander drop: a tensor product of reduced
-    complexes is reduced, like the dual of one."""
-    name: dict[tuple[str, str], str] = {}
+    complexes is reduced, like the dual of one.
+
+    The pair (x1, x2) is named 'x1|x2', plus '#2', '#3', ... when an earlier
+    pair took that name.
+    """
+    gens: list[Generator] = []
     used: set[str] = set()
     for g1 in c1.generators:
         for g2 in c2.generators:
-            base = f"{g1.name}|{g2.name}"
-            candidate = base
+            base = candidate = f"{g1.name}|{g2.name}"
             tie = 2
             while candidate in used:
                 candidate = f"{base}#{tie}"
                 tie += 1
             used.add(candidate)
-            name[(g1.name, g2.name)] = candidate
-    gens = [
-        Generator(name[(g1.name, g2.name)], g1.alexander + g2.alexander, g1.maslov + g2.maslov)
-        for g1 in c1.generators
-        for g2 in c2.generators
-    ]
-    arrows = []
-    for a in c1.arrows:
-        for g2 in c2.generators:
-            arrows.append(Arrow(name[(a.source, g2.name)], name[(a.target, g2.name)], a.u_exp))
-    for a in c2.arrows:
-        for g1 in c1.generators:
-            arrows.append(Arrow(name[(g1.name, a.source)], name[(g1.name, a.target)], a.u_exp))
-    return CfkComplex(gens, arrows)
+            gens.append(Generator(candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov))
+    # the pair (k1, k2) sits at k1 * n2 + k2
+    n2, size = len(c2.generators), len(gens)
+    triples: list[tuple[int, int, int]] = []
+    for s, t, u in c1.triples:
+        triples.extend(zip(range(s * n2, s * n2 + n2), range(t * n2, t * n2 + n2), repeat(u)))
+    for s, t, u in c2.triples:
+        triples.extend(zip(range(s, size, n2), range(t, size, n2), repeat(u)))
+    return _indexed(gens, triples)
 
 
 def _dual_name(name: str) -> str:
@@ -292,12 +313,13 @@ def dual(c: CfkComplex) -> CfkComplex:
 
     Names gain or lose a trailing '*' so that dual(dual(c)) == c.
     """
-    renamed = {g.name: _dual_name(g.name) for g in c.generators}
-    if len(set(renamed.values())) != len(renamed):
+    gens = [Generator(_dual_name(g.name), -g.alexander, -g.maslov) for g in c.generators]
+    names = {g.name for g in gens}
+    if len(names) != len(gens):
         raise ValueError("generator names collide under dualization")
-    gens = [Generator(renamed[g.name], -g.alexander, -g.maslov) for g in c.generators]
-    arrows = [Arrow(renamed[a.target], renamed[a.source], a.u_exp) for a in c.arrows]
-    return CfkComplex(gens, arrows)
+    if "" in names:  # the dual of '*'
+        raise ValueError("unusable generator name ''")
+    return _indexed(gens, [(t, s, u) for s, t, u in c.triples])
 
 
 def reduce(c: CfkComplex) -> CfkComplex:
@@ -308,33 +330,21 @@ def reduce(c: CfkComplex) -> CfkComplex:
     are cancelled in (source, target) order, so the result is deterministic.
     When nothing cancels, c itself is returned.
     """
+    alex = [g.alexander for g in c.generators]
+    if not any(u == 0 and alex[s] == alex[t] for s, t, u in c.triples):
+        return c
     gens = {g.name: g for g in c.generators}
     arrows = {(a.source, a.target, a.u_exp) for a in c.arrows}
     while True:
-        candidates = [
-            (s, t)
-            for (s, t, u) in arrows
-            if u == 0 and gens[s].alexander == gens[t].alexander
-        ]
-        if not candidates:
+        flat = [(s, t) for s, t, u in arrows if u == 0 and gens[s].alexander == gens[t].alexander]
+        if not flat:
             break
-        x, y = min(candidates)
+        x, y = min(flat)
         into_y = [(w, n) for (w, t, n) in arrows if t == y and w != x]
         out_x = [(z, n) for (s, z, n) in arrows if s == x and z != y]
-        arrows = {
-            (s, t, u) for (s, t, u) in arrows if s not in (x, y) and t not in (x, y)
-        }
-        for w, n1 in into_y:
-            for z, n2 in out_x:
-                key = (w, z, n1 + n2)
-                if key in arrows:
-                    arrows.discard(key)
-                else:
-                    arrows.add(key)
-        del gens[x]
-        del gens[y]
-    if len(gens) == len(c.generators):
-        return c
+        arrows = {(s, t, u) for (s, t, u) in arrows if s not in (x, y) and t not in (x, y)}
+        arrows ^= _odd((w, z, n1 + n2) for w, n1 in into_y for z, n2 in out_x)
+        del gens[x], gens[y]
     return CfkComplex(gens.values(), (Arrow(*k) for k in arrows))
 
 
@@ -383,9 +393,7 @@ def direct_sum(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     overlap = set(g.name for g in c1.generators) & set(g.name for g in c2.generators)
     if overlap:
         raise ValueError(f"direct summands share names: {sorted(overlap)}")
-    return CfkComplex(
-        list(c1.generators) + list(c2.generators), list(c1.arrows) + list(c2.arrows)
-    )
+    return CfkComplex(c1.generators + c2.generators, c1.arrows + c2.arrows)
 
 
 def change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkComplex:
@@ -405,19 +413,11 @@ def change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkC
         raise ValueError("gradings incompatible with this basis change")
     if gd.alexander - power > gt.alexander:
         raise ValueError("basis change would raise the filtration")
-    arrows = {(a.source, a.target, a.u_exp) for a in c.arrows}
-    toggles: list[tuple[str, str, int]] = []
-    for s, t, u in arrows:
-        if s == donor:
-            toggles.append((target, t, u + power))
-        if t == target:
-            toggles.append((s, donor, u + power))
-    for key in toggles:
-        if key in arrows:
-            arrows.discard(key)
-        else:
-            arrows.add(key)
-    return CfkComplex(c.generators, (Arrow(*k) for k in arrows))
+    # the constructor adds the new arrows to the old ones mod 2
+    arrows = c.arrows
+    toggles = [Arrow(target, a.target, a.u_exp + power) for a in arrows if a.source == donor]
+    toggles += [Arrow(a.source, donor, a.u_exp + power) for a in arrows if a.target == target]
+    return CfkComplex(c.generators, arrows + tuple(toggles))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ stdout and artifacts.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -200,30 +201,29 @@ def _cmd_tau_cable(args: argparse.Namespace) -> _Output:
 # staircase diagrams
 
 
-def _layout_offsets(c: CfkComplex) -> dict[str, int]:
-    """U-power offset per generator making every arrow axis-aligned.
+def _layout_offsets(c: CfkComplex) -> list[int]:
+    """U-power offset per generator index making every arrow axis-aligned.
 
     Breadth-first over the arrow graph.  A class complex is built from
     staircases by tensor products and duals, so every arrow is horizontal
     (u > 0, no Alexander drop) or vertical (u = 0), and offsets add under
     tensor products: they agree around every cycle.
     """
-    adjacency: dict[str, list[tuple[str, int]]] = {g.name: [] for g in c.generators}
-    for a in c.arrows:
-        adjacency[a.source].append((a.target, a.u_exp))
-        adjacency[a.target].append((a.source, -a.u_exp))
-    offsets: dict[str, int] = {}
-    for start in (g.name for g in c.generators):
-        if start in offsets:
-            continue
-        offsets[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop(0)
-            for y, delta in adjacency[x]:
-                if y not in offsets:
-                    offsets[y] = offsets[x] + delta
-                    queue.append(y)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in c.generators]
+    for s, t, u in c.triples:
+        adjacency[s].append((t, u))
+        adjacency[t].append((s, -u))
+    offsets: list = [None] * len(adjacency)
+    for start in range(len(adjacency)):
+        if offsets[start] is None:
+            offsets[start] = 0
+            queue = collections.deque([start])
+            while queue:
+                x = queue.popleft()
+                for y, delta in adjacency[x]:
+                    if offsets[y] is None:
+                        offsets[y] = offsets[x] + delta
+                        queue.append(y)
     return offsets
 
 
@@ -236,20 +236,16 @@ def _diagram_geometry(
 ]:
     """Dots plus horizontal (i1, i2, j) and vertical (i, j1, j2) segments,
     shifted so both coordinates start at 0."""
-    offsets = _layout_offsets(c)
-    pos = {
-        g.name: (-offsets[g.name], g.alexander - offsets[g.name])
-        for g in c.generators
-    }
-    di = min(i for i, _ in pos.values())
-    dj = min(j for _, j in pos.values())
-    pos = {name: (i - di, j - dj) for name, (i, j) in pos.items()}
-    dots = sorted(set(pos.values()))
+    pos = [(-k, g.alexander - k) for g, k in zip(c.generators, _layout_offsets(c))]
+    di = min(i for i, _ in pos)
+    dj = min(j for _, j in pos)
+    pos = [(i - di, j - dj) for i, j in pos]
+    dots = sorted(set(pos))
     hsegs = []
     vsegs = []
-    for a in c.arrows:
-        (i1, j1), (i2, j2) = pos[a.source], pos[a.target]
-        assert (i1 == i2) != (j1 == j2), f"arrow {a.source}->{a.target} is not axis-aligned"
+    for s, t, u in c.triples:
+        (i1, j1), (i2, j2) = pos[s], pos[t]
+        assert (i1 == i2) != (j1 == j2), f"arrow {(s, t, u)} is not axis-aligned"
         if j1 == j2:
             hsegs.append((min(i1, i2), max(i1, i2), j1))
         else:

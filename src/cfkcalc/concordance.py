@@ -15,7 +15,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .cfk import CfkComplex, deserialize, dual, j_drop, serialize, tensor, validate
+from .cfk import CfkComplex, deserialize, dual, j_drop, reduce, serialize, tensor, validate
 from .errors import (
     CertificateError,
     InconsistentInput,
@@ -60,11 +60,10 @@ class ClassRep:
         if not report.ok:
             first = report.errors[0]
             raise InconsistentInput(f"not a knot-like complex: {first.message}")
-        for a in self.complex.arrows:
-            if a.u_exp == 0 and j_drop(self.complex, a) == 0:
-                raise InconsistentInput(
-                    f"not reduced: arrow {a.source} -> {a.target} drops no grading"
-                )
+        c = self.complex
+        if reduce(c) is not c:
+            a = next(a for a in c.arrows if a.u_exp == 0 and j_drop(c, a) == 0)
+            raise InconsistentInput(f"not reduced: arrow {a.source} -> {a.target} drops no grading")
 
     def __str__(self) -> str:
         if self.provenance is not None:

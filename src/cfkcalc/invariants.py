@@ -85,14 +85,14 @@ class _Analysis:
         # elements are sorted by Alexander grading, so the top bit realizes tau
         zmin = space.reduce(z0)
         assert zmin != 0
-        top = rc.elements[zmin.bit_length() - 1]
-        alex = [g.alexander for g in c.generators]
+        # the column holds one element per generator, in generator order
+        gens = c.generators
+        self.class_gens = tuple(gens[rc.index[el]] for el in rc.chain_elements(zmin))
         self.column = rc
         self.boundary_space = space
         self.vclass_mask = zmin
-        self.tau = c.alexander_of(top.gen)
-        self.class_names = tuple(el.gen for el in rc.chain_elements(zmin))
-        self.search_bound = max(alex) - min(alex)
+        self.tau = self.class_gens[-1].alexander
+        self.search_bound = gens[-1].alexander - gens[0].alexander
         self.known: dict[str, int | None] = {}
 
 
@@ -112,13 +112,13 @@ def tau(c: CfkComplex) -> int:
 def vertical_class(c: CfkComplex) -> tuple[str, ...]:
     """Canonical representative of the vertical homology generator, as
     generator names; it is supported in j <= tau(c)."""
-    return _analysis(c).class_names
+    return tuple(g.name for g in _analysis(c).class_gens)
 
 
 def _class_image(c: CfkComplex, rc, level: int) -> int:
     """The class with j < level dropped, as a chain of rc (i = 0 part)."""
-    names = _analysis(c).class_names
-    return rc.chain([(x, 0) for x in names if c.alexander_of(x) >= level])
+    gens = _analysis(c).class_gens
+    return rc.chain([(g.name, 0) for g in gens if g.alexander >= level])
 
 
 def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
@@ -185,10 +185,8 @@ def epsilon_oracle(c: CfkComplex) -> int:
     t = col.tau
     row = region_complex(c, Row(t))
 
-    cutoff = 0
-    for idx, el in enumerate(col.column.elements):
-        if c.alexander_of(el.gen) <= t:
-            cutoff = idx + 1
+    # column element k is generator k, and generators are sorted by A
+    cutoff = sum(1 for g in c.generators if g.alexander <= t)
     low_boundaries = [
         v for v in col.boundary_space.pivot_vectors() if v.bit_length() - 1 < cutoff
     ]
@@ -196,7 +194,7 @@ def epsilon_oracle(c: CfkComplex) -> int:
     def phi(mask: int) -> int:
         out = 0
         for el in col.column.chain_elements(mask):
-            if c.alexander_of(el.gen) == t:
+            if c.generators[col.column.index[el]].alexander == t:
                 out |= 1 << row.index[(el.gen, 0)]
         return out
 

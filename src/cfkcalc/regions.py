@@ -2,8 +2,8 @@
 
 The U-orbit of a generator x is the diagonal j - i = A(x); the element
 U^k x sits at (-k, A(x) - k).  A region picks out, for each diagonal, the
-finitely many lattice points it contains, and the region complex keeps one
-element per such point.  A boundary entry connects (x, k1) to (y, k2) when
+lattice point it contains, if any, and the region complex keeps one element
+per such point.  A boundary entry connects (x, k1) to (y, k2) when
 some arrow x -> y with power n satisfies k2 = k1 + n and both endpoints lie
 inside the region.
 
@@ -40,10 +40,11 @@ __all__ = [
 
 
 class Region:
-    """A subset of the lattice queried along diagonals."""
+    """A subset of the lattice queried along diagonals; every shape meets
+    each diagonal at most once."""
 
     def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        """All (i, j) in the region with j - i = a."""
+        """The (i, j) in the region with j - i = a: none or one."""
         raise NotImplementedError
 
     def contains(self, i: int, j: int) -> bool:
@@ -138,27 +139,32 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 class RegionComplex:
-    """Elements of a region with the induced boundary as bit columns."""
+    """Elements of a region, in generator order, with the induced boundary
+    as bit columns."""
 
     __slots__ = ("elements", "index", "boundary")
 
     def __init__(self, source: CfkComplex, region: Region):
-        elements: list[RegionElement] = []
-        index: dict[tuple[str, int], int] = {}
-        for g in source.generators:
-            for (i, _) in region.diagonal_hits(g.alexander):
-                el = RegionElement(g.name, -i)
-                index[el] = len(elements)
-                elements.append(el)
-        self.elements = tuple(elements)
-        self.index = index
+        gens = source.generators
+        # element position and U power per generator; None outside the region
+        pos: list = [None] * len(gens)
+        power: list = [None] * len(gens)
+        members, alexander = [], None
+        for k, g in enumerate(gens):
+            if g.alexander != alexander:  # generators are sorted by A: one query per run
+                alexander, hits = g.alexander, region.diagonal_hits(g.alexander)
+            if hits:
+                pos[k], power[k] = len(members), -hits[0][0]
+                members.append(k)
+        self.elements = tuple(RegionElement(gens[k].name, power[k]) for k in members)
+        self.index = {el: p for p, el in enumerate(self.elements)}
+        tr, off = source.triples, source.offsets
         boundary = []
-        for el in elements:
+        for k in members:
             mask = 0
-            for a in source.arrows_from(el.gen):
-                hit = index.get((a.target, el.u_power + a.u_exp))
-                if hit is not None:
-                    mask |= 1 << hit
+            for _, t, u in tr[off[k] : off[k + 1]]:
+                if power[t] == power[k] + u:
+                    mask |= 1 << pos[t]
             boundary.append(mask)
         self.boundary = tuple(boundary)
 

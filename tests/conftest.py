@@ -8,6 +8,7 @@ run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -18,6 +19,7 @@ from cfkcalc import (
     Arrow,
     CfkComplex,
     Generator,
+    RegionElement,
     StaircaseExponents,
     change_basis,
     class_complex,
@@ -25,8 +27,10 @@ from cfkcalc import (
     dual,
     independence_certificate,
     parse,
+    reduce,
     square_complex,
     staircase,
+    tensor,
     torus_alexander,
     staircase_exponents,
     unknot_complex,
@@ -107,6 +111,37 @@ def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> Cf
     return c
 
 
+def randomized_corpus(rng: random.Random) -> list[CfkComplex]:
+    """The 100 knot-like complexes of acceptance criterion 10: staircases
+    and their duals padded with squares (cases 0-44), basis changes (45-59),
+    reduced tensor products (60-74), trefoils plus squares (75-89) and
+    unknots plus a square (90-99)."""
+    cases = []
+    for _ in range(30):
+        cases.append(with_random_squares(rng, random_staircase(rng), rng.randint(0, 2)))
+    for _ in range(15):
+        cases.append(with_random_squares(rng, dual(random_staircase(rng)), rng.randint(0, 2)))
+    for _ in range(15):
+        base = rng.choice(
+            [trefoil_complex(), unknot_complex(), figure_eight_like()]
+        )
+        cases.append(random_basis_change(rng, with_random_squares(rng, base, 1)))
+    for _ in range(15):
+        left = random_staircase(rng, max_steps=2, max_len=2)
+        right = random_staircase(rng, max_steps=2, max_len=2)
+        cases.append(reduce(tensor(left, dual(right))))
+    for k in range(15):
+        c = trefoil_complex()
+        for n in range(rng.randint(1, 2)):
+            c = direct_sum(c, square_complex(1, 1, 0, rng.randint(-3, -1), prefix=f"g{k}_{n}_"))
+        cases.append(c)
+    for k in range(10):
+        c = unknot_complex("z")
+        c = direct_sum(c, square_complex(1, 1, 0, rng.randint(-3, -1), prefix=f"u{k}_"))
+        cases.append(c)
+    return cases
+
+
 def tampered_certificate() -> str:
     """Certificate JSON for C(D;3,4) - T(3,4) > C(D;2,3) - T(2,3) whose first
     embedded complex has one Maslov grading raised by 7.
@@ -125,6 +160,70 @@ def tampered_certificate() -> str:
         flags=re.M,
     )
     return json.dumps(payload, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# name-keyed references for the index-based fast paths
+
+
+def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
+    """Tensor product built pair by pair from generator names."""
+    name: dict[tuple[str, str], str] = {}
+    used: set[str] = set()
+    for g1 in c1.generators:
+        for g2 in c2.generators:
+            base = f"{g1.name}|{g2.name}"
+            candidate = base
+            tie = 2
+            while candidate in used:
+                candidate = f"{base}#{tie}"
+                tie += 1
+            used.add(candidate)
+            name[(g1.name, g2.name)] = candidate
+    gens = [
+        Generator(name[(g1.name, g2.name)], g1.alexander + g2.alexander, g1.maslov + g2.maslov)
+        for g1 in c1.generators
+        for g2 in c2.generators
+    ]
+    arrows = []
+    for a in c1.arrows:
+        for g2 in c2.generators:
+            arrows.append(Arrow(name[(a.source, g2.name)], name[(a.target, g2.name)], a.u_exp))
+    for a in c2.arrows:
+        for g1 in c1.generators:
+            arrows.append(Arrow(name[(g1.name, a.source)], name[(g1.name, a.target)], a.u_exp))
+    return CfkComplex(gens, arrows)
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceRegionComplex:
+    elements: tuple[RegionElement, ...]
+    index: dict[RegionElement, int]
+    boundary: tuple[int, ...]
+
+
+def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
+    """Region complex built element by element from every diagonal hit,
+    with boundary targets looked up by (name, u_power)."""
+    elements: list[RegionElement] = []
+    index: dict[RegionElement, int] = {}
+    for g in c.generators:
+        for (i, _) in region.diagonal_hits(g.alexander):
+            el = RegionElement(g.name, -i)
+            index[el] = len(elements)
+            elements.append(el)
+    outgoing: dict[str, list[Arrow]] = {g.name: [] for g in c.generators}
+    for a in c.arrows:
+        outgoing[a.source].append(a)
+    boundary = []
+    for el in elements:
+        mask = 0
+        for a in outgoing[el.gen]:
+            hit = index.get(RegionElement(a.target, el.u_power + a.u_exp))
+            if hit is not None:
+                mask |= 1 << hit
+        boundary.append(mask)
+    return ReferenceRegionComplex(tuple(elements), index, tuple(boundary))
 
 
 # ---------------------------------------------------------------------------

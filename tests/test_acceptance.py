@@ -46,9 +46,8 @@ from cfkcalc import (
 )
 from conftest import (
     SEED,
-    figure_eight_like,
-    random_basis_change,
     random_staircase,
+    randomized_corpus,
     torus_staircase,
     trefoil_complex,
     with_random_squares,
@@ -218,31 +217,8 @@ def test_criterion_09_dominance_evidence():
 
 def test_criterion_10_randomized_properties():
     rng = random.Random(SEED)
-    cases = []
-    for _ in range(30):
-        cases.append(with_random_squares(rng, random_staircase(rng), rng.randint(0, 2)))
-    for _ in range(15):
-        cases.append(with_random_squares(rng, dual(random_staircase(rng)), rng.randint(0, 2)))
-    for _ in range(15):
-        base = rng.choice(
-            [trefoil_complex(), unknot_complex(), figure_eight_like()]
-        )
-        cases.append(random_basis_change(rng, with_random_squares(rng, base, 1)))
-    for _ in range(15):
-        left = random_staircase(rng, max_steps=2, max_len=2)
-        right = random_staircase(rng, max_steps=2, max_len=2)
-        cases.append(reduce(tensor(left, dual(right))))
-    genus_one = []
-    for k in range(15):
-        c = trefoil_complex()
-        for n in range(rng.randint(1, 2)):
-            c = direct_sum(c, square_complex(1, 1, 0, rng.randint(-3, -1), prefix=f"g{k}_{n}_"))
-        genus_one.append(c)
-    cases += genus_one
-    for k in range(10):
-        c = unknot_complex("z")
-        c = direct_sum(c, square_complex(1, 1, 0, rng.randint(-3, -1), prefix=f"u{k}_"))
-        cases.append(c)
+    cases = randomized_corpus(rng)
+    genus_one = cases[75:90]
     assert len(cases) >= 100
 
     for c in cases:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from cfkcalc import (
     Arrow,
     CfkComplex,
     Generator,
+    Mirror,
     ParseError,
+    Sum,
     change_basis,
     class_complex,
     deserialize,
@@ -26,8 +31,11 @@ from cfkcalc import (
     validate,
 )
 from conftest import (
+    SEED,
     random_basis_change,
     random_staircase,
+    randomized_corpus,
+    reference_tensor,
     torus_staircase,
     trefoil_complex,
     with_random_squares,
@@ -46,8 +54,8 @@ def test_construction_sorts_and_indexes():
     c = trefoil_complex()
     assert [g.name for g in c.generators] == ["x2", "x1", "x0"]
     assert c.alexander_of("x0") == 1
-    assert c.maslov_of("x2") == -2
-    assert c.arrows_from("x1") == (Arrow("x1", "x0", 1), Arrow("x1", "x2", 0))
+    assert c.generator("x2") == Generator("x2", -1, -2)
+    assert c.arrows == (Arrow("x1", "x0", 1), Arrow("x1", "x2", 0))
 
 
 def test_construction_rejects_bad_input():
@@ -290,3 +298,98 @@ def test_tensor_and_dual_keep_classes_reduced(rng):
         a, b = rng.sample(pool, 2)
         c = tensor(a, b)
         assert reduce(c) is c
+
+
+# ---------------------------------------------------------------------------
+# serialized classes stay byte-identical, and tensor matches the name-keyed
+# reference
+
+
+GOLDEN_DIGESTS = {
+    "T(4,5)": "6679d83ba4e3f0c4fae3f44ce56f559f4fda436253ec81f115a85b843b726b40",
+    "T(2,3) + T(2,3)": "39fbeec893ec0cb483bd360264a985a96a880ebcd5d241193ab43343dca94108",
+    "(T(2,3) + T(2,3)) + T(2,3)": (
+        "8edbc12f17d14eef0548e6335a3a327c85354669e2e73a767c6614b4af418646"
+    ),
+    "-(C(D;2,3) + -T(2,3))": "11ec8aa346fd456ec331136d6e66ef0e4482fa896ea5ac32e76726fcb3a6ced1",
+    "C(D;3,4) + -T(3,4)": "2be27c80142ecf241cd5b058468413fef3a523cdd2450fe22fa58d1d01e4e4a4",
+    "(T(2,3) + -T(2,5)) + (T(2,3) + (-T(2,3) + T(3,4)))": (
+        "4485cacc0ba03a4f6a151fcf2b11c12bc856b5359f57427d27c310dcdcca70c9"
+    ),
+}
+
+
+def _digest(c: CfkComplex) -> str:
+    return hashlib.sha256(serialize(c).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_DIGESTS))
+def test_serialized_classes_match_golden_digests(text):
+    assert _digest(class_complex(parse(text)).complex) == GOLDEN_DIGESTS[text]
+
+
+def test_tensor_names_ties_in_pair_order():
+    # A class never needs a '#n' tie: every name in one factor of a sum has
+    # the same number of '|'.  Names with different counts force ties.
+    left = CfkComplex(
+        [Generator("a", 0, 0), Generator("a|b", 1, 1), Generator("a|b|c", 1, 1)],
+        [Arrow("a|b", "a", 1), Arrow("a|b|c", "a", 0)],
+    )
+    right = CfkComplex(
+        [
+            Generator("b|c", 0, 0),
+            Generator("c", 0, 0),
+            Generator("b|c|c", -1, -1),
+            Generator("s", 2, 3),
+        ],
+        [Arrow("s", "s", 1), Arrow("b|c", "b|c|c", 0)],
+    )
+    product = tensor(left, right)
+    assert product == reference_tensor(left, right)
+    names = {g.name for g in product.generators}
+    assert {"a|b|c", "a|b|c#2", "a|b|c|c", "a|b|c|c#2"} <= names
+    assert _digest(product) == "9533fce4ce1a52688261313a369d4884eb94df2ded7bc5634a43bac84816831c"
+    # the two ways to act on a pair of self-loops cancel mod 2
+    loop = CfkComplex([Generator("l", 2, 3)], [Arrow("l", "l", 1)])
+    assert tensor(loop, loop).arrows == ()
+    assert tensor(right, loop) == reference_tensor(right, loop)
+
+
+def test_tensor_matches_reference_on_randomized_corpus():
+    corpus = randomized_corpus(random.Random(SEED))
+    for c, d in zip(corpus, corpus[1:] + corpus[:1]):
+        assert tensor(c, d) == reference_tensor(c, d)
+        assert tensor(c, dual(d)) == reference_tensor(c, dual(d))
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_tensor_matches_reference_on_difference_classes(p):
+    above = class_complex(parse(f"C(D;{p},{p + 1})")).complex
+    below = dual(class_complex(parse(f"T({p},{p + 1})")).complex)
+    expected = reference_tensor(above, below)
+    assert tensor(above, below) == expected
+    assert class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex == expected
+
+
+def _reference_class(e) -> CfkComplex:
+    if isinstance(e, Sum):
+        return reference_tensor(_reference_class(e.left), _reference_class(e.right))
+    if isinstance(e, Mirror):
+        return dual(_reference_class(e.inner))
+    return class_complex(e).complex
+
+
+NESTED_SUMS = [
+    "(T(2,3) + T(2,3)) + T(2,3)",
+    "T(2,3) + (T(2,3) + T(2,3))",
+    "-(T(2,3) + T(2,3)) + T(2,3)",
+    "T(2,5) + -(T(2,3) + -T(3,4))",
+    "(T(2,3) + -T(2,3)) + (T(2,3) + -T(2,3))",
+]
+
+
+@pytest.mark.parametrize("text", NESTED_SUMS)
+def test_tensor_matches_reference_on_nested_sums_and_duals(text):
+    for expr in (text, f"-({text})"):
+        e = parse(expr)
+        assert class_complex(e).complex == _reference_class(e)

@@ -517,7 +517,7 @@ LAYOUT_CORPUS = [
 def test_every_arrow_of_a_class_is_drawn_as_a_segment(text):
     c = class_complex(parse(text)).complex
     offsets = _layout_offsets(c)
-    assert all(offsets[a.target] == offsets[a.source] + a.u_exp for a in c.arrows)
+    assert all(offsets[t] == offsets[s] + u for s, t, u in c.triples)
     _diagram_geometry(c)  # asserts that every arrow is horizontal or vertical
 
 
