@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedExpression
 
 __all__ = [
     "Generator",
@@ -40,6 +40,7 @@ __all__ = [
     "direct_sum",
     "change_basis",
     "j_drop",
+    "MAX_GENERATORS",
 ]
 
 
@@ -71,6 +72,8 @@ def _odd(keys: Iterable[tuple]) -> set[tuple]:
 
 
 _NAME = re.compile(r"\S+")
+
+MAX_GENERATORS = 200_000  # the largest tensor product built
 
 
 class CfkComplex:
@@ -240,26 +243,22 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     warnings: list[Violation] = []
     errors = _math_errors(c)
     if knot_class and not errors:
-        from . import regions
+        from . import gf2, regions
 
-        col = regions.homology_data(regions.region_complex(c, regions.Column0())).rank
-        if col != 1:
-            errors.append(Violation("column-rank", f"column homology rank {col}, expected 1"))
-        row = regions.homology_data(regions.region_complex(c, regions.Row(0))).rank
-        if row != 1:
-            errors.append(Violation("row-rank", f"row homology rank {row}, expected 1"))
+        # d^2 = 0 holds here, so the homology rank is n - 2 rank(boundary)
+        for kind, region in (("column", regions.Column0()), ("row", regions.Row(0))):
+            rc = regions.region_complex(c, region)
+            rank = len(rc) - 2 * gf2.rank(rc.boundary)
+            if rank != 1:
+                errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
     if not errors:
         table = reduce(c).grading_table()
         for (s, m), count in sorted(table.items()):
             other = table.get((-s, m - 2 * s), 0)
             if count != other:
-                warnings.append(
-                    Violation(
-                        "symmetry",
-                        f"{count} generators at (A, M) = ({s}, {m}) but "
-                        f"{other} at ({-s}, {m - 2 * s})",
-                    )
-                )
+                message = f"{count} generators at (A, M) = ({s}, {m}) but "
+                message += f"{other} at ({-s}, {m - 2 * s})"
+                warnings.append(Violation("symmetry", message))
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
@@ -281,8 +280,14 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     complexes is reduced, like the dual of one.
 
     The pair (x1, x2) is named 'x1|x2', plus '#2', '#3', ... when an earlier
-    pair took that name.
+    pair took that name.  A product of more than MAX_GENERATORS generators
+    raises UnsupportedExpression before anything is built.
     """
+    size = len(c1) * len(c2)
+    if size > MAX_GENERATORS:
+        raise UnsupportedExpression(
+            f"a tensor product of {size:,} generators is over the limit of {MAX_GENERATORS:,}"
+        )
     gens: list[Generator] = []
     used: set[str] = set()
     for g1 in c1.generators:
@@ -295,7 +300,7 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
             used.add(candidate)
             gens.append(Generator(candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov))
     # the pair (k1, k2) sits at k1 * n2 + k2
-    n2, size = len(c2.generators), len(gens)
+    n2 = len(c2.generators)
     triples: list[tuple[int, int, int]] = []
     for s, t, u in c1.triples:
         triples.extend(zip(range(s * n2, s * n2 + n2), range(t * n2, t * n2 + n2), repeat(u)))

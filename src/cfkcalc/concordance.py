@@ -15,13 +15,24 @@ import json
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .cfk import CfkComplex, deserialize, dual, j_drop, reduce, serialize, tensor, validate
+from .cfk import (
+    MAX_GENERATORS,
+    CfkComplex,
+    deserialize,
+    dual,
+    j_drop,
+    reduce,
+    serialize,
+    tensor,
+    validate,
+)
 from .errors import (
     CertificateError,
     InconsistentInput,
     NotAChain,
     NotCoprime,
     ParseError,
+    UnsupportedExpression,
 )
 from .invariants import a1, a2, epsilon
 
@@ -191,11 +202,18 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
 
     This is evidence, not proof: domination quantifies over every n.  A
     base class j that is not positive refutes immediately (checked = 0).
+    A class over MAX_GENERATORS generators is refused before any is built.
     """
     if max_multiple < 1:
         raise InconsistentInput("max_multiple must be at least 1")
     if epsilon(j.complex) != 1:
         return DominanceEvidence(False, 0)
+    n = min(max_multiple, 18)  # 2^18 > MAX_GENERATORS, and a positive j has 2+ generators
+    size = len(k.complex) * len(j.complex) ** n
+    if size > MAX_GENERATORS:
+        raise UnsupportedExpression(
+            f"multiple {n} needs {size:,} generators, over the limit of {MAX_GENERATORS:,}"
+        )
     minus_j = dual(j.complex)
     acc = k.complex
     for n in range(1, max_multiple + 1):

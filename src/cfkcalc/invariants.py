@@ -15,6 +15,11 @@ knot-like complex (column homology of rank one):
 epsilon_oracle recomputes epsilon by an independent second route inside the
 row j = tau and must always agree with epsilon.
 
+The class lies in one Maslov degree d (0 for every class the tool builds),
+and each test needs only cycles in degree d and boundaries from degree d + 1:
+one full column build finds d, and every other region is built in the
+degrees d - 1, d, d + 1 alone, relying on the Maslov law checked up front.
+
 The four invariants share one analysis of the most recent complex: asking
 for them in turn on one complex finds the class once, and an earlier
 complex is dropped as soon as another one is analysed.
@@ -26,11 +31,13 @@ import dataclasses
 import functools
 import itertools
 import json
+from collections import Counter
 from typing import Iterator
 
 from .cfk import CfkComplex, dual, reduce, tensor
 from .errors import (
     EpsilonNotOne,
+    InconsistentInput,
     InternalInconsistency,
     MathError,
     RankNotOne,
@@ -70,24 +77,40 @@ __all__ = [
 class _Analysis:
     """What the invariants read off one complex.
 
-    The vertical class of the column complex is found on construction;
-    epsilon, a1 and a2 are stored in ``known`` on first use.
+    The degree d and the vertical class of the column complex are found on
+    construction; epsilon, a1 and a2 are stored in ``known`` on first use.
     """
 
     def __init__(self, c: CfkComplex):
-        rc = region_complex(c, Column0())
+        gens = c.generators
+        m = [g.maslov for g in gens]
+        for s, t, u in c.triples:
+            if m[s] - 1 != m[t] - 2 * u:
+                name = f"{gens[s].name}->{gens[t].name} u={u}"
+                raise InconsistentInput(f"arrow {name} breaks the Maslov law")
+        # homology rank per degree of the full column: each degree-k element
+        # adds one, each independent column takes one from degrees k, k - 1
+        full = region_complex(c, Column0())
+        homology, space = Counter(full.degree), Gf2Space()
+        for k, column in zip(full.degree, full.boundary):
+            if space.add(column):
+                homology[k] -= 1
+                homology[k - 1] -= 1
+        rank = sum(homology.values())
+        if rank != 1:
+            raise RankNotOne(f"column homology rank {rank}, expected 1")
+        # with d^2 = 0 exactly one degree has homology
+        self.degree = max(homology, key=homology.__getitem__)
+        self.window = range(self.degree - 1, self.degree + 2)
+        rc = region_complex(c, Column0(), self.window)
         data = homology_data(rc)
-        if data.rank != 1:
-            raise RankNotOne(f"column homology rank {data.rank}, expected 1")
         space = data.boundary_space
         z0 = next(k for k in data.cycle_basis if k not in space)
         # reducing against the boundary space minimizes the top element, and
         # elements are sorted by Alexander grading, so the top bit realizes tau
         zmin = space.reduce(z0)
         assert zmin != 0
-        # the column holds one element per generator, in generator order
-        gens = c.generators
-        self.class_gens = tuple(gens[rc.index[el]] for el in rc.chain_elements(zmin))
+        self.class_gens = tuple(gens[rc.gen_index[rc.index[el]]] for el in rc.chain_elements(zmin))
         self.column = rc
         self.boundary_space = space
         self.vclass_mask = zmin
@@ -123,7 +146,7 @@ def _class_image(c: CfkComplex, rc, level: int) -> int:
 
 def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
     """Push the class through (drop j < level, include into region)."""
-    rc = region_complex(c, region)
+    rc = region_complex(c, region, _analysis(c).window)
     return _class_image(c, rc, level) in homology_data(rc).boundary_space
 
 
@@ -137,10 +160,10 @@ def g_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether no cycle of the G-hook at level s projects onto a
     non-boundary of the column (drop elements with i < 0)."""
     col = _analysis(c)
-    gh = region_complex(c, GHook(s))
-    # Column0 and GHook(s) both hold one element per generator, in generator
-    # order, so bit k names the same generator in both: dropping i < 0 from a
-    # G-hook chain is a mask with the column's own indices.
+    gh = region_complex(c, GHook(s), col.window)
+    # The G-hook elements on the column (A <= s) come first and are the
+    # column's first elements, in generator order, so bit k names the same
+    # generator in both: dropping i < 0 from a G-hook chain is a mask.
     on_column = sum(1 << idx for idx, el in enumerate(gh.elements) if el.u_power == 0)
     for cyc in homology_data(gh).cycle_basis:
         mask = cyc & on_column
@@ -183,30 +206,28 @@ def epsilon_oracle(c: CfkComplex) -> int:
     """
     col = _analysis(c)
     t = col.tau
-    row = region_complex(c, Row(t))
+    row = region_complex(c, Row(t), col.window)
+    column, gens = col.column, c.generators
 
-    # column element k is generator k, and generators are sorted by A
-    cutoff = sum(1 for g in c.generators if g.alexander <= t)
+    # column elements are in generator order, hence sorted by A
+    cutoff = sum(1 for k in column.gen_index if gens[k].alexander <= t)
     low_boundaries = [
         v for v in col.boundary_space.pivot_vectors() if v.bit_length() - 1 < cutoff
     ]
 
     def phi(mask: int) -> int:
         out = 0
-        for el in col.column.chain_elements(mask):
-            if c.generators[col.column.index[el]].alexander == t:
+        for el in column.chain_elements(mask):
+            if gens[column.gen_index[column.index[el]]].alexander == t:
                 out |= 1 << row.index[(el.gen, 0)]
         return out
 
     data = homology_data(row)
-    ambiguity = [phi(b) for b in low_boundaries]
-    left_of_column = [1 << idx for idx, el in enumerate(row.elements) if el.u_power > 0]
-    image_side = Gf2Space(data.boundary_space.pivot_vectors())
-    for v in itertools.chain(ambiguity, left_of_column):
-        image_side.add(v)
-    kernel_side = Gf2Space(data.cycle_basis)
-    for v in itertools.chain(ambiguity, left_of_column):
-        kernel_side.add(v)
+    # the ambiguity of the class, and the row elements left of the column
+    quotient = [phi(b) for b in low_boundaries]
+    quotient += [1 << idx for idx, el in enumerate(row.elements) if el.u_power > 0]
+    image_side = Gf2Space(itertools.chain(data.boundary_space.pivot_vectors(), quotient))
+    kernel_side = Gf2Space(itertools.chain(data.cycle_basis, quotient))
     point = phi(col.vclass_mask)
     if point in image_side:
         return 1
@@ -219,12 +240,8 @@ def _region_sizes(bound: int) -> Iterator[int]:
     """Region sizes 1, 2, 4, ... capped at bound, ending with bound itself.
 
     A truncated hook of width w holds only the generators with A >= tau - w,
-    so regions stay small while the answer is small against the span.  One
-    build at the bound holds nearly every generator: over ten alternating
-    benchmark pairs (2 vCPUs, Python 3.11) it moved torus_invariants (span
-    about 4,000 with a1 = a2 = 1, then about 160,000 with a2 about 400) from
-    0.24 to 0.33 s and from 23 to 30 MB peak, while certificates, where a2 is
-    a large share of the span, gained only 0.59 to 0.55 s.
+    so regions stay small while the answer is small against the span, where
+    one build at the bound would hold every generator of the window.
     """
     size = 1
     while True:
@@ -248,11 +265,12 @@ def _least_killing_width(c: CfkComplex) -> int:
     if _class_image_is_boundary(c, TruncatedHook(t, 0), t):
         raise InternalInconsistency("class already dies in the bare column ray")
     for size in _region_sizes(col.search_bound):
-        rc = region_complex(c, TruncatedHook(t, size))
+        rc = region_complex(c, TruncatedHook(t, size), col.window)
         point = _class_image(c, rc, t)
         layers: dict[int, list[int]] = {}
-        for el, column in zip(rc.elements, rc.boundary):
-            layers.setdefault(-el.u_power, []).append(column)
+        for el, column, k in zip(rc.elements, rc.boundary, rc.degree):
+            if k == col.degree + 1:  # only these columns land in the class's degree
+                layers.setdefault(-el.u_power, []).append(column)
         boundaries = Gf2Space()
         for width in sorted(layers):
             for column in layers[width]:
@@ -276,11 +294,12 @@ def _least_reviving_depth(c: CfkComplex, width: int) -> int | None:
     col = _analysis(c)
     t = col.tau
     for size in _region_sizes(col.search_bound):
-        rc = region_complex(c, HookWithTail(t, width, size))
-        residual = Gf2Space(rc.boundary).reduce(_class_image(c, rc, t))
+        rc = region_complex(c, HookWithTail(t, width, size), col.window)
+        columns = [b for b, k in zip(rc.boundary, rc.degree) if k == col.degree + 1]
+        residual = Gf2Space(columns).reduce(_class_image(c, rc, t))
         if residual:
-            top = rc.elements[residual.bit_length() - 1]
-            depth = t - width - c.alexander_of(top.gen)
+            top = rc.gen_index[residual.bit_length() - 1]
+            depth = t - width - c.generators[top].alexander
             if depth < 1:
                 raise InternalInconsistency("class survives in the hook of width a1")
             return depth

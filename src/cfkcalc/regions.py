@@ -11,12 +11,17 @@ All regions here are order-convex (p <= q <= r coordinatewise with p, r in
 the region forces q in), which makes every intermediate element of every
 differential path between two region elements lie in the region: the
 region complex therefore still squares to zero.
+
+Region complexes are graded: U^k x sits in degree M(x) - 2k, and by the
+Maslov law every boundary entry lowers it by one.  A build may keep only the
+degrees in a window; homology_data then reports the degrees whose two
+neighbours the window holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Container, Iterator, NamedTuple
 
 from .gf2 import Gf2Space, kernel_and_image
 
@@ -139,25 +144,29 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 class RegionComplex:
-    """Elements of a region, in generator order, with the induced boundary
-    as bit columns."""
+    """Elements of a region in generator order (only those in the window of
+    degrees, when one is given), with the induced boundary as bit columns.
+    Element p is generator gen_index[p] in degree degree[p]."""
 
-    __slots__ = ("elements", "index", "boundary")
+    __slots__ = ("elements", "index", "boundary", "gen_index", "degree", "window")
 
-    def __init__(self, source: CfkComplex, region: Region):
+    def __init__(self, source: CfkComplex, region: Region, degrees: Container[int] | None = None):
         gens = source.generators
-        # element position and U power per generator; None outside the region
+        # element position and U power per generator; None outside the build
         pos: list = [None] * len(gens)
         power: list = [None] * len(gens)
         members, alexander = [], None
         for k, g in enumerate(gens):
             if g.alexander != alexander:  # generators are sorted by A: one query per run
                 alexander, hits = g.alexander, region.diagonal_hits(g.alexander)
-            if hits:
+            if hits and (degrees is None or g.maslov + 2 * hits[0][0] in degrees):
                 pos[k], power[k] = len(members), -hits[0][0]
                 members.append(k)
         self.elements = tuple(RegionElement(gens[k].name, power[k]) for k in members)
         self.index = {el: p for p, el in enumerate(self.elements)}
+        self.gen_index = tuple(members)
+        self.degree = tuple(gens[k].maslov - 2 * power[k] for k in members)
+        self.window = degrees
         tr, off = source.triples, source.offsets
         boundary = []
         for k in members:
@@ -188,8 +197,8 @@ class RegionComplex:
         return out
 
 
-def region_complex(c: CfkComplex, region: Region) -> RegionComplex:
-    return RegionComplex(c, region)
+def region_complex(c: CfkComplex, region: Region, degrees=None) -> RegionComplex:
+    return RegionComplex(c, region, degrees)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,10 +214,20 @@ class HomologyData:
 
 
 def homology_data(rc: RegionComplex) -> HomologyData:
-    """Kernel basis and image span of the boundary map.
+    """Cycle basis and boundary space in the degrees whose neighbours the
+    build holds (every degree of a full build), eliminated one degree at a
+    time; the kernel masks are over region positions, so they are chains."""
 
-    The boundary matrix is indexed by region elements on both sides, so
-    kernel combination masks are themselves chains: the cycle basis.
-    """
-    kernel, image = kernel_and_image(rc.boundary)
-    return HomologyData(tuple(kernel), Gf2Space(image))
+    def reported(k: int) -> bool:
+        return rc.window is None or (k - 1 in rc.window and k + 1 in rc.window)
+
+    blocks: dict[int, list[int]] = {}
+    for p, k in enumerate(rc.degree):
+        blocks.setdefault(k, []).append(p)
+    cycles, image = [], []
+    for k, positions in blocks.items():
+        if reported(k) or reported(k - 1):
+            kernel, columns = kernel_and_image([rc.boundary[p] for p in positions], positions)
+            cycles += kernel if reported(k) else []
+            image += columns if reported(k - 1) else []
+    return HomologyData(tuple(cycles), Gf2Space(image))

@@ -18,8 +18,14 @@ import pytest
 from cfkcalc import (
     Arrow,
     CfkComplex,
+    Column0,
+    FullHook,
     Generator,
+    GHook,
+    HookWithTail,
+    RankNotOne,
     RegionElement,
+    TruncatedHook,
     StaircaseExponents,
     change_basis,
     class_complex,
@@ -28,6 +34,7 @@ from cfkcalc import (
     independence_certificate,
     parse,
     reduce,
+    region_complex,
     square_complex,
     staircase,
     tensor,
@@ -35,6 +42,7 @@ from cfkcalc import (
     staircase_exponents,
     unknot_complex,
 )
+from cfkcalc.gf2 import Gf2Space, kernel_and_image
 
 SEED = 20260823
 
@@ -224,6 +232,71 @@ def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
                 mask |= 1 << hit
         boundary.append(mask)
     return ReferenceRegionComplex(tuple(elements), index, tuple(boundary))
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceAnalysis:
+    tau: int
+    epsilon: int
+    a1: int | None
+    a2: int | None
+    f_trivial: dict[int, bool]  # level -> whether F is trivial there
+    g_trivial: dict[int, bool]
+
+
+def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
+    """tau, epsilon, a1, a2 and the F/G maps at every level from min A - 1
+    to max A + 1, from the total homology of full region builds: one
+    elimination over every degree, with no Maslov grading read anywhere.
+
+    a1 and a2 are searched one width or depth at a time, straight from
+    their definitions.
+    """
+    low, high = c.generators[0].alexander, c.generators[-1].alexander
+
+    def homology(rc):
+        kernel, image = kernel_and_image(rc.boundary)
+        return kernel, Gf2Space(image)
+
+    column = region_complex(c, Column0())
+    cycles, boundaries = homology(column)
+    if len(cycles) - boundaries.dim != 1:
+        raise RankNotOne("reference column homology rank is not 1")
+    z = boundaries.reduce(next(z for z in cycles if z not in boundaries))
+    class_gens = [c.generators[column.index[el]] for el in column.chain_elements(z)]
+    t = class_gens[-1].alexander
+
+    def dies(region, level: int) -> bool:
+        rc = region_complex(c, region)
+        point = rc.chain([(g.name, 0) for g in class_gens if g.alexander >= level])
+        return point in homology(rc)[1]
+
+    def g_trivial(level: int) -> bool:
+        rc = region_complex(c, GHook(level))
+        return all(
+            column.chain([el for el in rc.chain_elements(cyc) if el.u_power == 0]) in boundaries
+            for cyc in homology(rc)[0]
+        )
+
+    f = {s: dies(FullHook(s), s) for s in range(low - 1, high + 2)}
+    g = {s: g_trivial(s) for s in range(low - 1, high + 2)}
+    eps = 1 if f[t] else -1 if g[t] else 0
+    width = depth = None
+    if eps == 1:
+        width = next(w for w in range(1, high - low + 1) if dies(TruncatedHook(t, w), t))
+        depth = next(
+            (d for d in range(1, high - low + 1) if not dies(HookWithTail(t, width, d), t)),
+            None,
+        )
+    return ReferenceAnalysis(t, eps, width, depth, f, g)
+
+
+def shift_maslov(c: CfkComplex, shift: int) -> CfkComplex:
+    """c with every Maslov grading raised by shift (even, so the arrows keep
+    the Maslov law)."""
+    return CfkComplex(
+        [Generator(g.name, g.alexander, g.maslov + shift) for g in c.generators], c.arrows
+    )
 
 
 # ---------------------------------------------------------------------------

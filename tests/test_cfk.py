@@ -8,12 +8,14 @@ import random
 import pytest
 
 from cfkcalc import (
+    MAX_GENERATORS,
     Arrow,
     CfkComplex,
     Generator,
     Mirror,
     ParseError,
     Sum,
+    UnsupportedExpression,
     change_basis,
     class_complex,
     deserialize,
@@ -166,6 +168,15 @@ def test_tensor_with_unknot_preserves_shape():
     assert s.grading_table() == t.grading_table()
     assert len(s.arrows) == len(t.arrows)
     assert tau(s) == tau(t) and epsilon(s) == epsilon(t)
+
+
+def test_tensor_refuses_a_product_over_the_generator_limit():
+    assert MAX_GENERATORS == 200_000
+    left, right = torus_staircase(2, 501), torus_staircase(2, 401)  # 501 * 401 = 200,901
+    message = r"^a tensor product of 200,901 generators is over the limit of 200,000$"
+    with pytest.raises(UnsupportedExpression, match=message):
+        tensor(left, right)
+    assert len(tensor(left, trefoil_complex())) == 501 * 3
 
 
 def test_dual_negates_and_reverses():

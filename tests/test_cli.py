@@ -131,6 +131,20 @@ def test_invariants_rejects_an_invalid_complex_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_invariants_of_a_file_breaking_the_maslov_law_is_an_input_error(tmp_path, capsys):
+    # the trefoil with M(x0) raised by 2: validate refuses it before any region is built
+    path = tmp_path / "maslov.cfk"
+    path.write_text(
+        "cfk v1\ngen x0 A=1 M=2\ngen x1 A=0 M=-1\ngen x2 A=-1 M=-2\n"
+        "arr x1 x0 u=1\narr x1 x2 u=0\n",
+        encoding="utf-8",
+    )
+    assert main(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: arrow x1->x0 u=1: M(x1)-1 != M(x0)-2u\n"
+
+
 def test_invariants_of_an_empty_complex_file_is_a_math_error(tmp_path, capsys):
     path = tmp_path / "empty.cfk"
     path.write_text("cfk v1\n", encoding="utf-8")
@@ -250,6 +264,23 @@ def test_dominates_with_evidence(capsys):
     assert main(["dominates", "T(3,4)", "T(2,3)", "--evidence", "2"]) == 0
     out = capsys.readouterr().out
     assert out.endswith("  evidence: consistent with domination for all multiples up to 2\n")
+
+
+def test_dominates_refuses_evidence_over_the_generator_limit(capsys):
+    # multiple 4 would need 45 * 15^4 = 2,278,125 generators
+    tracemalloc.start()
+    try:
+        code = main(["dominates", "C(D;3,4) + -T(3,4)", "C(D;2,3) + -T(2,3)", "--evidence", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: multiple 4 needs 2,278,125 generators, over the limit of 200,000\n"
+    )
+    assert peak < 20 * 2**20
 
 
 def test_dominates_json(capsys):

@@ -70,6 +70,8 @@ ADVERSARIAL = [
     "+",
     "X",
     "C(C(U;3,-2);2,3)",
+    # 5^12 generators; the tensor product past MAX_GENERATORS is refused
+    " + ".join(["T(2,5)"] * 12),
 ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import random
 import tracemalloc
 import weakref
 
@@ -25,6 +26,7 @@ from cfkcalc import (
     GHook,
     Generator,
     HookWithTail,
+    InconsistentInput,
     RankNotOne,
     StaircaseExponents,
     TooShort,
@@ -57,9 +59,13 @@ from cfkcalc import (
 )
 from cfkcalc import invariants
 from conftest import (
+    SEED,
     figure_eight_like,
     random_basis_change,
     random_staircase,
+    randomized_corpus,
+    reference_analysis,
+    shift_maslov,
     torus_staircase,
     trefoil_complex,
     with_random_squares,
@@ -149,24 +155,27 @@ def test_invariants_in_turn_build_each_region_once(monkeypatch):
     built = []
     real = invariants.region_complex
 
-    def counting(c, region):
-        built.append(region)
-        return real(c, region)
+    def counting(c, region, *rest):
+        built.append((region, *rest))
+        return real(c, region, *rest)
 
     monkeypatch.setattr(invariants, "region_complex", counting)
     for _ in range(2):
         assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
-    # after the bare-ray check, a1 = 1 is read off the first width region;
-    # a2 = 3 off the tail regions of depth 1, 2 and 4
+    # the full column finds the class's degree 0; every later build holds
+    # degrees -1..1 only.  After the bare-ray check, a1 = 1 is read off the
+    # first width region; a2 = 3 off the tail regions of depth 1, 2 and 4
+    window = range(-1, 2)
     assert built == [
-        Column0(),
-        FullHook(6),
-        GHook(6),
-        TruncatedHook(6, 0),
-        TruncatedHook(6, 1),
-        HookWithTail(6, 1, 1),
-        HookWithTail(6, 1, 2),
-        HookWithTail(6, 1, 4),
+        (Column0(),),
+        (Column0(), window),
+        (FullHook(6), window),
+        (GHook(6), window),
+        (TruncatedHook(6, 0), window),
+        (TruncatedHook(6, 1), window),
+        (HookWithTail(6, 1, 1), window),
+        (HookWithTail(6, 1, 2), window),
+        (HookWithTail(6, 1, 4), window),
     ]
 
 
@@ -249,6 +258,41 @@ def test_g_map_matches_the_per_element_projection(rng):
         alex = [g.alexander for g in c.generators]
         for s in range(min(alex) - 1, max(alex) + 2):
             assert g_map_trivial(c, s) == reference_g_map_trivial(c, s), (c, s)
+
+
+# ---------------------------------------------------------------------------
+# the graded builds answer as the full-degree reference
+
+
+def graded_corpus() -> list[CfkComplex]:
+    """The criterion 10 corpus, C(D;p,p+1) - T(p,p+1) for p = 2..6 and
+    their mirrors, and every one of them with its Maslov gradings shifted
+    by +2, so the class sits in degree 2."""
+    corpus = randomized_corpus(random.Random(SEED))
+    for p in range(2, 7):
+        c = class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex
+        corpus += [c, dual(c)]
+    return corpus + [shift_maslov(c, 2) for c in corpus]
+
+
+def test_graded_invariants_match_the_full_degree_reference():
+    for c in graded_corpus():
+        ref = reference_analysis(c)
+        assert (tau(c), epsilon(c), epsilon_oracle(c)) == (ref.tau, ref.epsilon, ref.epsilon), c
+        if ref.epsilon == 1:
+            assert (a1(c), a2(c)) == (ref.a1, ref.a2), c
+        assert {s: f_map_trivial(c, s) for s in ref.f_trivial} == ref.f_trivial, c
+        assert {s: g_map_trivial(c, s) for s in ref.g_trivial} == ref.g_trivial, c
+
+
+def test_an_arrow_breaking_the_maslov_law_is_inconsistent_input():
+    # the trefoil with M(x0) raised by 2, so only x1 -> x0 breaks the law
+    c = CfkComplex(
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
+        tau(c)
 
 
 # ---------------------------------------------------------------------------

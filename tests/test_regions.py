@@ -20,6 +20,7 @@ from cfkcalc import (
     region_complex,
     tensor,
 )
+from cfkcalc.gf2 import rank
 from conftest import (
     SEED,
     random_staircase,
@@ -316,3 +317,39 @@ def test_region_builds_match_reference_on_randomized_corpus():
 )
 def test_region_builds_match_reference_on_classes(text):
     _assert_builds_match_reference(class_complex(parse(text)).complex)
+
+
+# ---------------------------------------------------------------------------
+# builds cut to a window of degrees
+
+
+def test_boundary_entries_lower_the_degree_by_one():
+    for c in randomized_corpus(random.Random(SEED)):
+        for region in ALL_REGIONS:
+            rc = region_complex(c, region)
+            for p, column in enumerate(rc.boundary):
+                assert {rc.degree[q] for q in range(len(rc)) if column >> q & 1} <= {
+                    rc.degree[p] - 1
+                }
+
+
+def test_a_windowed_build_is_the_full_build_cut_to_its_degrees():
+    window = range(-1, 2)
+    for c in randomized_corpus(random.Random(SEED)):
+        for region in ALL_REGIONS:
+            full = region_complex(c, region)
+            rc = region_complex(c, region, window)
+            keep = [p for p, k in enumerate(full.degree) if k in window]
+            assert rc.elements == tuple(full.elements[p] for p in keep)
+            assert rc.gen_index == tuple(full.gen_index[p] for p in keep)
+            assert rc.degree == tuple(full.degree[p] for p in keep)
+            for new, old in enumerate(keep):
+                cut = [q for q, p in enumerate(keep) if full.boundary[old] >> p & 1]
+                assert rc.boundary[new] == sum(1 << q for q in cut)
+            # homology is reported in degree 0 only, where it equals the
+            # degree-0 homology of the full build
+            data = homology_data(rc)
+            on_degree_0 = sum(1 << q for q, k in enumerate(rc.degree) if k == 0)
+            assert all(z & ~on_degree_0 == 0 for z in data.cycle_basis)
+            r0, r1 = (rank(b for b, k in zip(full.boundary, full.degree) if k == d) for d in (0, 1))
+            assert data.rank == full.degree.count(0) - r0 - r1
