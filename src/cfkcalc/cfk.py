@@ -248,7 +248,7 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
         # d^2 = 0 holds here, so the homology rank is n - 2 rank(boundary)
         for kind, region in (("column", regions.Column0()), ("row", regions.Row(0))):
             rc = regions.region_complex(c, region)
-            rank = len(rc) - 2 * gf2.rank(rc.boundary)
+            rank = len(rc) - 2 * gf2.Gf2Space(rc.boundary).dim
             if rank != 1:
                 errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
     if not errors:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["Gf2Space", "kernel_and_image", "rank"]
+__all__ = ["Gf2Space", "kernel_and_image"]
 
 
 class Gf2Space:
@@ -79,8 +79,3 @@ def kernel_and_image(columns: Sequence[int], positions=None) -> tuple[list[int],
             pivots[top] = (vec, track)
             image.append(vec)
     return kernel, image
-
-
-def rank(vectors: Iterable[int]) -> int:
-    """Rank of the span of the given vectors."""
-    return Gf2Space(vectors).dim

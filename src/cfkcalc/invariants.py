@@ -110,11 +110,11 @@ class _Analysis:
         # elements are sorted by Alexander grading, so the top bit realizes tau
         zmin = space.reduce(z0)
         assert zmin != 0
-        self.class_gens = tuple(gens[rc.gen_index[rc.index[el]]] for el in rc.chain_elements(zmin))
+        self.class_gens = rc.chain_elements(zmin)  # generator indices
         self.column = rc
         self.boundary_space = space
         self.vclass_mask = zmin
-        self.tau = self.class_gens[-1].alexander
+        self.tau = gens[self.class_gens[-1]].alexander
         self.search_bound = gens[-1].alexander - gens[0].alexander
         self.known: dict[str, int | None] = {}
 
@@ -135,13 +135,12 @@ def tau(c: CfkComplex) -> int:
 def vertical_class(c: CfkComplex) -> tuple[str, ...]:
     """Canonical representative of the vertical homology generator, as
     generator names; it is supported in j <= tau(c)."""
-    return tuple(g.name for g in _analysis(c).class_gens)
+    return tuple(c.generators[k].name for k in _analysis(c).class_gens)
 
 
 def _class_image(c: CfkComplex, rc, level: int) -> int:
     """The class with j < level dropped, as a chain of rc (i = 0 part)."""
-    gens = _analysis(c).class_gens
-    return rc.chain([(g.name, 0) for g in gens if g.alexander >= level])
+    return rc.chain(k for k in _analysis(c).class_gens if c.generators[k].alexander >= level)
 
 
 def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
@@ -164,7 +163,7 @@ def g_map_trivial(c: CfkComplex, s: int) -> bool:
     # The G-hook elements on the column (A <= s) come first and are the
     # column's first elements, in generator order, so bit k names the same
     # generator in both: dropping i < 0 from a G-hook chain is a mask.
-    on_column = sum(1 << idx for idx, el in enumerate(gh.elements) if el.u_power == 0)
+    on_column = (1 << gh.u_power.count(0)) - 1
     for cyc in homology_data(gh).cycle_basis:
         mask = cyc & on_column
         assert col.column.differential(mask) == 0
@@ -216,16 +215,12 @@ def epsilon_oracle(c: CfkComplex) -> int:
     ]
 
     def phi(mask: int) -> int:
-        out = 0
-        for el in column.chain_elements(mask):
-            if gens[column.gen_index[column.index[el]]].alexander == t:
-                out |= 1 << row.index[(el.gen, 0)]
-        return out
+        return row.chain(k for k in column.chain_elements(mask) if gens[k].alexander == t)
 
     data = homology_data(row)
     # the ambiguity of the class, and the row elements left of the column
     quotient = [phi(b) for b in low_boundaries]
-    quotient += [1 << idx for idx, el in enumerate(row.elements) if el.u_power > 0]
+    quotient += [1 << p for p, u in enumerate(row.u_power) if u > 0]
     image_side = Gf2Space(itertools.chain(data.boundary_space.pivot_vectors(), quotient))
     kernel_side = Gf2Space(itertools.chain(data.cycle_basis, quotient))
     point = phi(col.vclass_mask)
@@ -268,9 +263,9 @@ def _least_killing_width(c: CfkComplex) -> int:
         rc = region_complex(c, TruncatedHook(t, size), col.window)
         point = _class_image(c, rc, t)
         layers: dict[int, list[int]] = {}
-        for el, column, k in zip(rc.elements, rc.boundary, rc.degree):
+        for u, column, k in zip(rc.u_power, rc.boundary, rc.degree):
             if k == col.degree + 1:  # only these columns land in the class's degree
-                layers.setdefault(-el.u_power, []).append(column)
+                layers.setdefault(-u, []).append(column)
         boundaries = Gf2Space()
         for width in sorted(layers):
             for column in layers[width]:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Union
+from typing import Iterator, Union
 
-from .cfk import Arrow, CfkComplex, Generator, dual, tensor
+from .cfk import MAX_GENERATORS, Arrow, CfkComplex, Generator, dual, tensor
 from .concordance import ClassRep
 from .errors import (
     ExpressionError,
@@ -359,18 +359,37 @@ def _lspace_polynomial(e: KnotExpr) -> LaurentPoly:
     return cable_alexander(poly, e.p, e.q)
 
 
-def _class_of(e: KnotExpr) -> CfkComplex:
+def _staircases(e: KnotExpr) -> list[StaircaseExponents]:
+    """The staircase of every leaf of e (mirrors dropped), left to right."""
     if isinstance(e, Mirror):
-        return dual(_class_of(e.inner))
+        return _staircases(e.inner)
     if isinstance(e, Sum):
-        return tensor(_class_of(e.left), _class_of(e.right))
+        return _staircases(e.left) + _staircases(e.right)
     try:
-        exps = staircase_exponents(_lspace_polynomial(e))
+        return [staircase_exponents(_lspace_polynomial(e))]
     except NotStaircaseForm as exc:
         raise UnsupportedExpression(f"polynomial of {e} is not in staircase form: {exc}") from exc
-    return staircase(exps)
+
+
+def _class_of(e: KnotExpr, leaves: Iterator[StaircaseExponents]) -> CfkComplex:
+    if isinstance(e, Mirror):
+        return dual(_class_of(e.inner, leaves))
+    if isinstance(e, Sum):
+        return tensor(_class_of(e.left, leaves), _class_of(e.right, leaves))
+    return staircase(next(leaves))
 
 
 def class_complex(e: KnotExpr) -> ClassRep:
-    """Reduced representative complex of the concordance class of e."""
-    return ClassRep(_class_of(e), e)
+    """Reduced representative complex of the concordance class of e.
+
+    Its generator count is the product of the leaves' staircase lengths (a
+    mirror keeps the count); over MAX_GENERATORS, UnsupportedExpression is
+    raised before any staircase or tensor product is built.
+    """
+    leaves = _staircases(e)
+    size = math.prod(len(exps.exponents) for exps in leaves)
+    if size > MAX_GENERATORS:
+        raise UnsupportedExpression(
+            f"a class of {size:,} generators is over the limit of {MAX_GENERATORS:,}"
+        )
+    return ClassRep(_class_of(e, iter(leaves)), e)

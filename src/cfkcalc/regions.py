@@ -2,10 +2,11 @@
 
 The U-orbit of a generator x is the diagonal j - i = A(x); the element
 U^k x sits at (-k, A(x) - k).  A region picks out, for each diagonal, the
-lattice point it contains, if any, and the region complex keeps one element
-per such point.  A boundary entry connects (x, k1) to (y, k2) when
-some arrow x -> y with power n satisfies k2 = k1 + n and both endpoints lie
-inside the region.
+lattice point it contains, if any, as its U power; the region complex keeps
+one element per such point, so each generator has at most one element and
+the region layer names elements by generator index.  A boundary entry
+connects U^k1 x to U^k2 y when some arrow x -> y with power n satisfies
+k2 = k1 + n and both endpoints lie inside the region.
 
 All regions here are order-convex (p <= q <= r coordinatewise with p, r in
 the region forces q in), which makes every intermediate element of every
@@ -21,7 +22,7 @@ neighbours the window holds.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Container, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
 from .gf2 import Gf2Space, kernel_and_image
 
@@ -36,7 +37,6 @@ __all__ = [
     "TruncatedHook",
     "HookWithTail",
     "Row",
-    "RegionElement",
     "RegionComplex",
     "region_complex",
     "HomologyData",
@@ -45,23 +45,21 @@ __all__ = [
 
 
 class Region:
-    """A subset of the lattice queried along diagonals; every shape meets
-    each diagonal at most once."""
+    """A subset of the lattice queried along diagonals: every shape meets
+    each diagonal j - i = a at most once, at (-u, a - u) for u = u_power(a)."""
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        """The (i, j) in the region with j - i = a: none or one."""
+    def u_power(self, a: int) -> int | None:
+        """The U power of the region's point on the diagonal j - i = a, or
+        None when the region misses that diagonal."""
         raise NotImplementedError
-
-    def contains(self, i: int, j: int) -> bool:
-        return (i, j) in self.diagonal_hits(j - i)
 
 
 @dataclasses.dataclass(frozen=True)
 class Column0(Region):
     """The column i = 0; one element per generator, at (0, A(x))."""
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        return ((0, a),)
+    def u_power(self, a: int) -> int | None:
+        return 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,10 +68,8 @@ class FullHook(Region):
 
     level: int
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        if a >= self.level:
-            return ((0, a),)
-        return ((self.level - a, self.level),)
+    def u_power(self, a: int) -> int | None:
+        return 0 if a >= self.level else a - self.level
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,10 +78,8 @@ class GHook(Region):
 
     level: int
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        if a <= self.level:
-            return ((0, a),)
-        return ((self.level - a, self.level),)
+    def u_power(self, a: int) -> int | None:
+        return 0 if a <= self.level else a - self.level
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,12 +89,10 @@ class TruncatedHook(Region):
     level: int
     width: int
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
+    def u_power(self, a: int) -> int | None:
         if a >= self.level:
-            return ((0, a),)
-        if self.level - self.width <= a:
-            return ((self.level - a, self.level),)
-        return ()
+            return 0
+        return a - self.level if self.level - self.width <= a else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,13 +101,12 @@ class HookWithTail(TruncatedHook):
 
     depth: int
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        j = a + self.width
-        if self.level - self.depth <= j < self.level:
-            # the tail's diagonals all lie below the hook's, so this is the
-            # only hit
-            return ((self.width, j),)
-        return super().diagonal_hits(a)
+    def u_power(self, a: int) -> int | None:
+        # the tail's diagonals all lie below the hook's, so a tail point is
+        # the only one on its diagonal
+        if self.level - self.depth <= a + self.width < self.level:
+            return -self.width
+        return super().u_power(a)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,15 +115,8 @@ class Row(Region):
 
     level: int
 
-    def diagonal_hits(self, a: int) -> tuple[tuple[int, int], ...]:
-        return ((self.level - a, self.level),)
-
-
-class RegionElement(NamedTuple):
-    """U^u_power generator; it sits at (-u_power, A - u_power)."""
-
-    gen: str
-    u_power: int
+    def u_power(self, a: int) -> int | None:
+        return a - self.level
 
 
 def _set_bits(mask: int) -> Iterator[int]:
@@ -146,26 +130,31 @@ def _set_bits(mask: int) -> Iterator[int]:
 class RegionComplex:
     """Elements of a region in generator order (only those in the window of
     degrees, when one is given), with the induced boundary as bit columns.
-    Element p is generator gen_index[p] in degree degree[p]."""
 
-    __slots__ = ("elements", "index", "boundary", "gen_index", "degree", "window")
+    A generator has at most one element in a region, so its index names
+    it: position p holds U^u_power[p] of generator gen_index[p], in degree
+    degree[p], and position[k] is the position of generator k, or None when
+    k is outside the build.
+    """
+
+    __slots__ = ("gen_index", "u_power", "degree", "boundary", "position", "window")
 
     def __init__(self, source: CfkComplex, region: Region, degrees: Container[int] | None = None):
         gens = source.generators
-        # element position and U power per generator; None outside the build
+        # position and U power per generator; None outside the build
         pos: list = [None] * len(gens)
         power: list = [None] * len(gens)
         members, alexander = [], None
         for k, g in enumerate(gens):
             if g.alexander != alexander:  # generators are sorted by A: one query per run
-                alexander, hits = g.alexander, region.diagonal_hits(g.alexander)
-            if hits and (degrees is None or g.maslov + 2 * hits[0][0] in degrees):
-                pos[k], power[k] = len(members), -hits[0][0]
+                alexander, u = g.alexander, region.u_power(g.alexander)
+            if u is not None and (degrees is None or g.maslov - 2 * u in degrees):
+                pos[k], power[k] = len(members), u
                 members.append(k)
-        self.elements = tuple(RegionElement(gens[k].name, power[k]) for k in members)
-        self.index = {el: p for p, el in enumerate(self.elements)}
         self.gen_index = tuple(members)
+        self.u_power = tuple(power[k] for k in members)
         self.degree = tuple(gens[k].maslov - 2 * power[k] for k in members)
+        self.position = pos
         self.window = degrees
         tr, off = source.triples, source.offsets
         boundary = []
@@ -178,17 +167,21 @@ class RegionComplex:
         self.boundary = tuple(boundary)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.gen_index)
 
-    def chain(self, parts: list[tuple[str, int]]) -> int:
-        """Bit mask of the given (generator, u_power) elements."""
+    def chain(self, gens: Iterable[int]) -> int:
+        """Bit mask of the elements of the given generator indices; a
+        generator outside the build raises KeyError."""
         mask = 0
-        for key in parts:
-            mask |= 1 << self.index[key]
+        for k in gens:
+            if self.position[k] is None:
+                raise KeyError(f"generator {k} is not in the region complex")
+            mask |= 1 << self.position[k]
         return mask
 
-    def chain_elements(self, mask: int) -> list[RegionElement]:
-        return [self.elements[idx] for idx in _set_bits(mask)]
+    def chain_elements(self, mask: int) -> list[int]:
+        """Generator indices of the elements in mask, in position order."""
+        return [self.gen_index[p] for p in _set_bits(mask)]
 
     def differential(self, mask: int) -> int:
         out = 0
@@ -207,10 +200,6 @@ class HomologyData:
 
     cycle_basis: tuple[int, ...]
     boundary_space: Gf2Space
-
-    @property
-    def rank(self) -> int:
-        return len(self.cycle_basis) - self.boundary_space.dim
 
 
 def homology_data(rc: RegionComplex) -> HomologyData:

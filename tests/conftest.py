@@ -24,7 +24,6 @@ from cfkcalc import (
     GHook,
     HookWithTail,
     RankNotOne,
-    RegionElement,
     TruncatedHook,
     StaircaseExponents,
     change_basis,
@@ -205,33 +204,39 @@ def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
 
 @dataclasses.dataclass(frozen=True)
 class ReferenceRegionComplex:
-    elements: tuple[RegionElement, ...]
-    index: dict[RegionElement, int]
+    gen_index: tuple[int, ...]
+    u_power: tuple[int, ...]
+    position: list[int | None]
     boundary: tuple[int, ...]
 
 
 def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
-    """Region complex built element by element from every diagonal hit,
-    with boundary targets looked up by (name, u_power)."""
-    elements: list[RegionElement] = []
-    index: dict[RegionElement, int] = {}
-    for g in c.generators:
-        for (i, _) in region.diagonal_hits(g.alexander):
-            el = RegionElement(g.name, -i)
-            index[el] = len(elements)
-            elements.append(el)
-    outgoing: dict[str, list[Arrow]] = {g.name: [] for g in c.generators}
+    """Region complex built element by element, one per generator whose
+    diagonal meets the region, with boundary targets looked up by
+    (generator index, U power) from the named arrows."""
+    index: dict[tuple[int, int], int] = {}
+    for k, g in enumerate(c.generators):
+        u = region.u_power(g.alexander)
+        if u is not None:
+            index[(k, u)] = len(index)
+    number = {g.name: k for k, g in enumerate(c.generators)}
+    outgoing: dict[int, list[Arrow]] = {k: [] for k in range(len(c))}
     for a in c.arrows:
-        outgoing[a.source].append(a)
+        outgoing[number[a.source]].append(a)
     boundary = []
-    for el in elements:
+    for k, u in index:
         mask = 0
-        for a in outgoing[el.gen]:
-            hit = index.get(RegionElement(a.target, el.u_power + a.u_exp))
+        for a in outgoing[k]:
+            hit = index.get((number[a.target], u + a.u_exp))
             if hit is not None:
                 mask |= 1 << hit
         boundary.append(mask)
-    return ReferenceRegionComplex(tuple(elements), index, tuple(boundary))
+    position: list[int | None] = [None] * len(c)
+    for (k, _), p in index.items():
+        position[k] = p
+    return ReferenceRegionComplex(
+        tuple(k for k, _ in index), tuple(u for _, u in index), position, tuple(boundary)
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,18 +268,19 @@ def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
     if len(cycles) - boundaries.dim != 1:
         raise RankNotOne("reference column homology rank is not 1")
     z = boundaries.reduce(next(z for z in cycles if z not in boundaries))
-    class_gens = [c.generators[column.index[el]] for el in column.chain_elements(z)]
-    t = class_gens[-1].alexander
+    class_gens = column.chain_elements(z)
+    t = c.generators[class_gens[-1]].alexander
 
     def dies(region, level: int) -> bool:
         rc = region_complex(c, region)
-        point = rc.chain([(g.name, 0) for g in class_gens if g.alexander >= level])
+        point = rc.chain(k for k in class_gens if c.generators[k].alexander >= level)
         return point in homology(rc)[1]
 
     def g_trivial(level: int) -> bool:
         rc = region_complex(c, GHook(level))
         return all(
-            column.chain([el for el in rc.chain_elements(cyc) if el.u_power == 0]) in boundaries
+            column.chain(k for k in rc.chain_elements(cyc) if rc.u_power[rc.position[k]] == 0)
+            in boundaries
             for cyc in homology(rc)[0]
         )
 

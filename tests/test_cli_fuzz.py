@@ -70,7 +70,7 @@ ADVERSARIAL = [
     "+",
     "X",
     "C(C(U;3,-2);2,3)",
-    # 5^12 generators; the tensor product past MAX_GENERATORS is refused
+    # 5^12 generators: refused before any staircase is built
     " + ".join(["T(2,5)"] * 12),
 ]
 

@@ -232,13 +232,13 @@ def test_f_and_g_disagree_with_each_other_on_epsilon_zero_input():
 
 def reference_g_map_trivial(c: CfkComplex, s: int) -> bool:
     """The G map by per-element projection: walk each G-hook cycle, keep the
-    elements with u_power == 0 and rebuild the column chain by name."""
+    elements with u_power == 0 and rebuild the column chain by generator."""
     column = region_complex(c, Column0())
     boundaries = homology_data(column).boundary_space
     gh = region_complex(c, GHook(s))
     for cyc in homology_data(gh).cycle_basis:
-        kept = [el for k, el in enumerate(gh.elements) if cyc >> k & 1 and el.u_power == 0]
-        mask = column.chain([(el.gen, 0) for el in kept])
+        kept = [gh.gen_index[p] for p, u in enumerate(gh.u_power) if cyc >> p & 1 and u == 0]
+        mask = column.chain(kept)
         assert column.differential(mask) == 0
         if mask not in boundaries:
             return False
@@ -376,7 +376,8 @@ def class_dies_in(c: CfkComplex, region) -> bool:
     t = tau(c)
     rc = region_complex(c, region)
     names = [x for x in vertical_class(c) if c.alexander_of(x) >= t]
-    return rc.chain([(x, 0) for x in names]) in homology_data(rc).boundary_space
+    gens = [g.name for g in c.generators]
+    return rc.chain(gens.index(x) for x in names) in homology_data(rc).boundary_space
 
 
 def search_span(c: CfkComplex) -> range:

@@ -40,6 +40,7 @@ from cfkcalc import (
     unknot_complex,
     validate,
 )
+from cfkcalc import knots
 from cfkcalc.knots import MAX_DEPTH
 from conftest import trefoil_complex
 
@@ -299,6 +300,34 @@ def test_unsupported_cables():
         class_complex(Cable(Cable(Unknot(), 3, -2), 2, 3))
     with pytest.raises(UnsupportedExpression):
         class_complex(Cable(Cable(T23, 2, 3), 2, -1))
+
+
+@pytest.mark.parametrize(
+    "text, size",
+    [(" + ".join(["T(2,5)"] * 12), "244,140,625"), ("-T(2,200001)", "200,001")],
+)
+def test_classes_over_the_limit_are_refused_before_any_build(monkeypatch, text, size):
+    def built(*args):
+        raise AssertionError("a staircase or tensor product was built")
+
+    monkeypatch.setattr(knots, "staircase", built)
+    monkeypatch.setattr(knots, "tensor", built)
+    with pytest.raises(UnsupportedExpression, match=f"class of {size} generators"):
+        class_complex(parse(text))
+
+
+def test_each_leaf_polynomial_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return staircase_exponents(poly)
+
+    monkeypatch.setattr(knots, "staircase_exponents", counted)
+    rep = class_complex(parse("T(2,3) + -(T(3,4) + C(D;2,3))"))
+    want = [alexander(parse(x)) for x in ("T(2,3)", "T(3,4)", "C(T(2,3);2,3)")]
+    assert calls == want
+    assert len(rep.complex) == 3 * 5 * len(staircase_exponents(want[2]).exponents)
 
 
 # ---------------------------------------------------------------------------

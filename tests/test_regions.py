@@ -20,7 +20,7 @@ from cfkcalc import (
     region_complex,
     tensor,
 )
-from cfkcalc.gf2 import rank
+from cfkcalc.gf2 import Gf2Space
 from conftest import (
     SEED,
     random_staircase,
@@ -53,7 +53,7 @@ ALL_REGIONS = [
 
 def reference_contains(region, i: int, j: int) -> bool:
     """Membership written from each shape's definition, independent of
-    diagonal_hits (from which the library derives contains)."""
+    u_power."""
     if isinstance(region, Column0):
         return i == 0
     if isinstance(region, FullHook):
@@ -73,6 +73,27 @@ def reference_contains(region, i: int, j: int) -> bool:
     raise TypeError(f"no reference shape for {region!r}")
 
 
+def contains(region, i: int, j: int) -> bool:
+    """Membership read from u_power: the region's point on the diagonal
+    j - i is U^u at (-u, j - i - u)."""
+    return region.u_power(j - i) == -i
+
+
+def named(c, rc) -> list[tuple[str, int]]:
+    """(generator name, U power) of each element, in position order."""
+    return [(c.generators[k].name, u) for k, u in zip(rc.gen_index, rc.u_power)]
+
+
+def gens(c, *names: str) -> list[int]:
+    """Generator indices of the given names."""
+    order = [g.name for g in c.generators]
+    return [order.index(x) for x in names]
+
+
+def homology_rank(data) -> int:
+    return len(data.cycle_basis) - data.boundary_space.dim
+
+
 def brute_diagonal(region, a: int, window: int = 12) -> set[tuple[int, int]]:
     return {
         (i, a + i)
@@ -83,55 +104,55 @@ def brute_diagonal(region, a: int, window: int = 12) -> set[tuple[int, int]]:
 
 def test_column_contains():
     col = Column0()
-    assert col.contains(0, 5) and col.contains(0, -5)
-    assert not col.contains(1, 0) and not col.contains(-1, 0)
+    assert contains(col, 0, 5) and contains(col, 0, -5)
+    assert not contains(col, 1, 0) and not contains(col, -1, 0)
 
 
 def test_full_hook_shape():
     hook = FullHook(1)
-    assert hook.contains(0, 1) and hook.contains(0, 4)
-    assert not hook.contains(0, 0)  # below the level the column is cut
-    assert hook.contains(3, 1)
-    assert not hook.contains(-1, 1)
-    assert not hook.contains(2, 2)
+    assert contains(hook, 0, 1) and contains(hook, 0, 4)
+    assert not contains(hook, 0, 0)  # below the level the column is cut
+    assert contains(hook, 3, 1)
+    assert not contains(hook, -1, 1)
+    assert not contains(hook, 2, 2)
 
 
 def test_g_hook_shape():
     hook = GHook(1)
-    assert hook.contains(0, 1) and hook.contains(0, -4)
-    assert not hook.contains(0, 2)
-    assert hook.contains(-3, 1)
-    assert not hook.contains(1, 1)
+    assert contains(hook, 0, 1) and contains(hook, 0, -4)
+    assert not contains(hook, 0, 2)
+    assert contains(hook, -3, 1)
+    assert not contains(hook, 1, 1)
 
 
 def test_truncated_hook_shape():
     hook = TruncatedHook(1, 2)
-    assert hook.contains(0, 1) and hook.contains(0, 6)
-    assert hook.contains(1, 1) and hook.contains(2, 1)
-    assert not hook.contains(3, 1)
-    assert not hook.contains(0, 0)
+    assert contains(hook, 0, 1) and contains(hook, 0, 6)
+    assert contains(hook, 1, 1) and contains(hook, 2, 1)
+    assert not contains(hook, 3, 1)
+    assert not contains(hook, 0, 0)
 
 
 def test_hook_with_tail_shape():
     hook = HookWithTail(1, 2, 2)
-    assert hook.contains(2, 1)
-    assert hook.contains(2, 0) and hook.contains(2, -1)
-    assert not hook.contains(2, -2)
-    assert not hook.contains(1, 0)
+    assert contains(hook, 2, 1)
+    assert contains(hook, 2, 0) and contains(hook, 2, -1)
+    assert not contains(hook, 2, -2)
+    assert not contains(hook, 1, 0)
 
 
 def test_row_shape():
     row = Row(2)
-    assert row.contains(-5, 2) and row.contains(5, 2)
-    assert not row.contains(0, 1)
+    assert contains(row, -5, 2) and contains(row, 5, 2)
+    assert not contains(row, 0, 1)
 
 
 @pytest.mark.parametrize("region", ALL_REGIONS, ids=repr)
 def test_diagonal_hits_match_brute_force(region):
+    """u_power names the one point of the region on each diagonal, or None."""
     for a in range(-6, 7):
-        hits = region.diagonal_hits(a)
-        assert len(hits) <= 1
-        assert set(hits) == brute_diagonal(region, a)
+        u = region.u_power(a)
+        assert brute_diagonal(region, a) == (set() if u is None else {(-u, a - u)})
 
 
 @pytest.mark.parametrize("region", ALL_REGIONS, ids=repr)
@@ -139,16 +160,16 @@ def test_regions_are_order_convex(region):
     window = range(-4, 5)
     for i in window:
         for j in window:
-            assert region.contains(i, j) == reference_contains(region, i, j)
-    points = [(i, j) for i in window for j in window if region.contains(i, j)]
+            assert contains(region, i, j) == reference_contains(region, i, j)
+    points = [(i, j) for i in window for j in window if contains(region, i, j)]
     inside = set(points)
     for (i1, j1) in points:
         for (i2, j2) in points:
             if i1 <= i2 and j1 <= j2:
                 for i in range(i1, i2 + 1):
                     for j in range(j1, j2 + 1):
-                        assert (i, j) in inside or not region.contains(i, j)
-                        if region.contains(i, j):
+                        assert (i, j) in inside or not contains(region, i, j)
+                        if contains(region, i, j):
                             continue
                         assert False, f"gap at {(i, j)} between {(i1, j1)} and {(i2, j2)}"
 
@@ -156,93 +177,93 @@ def test_regions_are_order_convex(region):
 def test_column_complex_of_trefoil():
     c = trefoil_complex()
     rc = region_complex(c, Column0())
-    assert [(e.gen, e.u_power) for e in rc.elements] == [
+    assert named(c, rc) == [
         ("x2", 0),
         ("x1", 0),
         ("x0", 0),
     ]
-    x1 = rc.chain([("x1", 0)])
-    assert rc.differential(x1) == rc.chain([("x2", 0)])
-    assert rc.differential(rc.chain([("x0", 0)])) == 0
-    assert homology_data(rc).rank == 1
+    x1 = rc.chain(gens(c, "x1"))
+    assert rc.differential(x1) == rc.chain(gens(c, "x2"))
+    assert rc.differential(rc.chain(gens(c, "x0"))) == 0
+    assert homology_rank(homology_data(rc)) == 1
 
 
 def test_full_hook_complex_of_trefoil():
     c = trefoil_complex()
     rc = region_complex(c, FullHook(1))
-    assert [(e.gen, e.u_power) for e in rc.elements] == [
+    assert named(c, rc) == [
         ("x2", -2),
         ("x1", -1),
         ("x0", 0),
     ]
     # the translated x1 sits on the row and its differential keeps only x0
-    x1 = rc.chain([("x1", -1)])
-    assert rc.differential(x1) == rc.chain([("x0", 0)])
+    x1 = rc.chain(gens(c, "x1"))
+    assert rc.differential(x1) == rc.chain(gens(c, "x0"))
     data = homology_data(rc)
-    assert data.rank == 1
-    assert rc.chain([("x0", 0)]) in data.boundary_space
+    assert homology_rank(data) == 1
+    assert rc.chain(gens(c, "x0")) in data.boundary_space
 
 
 def test_g_hook_complex_of_trefoil():
     c = trefoil_complex()
     rc = region_complex(c, GHook(1))
-    assert [(e.gen, e.u_power) for e in rc.elements] == [
+    assert named(c, rc) == [
         ("x2", 0),
         ("x1", 0),
         ("x0", 0),
     ]
     # inside the G-hook the horizontal arrow leaves the region
-    x1 = rc.chain([("x1", 0)])
-    assert rc.differential(x1) == rc.chain([("x2", 0)])
+    x1 = rc.chain(gens(c, "x1"))
+    assert rc.differential(x1) == rc.chain(gens(c, "x2"))
     data = homology_data(rc)
-    assert data.rank == 1
-    assert rc.chain([("x0", 0)]) not in data.boundary_space
+    assert homology_rank(data) == 1
+    assert rc.chain(gens(c, "x0")) not in data.boundary_space
 
 
 def test_row_complex_sees_horizontal_arrows_only():
     c = trefoil_complex()
     rc = region_complex(c, Row(1))
-    assert [(e.gen, e.u_power) for e in rc.elements] == [
+    assert named(c, rc) == [
         ("x2", -2),
         ("x1", -1),
         ("x0", 0),
     ]
-    x1 = rc.chain([("x1", -1)])
-    assert rc.differential(x1) == rc.chain([("x0", 0)])
-    assert homology_data(rc).rank == 1
+    x1 = rc.chain(gens(c, "x1"))
+    assert rc.differential(x1) == rc.chain(gens(c, "x0"))
+    assert homology_rank(homology_data(rc)) == 1
 
 
 def test_truncated_hook_search_shape_on_trefoil():
     c = trefoil_complex()
     # width 0 is the bare ray: x0 survives
     rc0 = region_complex(c, TruncatedHook(1, 0))
-    assert rc0.chain([("x0", 0)]) not in homology_data(rc0).boundary_space
+    assert rc0.chain(gens(c, "x0")) not in homology_data(rc0).boundary_space
     # width 1 brings in the translated x1 whose differential is exactly x0
     rc1 = region_complex(c, TruncatedHook(1, 1))
-    assert rc1.chain([("x0", 0)]) in homology_data(rc1).boundary_space
+    assert rc1.chain(gens(c, "x0")) in homology_data(rc1).boundary_space
 
 
 def test_hook_with_tail_revives_trefoil_class():
     c = trefoil_complex()
     rc = region_complex(c, HookWithTail(1, 1, 1))
     # the tail admits the translated x2, which restores d(x1) = x0 + x2
-    assert (("x2", -1) in rc.index) and (("x1", -1) in rc.index)
-    assert rc.chain([("x0", 0)]) not in homology_data(rc).boundary_space
+    assert {("x2", -1), ("x1", -1)} <= set(named(c, rc))
+    assert rc.chain(gens(c, "x0")) not in homology_data(rc).boundary_space
 
 
 def test_cycle_and_boundary_membership():
     c = trefoil_complex()
     rc = region_complex(c, Column0())
     data = homology_data(rc)
-    x0 = rc.chain([("x0", 0)])
-    x2 = rc.chain([("x2", 0)])
+    x0 = rc.chain(gens(c, "x0"))
+    x2 = rc.chain(gens(c, "x2"))
     assert rc.differential(x0) == 0 and x0 not in data.boundary_space
     assert rc.differential(x2) == 0 and x2 in data.boundary_space
-    assert rc.differential(rc.chain([("x1", 0)])) != 0
+    assert rc.differential(rc.chain(gens(c, "x1"))) != 0
 
 
-def brute_chain_elements(rc, mask: int) -> list:
-    return [el for k, el in enumerate(rc.elements) if mask >> k & 1]
+def brute_chain_elements(rc, mask: int) -> list[int]:
+    return [k for p, k in enumerate(rc.gen_index) if mask >> p & 1]
 
 
 def brute_differential(rc, mask: int) -> int:
@@ -265,7 +286,7 @@ def test_differential_squares_to_zero_everywhere(rng):
     for c in samples:
         for region in ALL_REGIONS:
             rc = region_complex(c, region)
-            n = len(rc.elements)
+            n = len(rc)
             for idx in range(n):
                 once = rc.differential(1 << idx)
                 assert rc.differential(once) == 0
@@ -279,7 +300,7 @@ def test_differential_squares_to_zero_everywhere(rng):
 
 
 # ---------------------------------------------------------------------------
-# the index-based build matches the name-keyed reference
+# the build matches a reference keyed by (generator index, U power)
 
 
 def _shapes_at(level: int, span: int):
@@ -299,8 +320,9 @@ def _assert_builds_match_reference(c) -> None:
         for region in _shapes_at(level, high - low):
             rc = region_complex(c, region)
             ref = reference_region_complex(c, region)
-            assert rc.elements == ref.elements, region
-            assert rc.index == ref.index, region
+            assert rc.gen_index == ref.gen_index, region
+            assert rc.u_power == ref.u_power, region
+            assert rc.position == ref.position, region
             assert rc.boundary == ref.boundary, region
 
 
@@ -340,7 +362,7 @@ def test_a_windowed_build_is_the_full_build_cut_to_its_degrees():
             full = region_complex(c, region)
             rc = region_complex(c, region, window)
             keep = [p for p, k in enumerate(full.degree) if k in window]
-            assert rc.elements == tuple(full.elements[p] for p in keep)
+            assert rc.u_power == tuple(full.u_power[p] for p in keep)
             assert rc.gen_index == tuple(full.gen_index[p] for p in keep)
             assert rc.degree == tuple(full.degree[p] for p in keep)
             for new, old in enumerate(keep):
@@ -351,5 +373,34 @@ def test_a_windowed_build_is_the_full_build_cut_to_its_degrees():
             data = homology_data(rc)
             on_degree_0 = sum(1 << q for q, k in enumerate(rc.degree) if k == 0)
             assert all(z & ~on_degree_0 == 0 for z in data.cycle_basis)
-            r0, r1 = (rank(b for b, k in zip(full.boundary, full.degree) if k == d) for d in (0, 1))
-            assert data.rank == full.degree.count(0) - r0 - r1
+            r0, r1 = (
+                Gf2Space(b for b, k in zip(full.boundary, full.degree) if k == d).dim
+                for d in (0, 1)
+            )
+            assert homology_rank(data) == full.degree.count(0) - r0 - r1
+
+
+def test_position_is_none_exactly_outside_the_shape_or_the_window():
+    seen = set()
+    for c in randomized_corpus(random.Random(SEED)):
+        assert all(abs(g.alexander) < 40 for g in c.generators)
+        for region in ALL_REGIONS:
+            alexander = {g.alexander for g in c.generators}
+            hits = {a: brute_diagonal(region, a, window=50) for a in alexander}
+            for degrees in (None, range(-1, 2)):
+                rc = region_complex(c, region, degrees)
+                for k, g in enumerate(c.generators):
+                    hit = hits[g.alexander]
+                    u = -next(iter(hit))[0] if hit else None
+                    inside = u is not None and (degrees is None or g.maslov - 2 * u in degrees)
+                    seen.add((u is None, inside))
+                    p = rc.position[k]
+                    if inside:
+                        assert (rc.gen_index[p], rc.u_power[p]) == (k, u)
+                        assert rc.chain([k]) == 1 << p
+                    else:
+                        assert p is None
+                        with pytest.raises(KeyError):
+                            rc.chain([k])
+    # generators outside the shape, outside the window only, and inside
+    assert seen == {(True, False), (False, False), (False, True)}
