@@ -39,7 +39,6 @@ __all__ = [
     "square_complex",
     "direct_sum",
     "change_basis",
-    "j_drop",
     "MAX_GENERATORS",
 ]
 
@@ -88,7 +87,7 @@ class CfkComplex:
     triples mod 2; grading laws and d^2 = 0 are checked by validate().
     """
 
-    __slots__ = ("generators", "triples", "offsets", "_named", "_hash")
+    __slots__ = ("generators", "triples", "offsets", "_hash")
 
     def __init__(self, generators: Iterable[Generator], arrows: Iterable[Arrow] = ()):
         gens = sorted(generators, key=_gen_key)
@@ -119,7 +118,7 @@ class CfkComplex:
         self.generators = tuple(gens[k] for k in order)
         self.triples = tuple(triples)
         self.offsets = tuple(accumulate(map(counts.__getitem__, range(len(gens))), initial=0))
-        self._named = self._hash = None
+        self._hash = None
 
     @property
     def arrows(self) -> tuple[Arrow, ...]:
@@ -143,22 +142,9 @@ class CfkComplex:
     def __repr__(self) -> str:
         return f"CfkComplex({len(self.generators)} generators, {len(self.triples)} arrows)"
 
-    def generator(self, name: str) -> Generator:
-        if self._named is None:
-            self._named = {g.name: g for g in self.generators}
-        return self._named[name]
-
-    def alexander_of(self, name: str) -> int:
-        return self.generator(name).alexander
-
     def grading_table(self) -> dict[tuple[int, int], int]:
         """Generator count per (alexander, maslov) pair."""
         return dict(Counter((g.alexander, g.maslov) for g in self.generators))
-
-
-def j_drop(c: CfkComplex, a: Arrow) -> int:
-    """How far the arrow moves down: A(source) - A(target) + u_exp."""
-    return c.alexander_of(a.source) - c.alexander_of(a.target) + a.u_exp
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +317,40 @@ def reduce(c: CfkComplex) -> CfkComplex:
     """Cancel every arrow with u_exp = 0 and Alexander drop 0.
 
     Cancelling x -> y removes both generators and, for every w -> y (power
-    n1) and x -> z (power n2), toggles w -> z with power n1 + n2.  Arrows
-    are cancelled in (source, target) order, so the result is deterministic.
-    When nothing cancels, c itself is returned.
+    n1) and x -> z (power n2), toggles w -> z with power n1 + n2, at a cost
+    of in-degree times out-degree.  Sources are visited once, in name order,
+    each cancelling its flat target of least name.  When no arrow raises the
+    Alexander filtration (validate() checks it), a new flat w -> z needs a
+    flat w -> y, so w comes after x: a source once passed never gets a flat
+    arrow again, and each pair cancelled is the least flat arrow by (source,
+    target) name.  When nothing cancels, c itself is returned.
     """
-    alex = [g.alexander for g in c.generators]
+    gens = c.generators
+    alex = [g.alexander for g in gens]
     if not any(u == 0 and alex[s] == alex[t] for s, t, u in c.triples):
         return c
-    gens = {g.name: g for g in c.generators}
-    arrows = {(a.source, a.target, a.u_exp) for a in c.arrows}
-    while True:
-        flat = [(s, t) for s, t, u in arrows if u == 0 and gens[s].alexander == gens[t].alexander]
-        if not flat:
-            break
-        x, y = min(flat)
-        into_y = [(w, n) for (w, t, n) in arrows if t == y and w != x]
-        out_x = [(z, n) for (s, z, n) in arrows if s == x and z != y]
-        arrows = {(s, t, u) for (s, t, u) in arrows if s not in (x, y) and t not in (x, y)}
-        arrows ^= _odd((w, z, n1 + n2) for w, n1 in into_y for z, n2 in out_x)
-        del gens[x], gens[y]
-    return CfkComplex(gens.values(), (Arrow(*k) for k in arrows))
+    out: list[set[tuple[int, int]]] = [set() for _ in gens]
+    into: list[set[tuple[int, int]]] = [set() for _ in gens]
+    for s, t, u in c.triples:
+        out[s].add((t, u))
+        into[t].add((s, u))
+    names = [g.name for g in gens]
+    dead: set[int] = set()  # arrows touching a dead generator are stale, not removed
+    for x in sorted(range(len(gens)), key=names.__getitem__):
+        flat = [t for t, u in out[x] if u == 0 and alex[t] == alex[x] and t not in dead]
+        if x in dead or not flat:
+            continue
+        y = min(flat, key=names.__getitem__)
+        dead.update((x, y))
+        into_y = [(w, n) for w, n in into[y] if w not in dead]
+        out_x = [(z, n) for z, n in out[x] if z not in dead]
+        for w, z, n in _odd((w, z, n1 + n2) for w, n1 in into_y for z, n2 in out_x):
+            out[w] ^= {(z, n)}
+            into[z] ^= {(w, n)}
+    live = [k for k in range(len(gens)) if k not in dead]
+    new = {k: i for i, k in enumerate(live)}
+    triples = [(new[s], new[t], u) for s in live for t, u in out[s] if t not in dead]
+    return _indexed([gens[k] for k in live], triples)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,9 @@ def direct_sum(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     overlap = set(g.name for g in c1.generators) & set(g.name for g in c2.generators)
     if overlap:
         raise ValueError(f"direct summands share names: {sorted(overlap)}")
-    return CfkComplex(c1.generators + c2.generators, c1.arrows + c2.arrows)
+    n1 = len(c1)
+    shifted = [(s + n1, t + n1, u) for s, t, u in c2.triples]
+    return _indexed([*c1.generators, *c2.generators], [*c1.triples, *shifted])
 
 
 def change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkComplex:
@@ -406,23 +408,27 @@ def change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkC
 
     Requires power >= 0, M(donor) - 2*power == M(target) and
     A(donor) - power <= A(target), so the new element is homogeneous and
-    filtration-compatible.  Gradings and d^2 = 0 are preserved; the result
+    filtration-compatible; an unknown name raises KeyError.  The arrows out
+    of donor are toggled onto target and the arrows into target onto donor,
+    both with power added.  Gradings and d^2 = 0 are preserved; the result
     usually differs arrow-wise but is the same complex up to isomorphism.
     """
     if target == donor:
         raise ValueError("target and donor must differ")
-    gt, gd = c.generator(target), c.generator(donor)
+    index = {g.name: k for k, g in enumerate(c.generators)}
+    t, d = index[target], index[donor]
+    gt, gd = c.generators[t], c.generators[d]
     if power < 0:
         raise ValueError("power must be nonnegative")
     if gd.maslov - 2 * power != gt.maslov:
         raise ValueError("gradings incompatible with this basis change")
     if gd.alexander - power > gt.alexander:
         raise ValueError("basis change would raise the filtration")
-    # the constructor adds the new arrows to the old ones mod 2
-    arrows = c.arrows
-    toggles = [Arrow(target, a.target, a.u_exp + power) for a in arrows if a.source == donor]
-    toggles += [Arrow(a.source, donor, a.u_exp + power) for a in arrows if a.target == target]
-    return CfkComplex(c.generators, arrows + tuple(toggles))
+    # _store adds the toggles to the old arrows mod 2
+    tr = c.triples
+    toggles = [(t, z, u + power) for _, z, u in tr[c.offsets[d] : c.offsets[d + 1]]]
+    toggles += [(s, d, u + power) for s, z, u in tr if z == t]
+    return _indexed(list(c.generators), [*tr, *toggles])
 
 
 # ---------------------------------------------------------------------------
@@ -437,34 +443,26 @@ _ARR_RE = re.compile(r"^arr\s+(\S+)\s+(\S+)\s+u=(\d+)\s*$")
 def serialize(c: CfkComplex) -> str:
     """Canonical text: header, generators by (A, M, name), arrows sorted."""
     lines = [_HEADER]
+    names = [g.name for g in c.generators]
     for g in c.generators:
         lines.append(f"gen {g.name} A={g.alexander} M={g.maslov}")
-    for a in c.arrows:
-        lines.append(f"arr {a.source} {a.target} u={a.u_exp}")
+    for src, tgt, u in sorted((names[s], names[t], u) for s, t, u in c.triples):
+        lines.append(f"arr {src} {tgt} u={u}")
     return "\n".join(lines) + "\n"
-
-
-def _token_column(line: str, token_index: int) -> int:
-    pos = 0
-    for _ in range(token_index):
-        while pos < len(line) and not line[pos].isspace():
-            pos += 1
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-    return pos + 1
 
 
 def deserialize(text: str) -> CfkComplex:
     """Parse the cfk v1 format; structural problems raise ParseError.
 
     Grading violations are accepted here and left to validate(); an arrow
-    naming an unknown generator is structural and rejected.  Duplicate
-    arrow lines cancel mod 2.
+    naming an unknown generator is structural and rejected.  Names map to
+    generator indices as lines are read, so each arrow line becomes one
+    index triple.  Duplicate arrow lines cancel mod 2.
     """
     lines = text.splitlines()
     gens: list[Generator] = []
-    seen: dict[str, int] = {}
-    arrows: list[Arrow] = []
+    seen: dict[str, int] = {}  # name -> generator index
+    triples: list[tuple[int, int, int]] = []
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip()
@@ -481,28 +479,21 @@ def deserialize(text: str) -> CfkComplex:
                 raise ParseError("malformed gen line", line=lineno, column=1)
             name = m.group(1)
             if name in seen:
-                raise ParseError(
-                    f"duplicate generator {name!r}",
-                    line=lineno,
-                    column=_token_column(line, 1),
-                )
-            seen[name] = lineno
+                message = f"duplicate generator {name!r}"
+                raise ParseError(message, line=lineno, column=m.start(1) + 1)
+            seen[name] = len(gens)
             gens.append(Generator(name, int(m.group(2)), int(m.group(3))))
         elif line.startswith("arr"):
             m = _ARR_RE.match(line)
             if m is None:
                 raise ParseError("malformed arr line", line=lineno, column=1)
-            src, tgt = m.group(1), m.group(2)
-            for idx, endpoint in ((1, src), (2, tgt)):
-                if endpoint not in seen:
-                    raise ParseError(
-                        f"unknown generator {endpoint!r}",
-                        line=lineno,
-                        column=_token_column(line, idx),
-                    )
-            arrows.append(Arrow(src, tgt, int(m.group(3))))
+            for k in (1, 2):
+                if m.group(k) not in seen:
+                    message = f"unknown generator {m.group(k)!r}"
+                    raise ParseError(message, line=lineno, column=m.start(k) + 1)
+            triples.append((seen[m.group(1)], seen[m.group(2)], int(m.group(3))))
         else:
             raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
     if not header_seen:
         raise ParseError(f"expected {_HEADER!r} header", line=1, column=1)
-    return CfkComplex(gens, arrows)
+    return _indexed(gens, triples)

@@ -20,7 +20,6 @@ from .cfk import (
     CfkComplex,
     deserialize,
     dual,
-    j_drop,
     reduce,
     serialize,
     tensor,
@@ -73,8 +72,13 @@ class ClassRep:
             raise InconsistentInput(f"not a knot-like complex: {first.message}")
         c = self.complex
         if reduce(c) is not c:
-            a = next(a for a in c.arrows if a.u_exp == 0 and j_drop(c, a) == 0)
-            raise InconsistentInput(f"not reduced: arrow {a.source} -> {a.target} drops no grading")
+            g = c.generators
+            x, y = next(
+                (g[s].name, g[t].name)
+                for s, t, u in c.triples
+                if u == 0 and g[s].alexander == g[t].alexander
+            )
+            raise InconsistentInput(f"not reduced: arrow {x} -> {y} drops no grading")
 
     def __str__(self) -> str:
         if self.provenance is not None:
@@ -249,7 +253,8 @@ class ChainLink:
     criterion: str
 
 
-# JSON types of the certificate fields, in constructor order
+# JSON keys and types of the certificate fields, in constructor order; to_json
+# writes and from_json reads each record in this layout
 _ENTRY_FIELDS = {
     "expression": (str, type(None)),
     "complex": (str,),
@@ -279,20 +284,8 @@ class Certificate:
         return json.dumps(
             {
                 "format": CERTIFICATE_FORMAT,
-                "chain": [
-                    {
-                        "expression": e.expression,
-                        "complex": e.complex_text,
-                        "a1": e.a1,
-                        "a2": e.a2,
-                        "epsilon": e.epsilon,
-                    }
-                    for e in self.entries
-                ],
-                "links": [
-                    {"above": l.above, "below": l.below, "criterion": l.criterion}
-                    for l in self.links
-                ],
+                "chain": [dict(zip(_ENTRY_FIELDS, dataclasses.astuple(e))) for e in self.entries],
+                "links": [dict(zip(_LINK_FIELDS, dataclasses.astuple(l))) for l in self.links],
             },
             indent=2,
         )

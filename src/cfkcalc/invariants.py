@@ -34,7 +34,7 @@ import json
 from collections import Counter
 from typing import Iterator
 
-from .cfk import CfkComplex, dual, reduce, tensor
+from .cfk import CfkComplex, dual, reduce, tensor, validate
 from .errors import (
     EpsilonNotOne,
     InconsistentInput,
@@ -395,9 +395,12 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     (a) the reduced rank table matches the reference table, (b) tau = 1 and
     epsilon = +1, (c) tensoring with the mirrored trefoil staircase gives
     epsilon 0, i.e. the candidate and the trefoil share a concordance class.
+    A candidate that validate() rejects fails all three with an empty table.
     """
     from .knots import Torus, class_complex
 
+    if not validate(c).ok:
+        return WhiteheadModelReport(False, False, False, {})
     table = hfk_table(c)
     table_ok = table == WHITEHEAD_RANK_TABLE
     try:

@@ -41,6 +41,7 @@ from cfkcalc import (
     staircase_exponents,
     unknot_complex,
 )
+from cfkcalc.cfk import _odd
 from cfkcalc.gf2 import Gf2Space, kernel_and_image
 
 SEED = 20260823
@@ -97,8 +98,8 @@ def with_random_squares(
     return out
 
 
-def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> CfkComplex:
-    """Apply one random filtered change of basis when any is available."""
+def basis_change_candidates(c: CfkComplex) -> list[tuple[str, str, int]]:
+    """Every filtered change of basis (target, donor, power) with power < 4."""
     gens = c.generators
     candidates = []
     for t in gens:
@@ -108,6 +109,12 @@ def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> Cf
             for k in range(0, 4):
                 if d.maslov - 2 * k == t.maslov and d.alexander - k <= t.alexander:
                     candidates.append((t.name, d.name, k))
+    return candidates
+
+
+def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> CfkComplex:
+    """Apply one random filtered change of basis when any is available."""
+    candidates = basis_change_candidates(c)
     if not candidates:
         return c
     for _ in range(tries):
@@ -116,6 +123,17 @@ def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> Cf
         if out != c:
             return out
     return c
+
+
+def with_flat_pairs(rng: random.Random, base: CfkComplex, count: int) -> CfkComplex:
+    """base plus count acyclic pairs p -> q with u = 0 on one Alexander level:
+    summands that reduce must cancel."""
+    gens, arrows = list(base.generators), list(base.arrows)
+    for k in range(count):
+        a, m = rng.randint(-2, 2), rng.randint(-3, 1)
+        gens += [Generator(f"f{k}_p", a, m), Generator(f"f{k}_q", a, m - 1)]
+        arrows.append(Arrow(f"f{k}_p", f"f{k}_q", 0))
+    return CfkComplex(gens, arrows)
 
 
 def randomized_corpus(rng: random.Random) -> list[CfkComplex]:
@@ -200,6 +218,57 @@ def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
         for g1 in c1.generators:
             arrows.append(Arrow(name[(g1.name, a.source)], name[(g1.name, a.target)], a.u_exp))
     return CfkComplex(gens, arrows)
+
+
+def reference_reduce(c: CfkComplex) -> CfkComplex:
+    """Cancel every arrow with u_exp = 0 and Alexander drop 0.
+
+    Cancelling x -> y removes both generators and, for every w -> y (power
+    n1) and x -> z (power n2), toggles w -> z with power n1 + n2.  Arrows
+    are cancelled in (source, target) order, so the result is deterministic.
+    When nothing cancels, c itself is returned.
+    """
+    alex = [g.alexander for g in c.generators]
+    if not any(u == 0 and alex[s] == alex[t] for s, t, u in c.triples):
+        return c
+    gens = {g.name: g for g in c.generators}
+    arrows = {(a.source, a.target, a.u_exp) for a in c.arrows}
+    while True:
+        flat = [(s, t) for s, t, u in arrows if u == 0 and gens[s].alexander == gens[t].alexander]
+        if not flat:
+            break
+        x, y = min(flat)
+        into_y = [(w, n) for (w, t, n) in arrows if t == y and w != x]
+        out_x = [(z, n) for (s, z, n) in arrows if s == x and z != y]
+        arrows = {(s, t, u) for (s, t, u) in arrows if s not in (x, y) and t not in (x, y)}
+        arrows ^= _odd((w, z, n1 + n2) for w, n1 in into_y for z, n2 in out_x)
+        del gens[x], gens[y]
+    return CfkComplex(gens.values(), (Arrow(*k) for k in arrows))
+
+
+def reference_change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkComplex:
+    """Filtered change of basis replacing target by target + U^power donor.
+
+    Requires power >= 0, M(donor) - 2*power == M(target) and
+    A(donor) - power <= A(target), so the new element is homogeneous and
+    filtration-compatible.  Gradings and d^2 = 0 are preserved; the result
+    usually differs arrow-wise but is the same complex up to isomorphism.
+    """
+    if target == donor:
+        raise ValueError("target and donor must differ")
+    named = {g.name: g for g in c.generators}
+    gt, gd = named[target], named[donor]
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    if gd.maslov - 2 * power != gt.maslov:
+        raise ValueError("gradings incompatible with this basis change")
+    if gd.alexander - power > gt.alexander:
+        raise ValueError("basis change would raise the filtration")
+    # the constructor adds the new arrows to the old ones mod 2
+    arrows = c.arrows
+    toggles = [Arrow(target, a.target, a.u_exp + power) for a in arrows if a.source == donor]
+    toggles += [Arrow(a.source, donor, a.u_exp + power) for a in arrows if a.target == target]
+    return CfkComplex(c.generators, arrows + tuple(toggles))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,6 @@ from cfkcalc import (
     direct_sum,
     dual,
     epsilon,
-    j_drop,
     parse,
     reduce,
     serialize,
@@ -35,11 +35,15 @@ from cfkcalc import (
 from conftest import (
     SEED,
     random_basis_change,
+    basis_change_candidates,
     random_staircase,
     randomized_corpus,
+    reference_change_basis,
+    reference_reduce,
     reference_tensor,
     torus_staircase,
     trefoil_complex,
+    with_flat_pairs,
     with_random_squares,
 )
 
@@ -55,8 +59,8 @@ arr x1 x2 u=0
 def test_construction_sorts_and_indexes():
     c = trefoil_complex()
     assert [g.name for g in c.generators] == ["x2", "x1", "x0"]
-    assert c.alexander_of("x0") == 1
-    assert c.generator("x2") == Generator("x2", -1, -2)
+    assert c.generators[0] == Generator("x2", -1, -2)
+    assert c.generators[2].alexander == 1
     assert c.arrows == (Arrow("x1", "x0", 1), Arrow("x1", "x2", 0))
 
 
@@ -80,12 +84,6 @@ def test_duplicate_arrows_cancel_mod_2():
     assert c.arrows == ()
     c = CfkComplex(g, [Arrow("b", "a", 0)] * 3)
     assert c.arrows == (Arrow("b", "a", 0),)
-
-
-def test_j_drop_values():
-    c = trefoil_complex()
-    assert j_drop(c, Arrow("x1", "x0", 1)) == 0
-    assert j_drop(c, Arrow("x1", "x2", 0)) == 1
 
 
 def test_grading_table():
@@ -275,6 +273,8 @@ def test_change_basis_rejects_bad_requests():
         change_basis(c, "x2", "sqa", 1)  # would raise the filtration
     with pytest.raises(ValueError):
         change_basis(c, "x1", "sqb", -2)
+    with pytest.raises(KeyError):
+        change_basis(c, "x1", "nowhere", 0)
 
 
 def test_change_basis_round_trip_is_identity():
@@ -282,6 +282,50 @@ def test_change_basis_round_trip_is_identity():
     once = change_basis(c, "x1", "sqb", 0)
     twice = change_basis(once, "x1", "sqb", 0)
     assert twice == c
+
+
+def test_change_basis_matches_reference_on_randomized_corpus():
+    for c in randomized_corpus(random.Random(SEED)):
+        for move in basis_change_candidates(c):
+            assert change_basis(c, *move) == reference_change_basis(c, *move)
+
+
+def test_reduce_matches_reference_on_randomized_corpus():
+    # the corpus is reduced by construction, so flat pairs tangled in by
+    # basis changes give reduce something to cancel and reroute
+    rng = random.Random(SEED)
+    cancelled = 0
+    # cancelling in index order, b -> e first, would leave d: sources go by name
+    gens = [Generator("a", 0, 0)] + [Generator(x, 0, -1) for x in "bcd"] + [Generator("e", 0, -2)]
+    arrows = [Arrow("a", x, 0) for x in "bcd"] + [Arrow("b", "e", 0), Arrow("d", "e", 0)]
+    order = CfkComplex(gens, arrows)
+    survivor = (Generator("c", 0, -1),)
+    assert reduce(order).generators == reference_reduce(order).generators == survivor
+    for c in randomized_corpus(random.Random(SEED)):
+        tangled = with_flat_pairs(rng, c, rng.randint(1, 3))
+        for _ in range(3):
+            tangled = random_basis_change(rng, tangled)
+        cases = [c, tensor(c, c), with_random_squares(rng, c, 2), random_basis_change(rng, c)]
+        cases += [tangled, tensor(tangled, tangled), random_basis_change(rng, tensor(tangled, c))]
+        for x in cases:
+            assert validate(x).ok
+            r = reduce(x)
+            assert serialize(r) == serialize(reference_reduce(x))
+            assert reduce(r) is r
+            cancelled += r is not x
+    assert cancelled >= 300
+
+
+def test_reduce_scales_linearly_in_cancellable_pairs():
+    text = TREFOIL_TEXT + "".join(
+        f"gen a{i} A={i % 5 - 2} M=1\ngen b{i} A={i % 5 - 2} M=0\narr a{i} b{i} u=0\n"
+        for i in range(40_000)
+    )
+    c = deserialize(text)
+    start = time.perf_counter()
+    r = reduce(c)
+    assert time.perf_counter() - start < 3.0
+    assert r == trefoil_complex()
 
 
 def test_reduce_accepts_catalog(rng):

@@ -37,6 +37,7 @@ from cfkcalc import (
     check_whitehead_model,
     class_complex,
     direct_sum,
+    deserialize,
     dual,
     epsilon,
     epsilon_oracle,
@@ -204,7 +205,8 @@ def test_vertical_class_of_mirrored_trefoil():
 def test_vertical_class_is_supported_at_or_below_tau():
     for c in [trefoil_complex(), torus_staircase(3, 5), trefoil_connect_inverse()]:
         t = tau(c)
-        assert all(c.alexander_of(name) <= t for name in vertical_class(c))
+        alexander = {g.name: g.alexander for g in c.generators}
+        assert all(alexander[name] <= t for name in vertical_class(c))
 
 
 def test_f_map_threshold_on_trefoil():
@@ -375,9 +377,10 @@ def class_dies_in(c: CfkComplex, region) -> bool:
     """Whether the class, with j < tau dropped, is a boundary in region."""
     t = tau(c)
     rc = region_complex(c, region)
-    names = [x for x in vertical_class(c) if c.alexander_of(x) >= t]
     gens = [g.name for g in c.generators]
-    return rc.chain(gens.index(x) for x in names) in homology_data(rc).boundary_space
+    indices = [gens.index(x) for x in vertical_class(c)]
+    point = rc.chain(k for k in indices if c.generators[k].alexander >= t)
+    return point in homology_data(rc).boundary_space
 
 
 def search_span(c: CfkComplex) -> range:
@@ -512,6 +515,22 @@ def test_model_screen_never_raises_on_rank_two_input():
     report = check_whitehead_model(c)
     assert not report.local_invariants_ok
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # tau raises InconsistentInput on the broken Maslov law
+        "cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\narr a b u=0\n",
+        # self-loops lie outside the domain reduce needs
+        "cfk v1\ngen g0 A=0 M=-1\ngen g1 A=0 M=-1\n"
+        "arr g0 g0 u=1\narr g0 g1 u=0\narr g1 g0 u=0\narr g1 g1 u=1\n",
+    ],
+)
+def test_model_screen_reports_invalid_candidates_without_raising(text):
+    report = check_whitehead_model(deserialize(text))
+    assert not (report.table_ok or report.local_invariants_ok or report.class_matches_trefoil)
+    assert report.table == {}
 
 
 def test_model_report_rendering():
