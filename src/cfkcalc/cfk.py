@@ -16,9 +16,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import eq
 from typing import Iterable
 
 from .errors import ParseError, UnsupportedExpression
@@ -107,17 +108,16 @@ class CfkComplex:
             triples.append((index[a.source], index[a.target], a.u_exp))
         self._store(gens, triples)
 
-    def _store(self, gens: list[Generator], triples: list[tuple[int, int, int]]) -> None:
-        """Sort gens, renumber the triples to match, cancel equal ones mod 2."""
+    def _store(self, gens: list[Generator], triples: Iterable[tuple[int, int, int]]) -> None:
+        """Sort gens, rank the triples to match as read, cancel equal ones mod 2."""
         order = sorted(range(len(gens)), key=lambda k: _gen_key(gens[k]))
-        rank = {k: r for r, k in enumerate(order)}
+        rank = sorted(range(len(gens)), key=order.__getitem__)  # order's inverse
         triples = sorted((rank[s], rank[t], u) for s, t, u in triples)
-        if len(set(triples)) != len(triples):
+        if any(map(eq, triples, islice(triples, 1, None))):  # equal triples are neighbours
             triples = sorted(_odd(triples))
-        counts = Counter(map(itemgetter(0), triples))
         self.generators = tuple(gens[k] for k in order)
         self.triples = tuple(triples)
-        self.offsets = tuple(accumulate(map(counts.__getitem__, range(len(gens))), initial=0))
+        self.offsets = tuple(bisect_left(triples, (k,)) for k in range(len(gens) + 1))
         self._hash = None
 
     @property
@@ -229,12 +229,11 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     warnings: list[Violation] = []
     errors = _math_errors(c)
     if knot_class and not errors:
-        from . import gf2, regions
+        from . import regions
 
-        # d^2 = 0 holds here, so the homology rank is n - 2 rank(boundary)
+        # the Maslov law holds here, which homology_ranks needs
         for kind, region in (("column", regions.Column0()), ("row", regions.Row(0))):
-            rc = regions.region_complex(c, region)
-            rank = len(rc) - 2 * gf2.Gf2Space(rc.boundary).dim
+            rank = sum(regions.homology_ranks(c, region).values())
             if rank != 1:
                 errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
     if not errors:
@@ -252,7 +251,7 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
 # operations
 
 
-def _indexed(gens: list[Generator], triples: list[tuple[int, int, int]]) -> CfkComplex:
+def _indexed(gens: list[Generator], triples: Iterable[tuple[int, int, int]]) -> CfkComplex:
     """Complex on gens (usable, unique names) and triples over their list order."""
     c = CfkComplex.__new__(CfkComplex)
     c._store(gens, triples)
@@ -285,14 +284,14 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
                 tie += 1
             used.add(candidate)
             gens.append(Generator(candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov))
-    # the pair (k1, k2) sits at k1 * n2 + k2
+    # the pair (k1, k2) sits at k1 * n2 + k2; _store ranks triples as they are made
     n2 = len(c2.generators)
-    triples: list[tuple[int, int, int]] = []
-    for s, t, u in c1.triples:
-        triples.extend(zip(range(s * n2, s * n2 + n2), range(t * n2, t * n2 + n2), repeat(u)))
-    for s, t, u in c2.triples:
-        triples.extend(zip(range(s, size, n2), range(t, size, n2), repeat(u)))
-    return _indexed(gens, triples)
+    runs = chain(
+        (zip(range(s * n2, s * n2 + n2), range(t * n2, t * n2 + n2), repeat(u))
+         for s, t, u in c1.triples),
+        (zip(range(s, size, n2), range(t, size, n2), repeat(u)) for s, t, u in c2.triples),
+    )
+    return _indexed(gens, chain.from_iterable(runs))
 
 
 def _dual_name(name: str) -> str:

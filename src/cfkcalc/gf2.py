@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["Gf2Space", "kernel_and_image"]
+__all__ = ["Gf2Space", "kernel_and_image", "block_ranks"]
 
 
 class Gf2Space:
@@ -79,3 +79,17 @@ def kernel_and_image(columns: Sequence[int], positions=None) -> tuple[list[int],
             pivots[top] = (vec, track)
             image.append(vec)
     return kernel, image
+
+
+def block_ranks(columns: Iterable[tuple[object, int]]) -> dict[object, int]:
+    """Rank per block of (block, vector) columns, over one pivot table keyed
+    by (block, top bit); blocks are independent, and zero blocks left out."""
+    pivots: dict[tuple[object, int], int] = {}
+    ranks: dict[object, int] = {}
+    for block, vec in columns:
+        while vec and (key := (block, vec.bit_length() - 1)) in pivots:
+            vec ^= pivots[key]
+        if vec:
+            pivots[key] = vec
+            ranks[block] = ranks.get(block, 0) + 1
+    return ranks

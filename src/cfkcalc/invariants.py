@@ -17,8 +17,9 @@ row j = tau and must always agree with epsilon.
 
 The class lies in one Maslov degree d (0 for every class the tool builds),
 and each test needs only cycles in degree d and boundaries from degree d + 1:
-one full column build finds d, and every other region is built in the
-degrees d - 1, d, d + 1 alone, relying on the Maslov law checked up front.
+the column's homology ranks per degree find d without a build, and every
+region is built in the degrees d - 1, d, d + 1 alone, relying on the Maslov
+law checked up front.
 
 The four invariants share one analysis of the most recent complex: asking
 for them in turn on one complex finds the class once, and an earlier
@@ -31,7 +32,6 @@ import dataclasses
 import functools
 import itertools
 import json
-from collections import Counter
 from typing import Iterator
 
 from .cfk import CfkComplex, dual, reduce, tensor, validate
@@ -54,6 +54,7 @@ from .regions import (
     Row,
     TruncatedHook,
     homology_data,
+    homology_ranks,
     region_complex,
 )
 
@@ -88,14 +89,7 @@ class _Analysis:
             if m[s] - 1 != m[t] - 2 * u:
                 name = f"{gens[s].name}->{gens[t].name} u={u}"
                 raise InconsistentInput(f"arrow {name} breaks the Maslov law")
-        # homology rank per degree of the full column: each degree-k element
-        # adds one, each independent column takes one from degrees k, k - 1
-        full = region_complex(c, Column0())
-        homology, space = Counter(full.degree), Gf2Space()
-        for k, column in zip(full.degree, full.boundary):
-            if space.add(column):
-                homology[k] -= 1
-                homology[k - 1] -= 1
+        homology = homology_ranks(c, Column0())
         rank = sum(homology.values())
         if rank != 1:
             raise RankNotOne(f"column homology rank {rank}, expected 1")
@@ -334,7 +328,9 @@ def staircase_a_invariants(exps: StaircaseExponents) -> tuple[int, int]:
 
 
 def hfk_table(c: CfkComplex) -> dict[tuple[int, int], int]:
-    """Generator count per (A, M) of the reduced complex."""
+    """Generator count per (A, M) of the reduced complex; an invalid c raises InconsistentInput."""
+    if not (report := validate(c)).ok:
+        raise InconsistentInput(f"not a valid complex: {report.errors[0].message}")
     return reduce(c).grading_table()
 
 
@@ -399,9 +395,10 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     """
     from .knots import Torus, class_complex
 
-    if not validate(c).ok:
+    try:
+        table = hfk_table(c)
+    except InconsistentInput:
         return WhiteheadModelReport(False, False, False, {})
-    table = hfk_table(c)
     table_ok = table == WHITEHEAD_RANK_TABLE
     try:
         local_ok = tau(c) == 1 and epsilon(c) == 1

@@ -288,6 +288,7 @@ def parse(text: str) -> KnotExpr:
 
 # ---------------------------------------------------------------------------
 # building complexes
+MAX_ALEXANDER_DEGREE = 500_000  # the largest leaf polynomial built
 
 
 def staircase(exps: StaircaseExponents) -> CfkComplex:
@@ -359,6 +360,21 @@ def _lspace_polynomial(e: KnotExpr) -> LaurentPoly:
     return cable_alexander(poly, e.p, e.q)
 
 
+def _leaf_degree(e: KnotExpr) -> int:
+    """The largest degree of a leaf polynomial of e; D counts as the trefoil."""
+    if isinstance(e, Mirror):
+        return _leaf_degree(e.inner)
+    if isinstance(e, Sum):
+        return max(_leaf_degree(e.left), _leaf_degree(e.right))
+    if isinstance(e, WhiteheadDoubleTrefoil):
+        return 2
+    if isinstance(e, Torus):
+        return (e.p - 1) * (e.q - 1)
+    if isinstance(e, Cable):
+        return e.p * _leaf_degree(e.inner) + (e.p - 1) * (e.q - 1)
+    return 0
+
+
 def _staircases(e: KnotExpr) -> list[StaircaseExponents]:
     """The staircase of every leaf of e (mirrors dropped), left to right."""
     if isinstance(e, Mirror):
@@ -382,10 +398,13 @@ def _class_of(e: KnotExpr, leaves: Iterator[StaircaseExponents]) -> CfkComplex:
 def class_complex(e: KnotExpr) -> ClassRep:
     """Reduced representative complex of the concordance class of e.
 
-    Its generator count is the product of the leaves' staircase lengths (a
-    mirror keeps the count); over MAX_GENERATORS, UnsupportedExpression is
-    raised before any staircase or tensor product is built.
+    UnsupportedExpression is raised before any polynomial is built for a leaf
+    of degree over MAX_ALEXANDER_DEGREE, and before any staircase for a class
+    over MAX_GENERATORS generators (the product of the leaves' staircase sizes).
     """
+    if (degree := _leaf_degree(e)) > MAX_ALEXANDER_DEGREE:
+        limit = f"over the limit of {MAX_ALEXANDER_DEGREE:,}"
+        raise UnsupportedExpression(f"a leaf polynomial of degree {degree:,} is {limit}")
     leaves = _staircases(e)
     size = math.prod(len(exps.exponents) for exps in leaves)
     if size > MAX_GENERATORS:

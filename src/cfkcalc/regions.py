@@ -16,7 +16,7 @@ region complex therefore still squares to zero.
 Region complexes are graded: U^k x sits in degree M(x) - 2k, and by the
 Maslov law every boundary entry lowers it by one.  A build may keep only the
 degrees in a window; homology_data then reports the degrees whose two
-neighbours the window holds.
+neighbours the window holds; homology_ranks ranks Column0 and Row unbuilt.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
-from .gf2 import Gf2Space, kernel_and_image
+from .gf2 import Gf2Space, block_ranks, kernel_and_image
 
 if TYPE_CHECKING:
     from .cfk import CfkComplex
@@ -41,6 +41,7 @@ __all__ = [
     "region_complex",
     "HomologyData",
     "homology_data",
+    "homology_ranks",
 ]
 
 
@@ -220,3 +221,23 @@ def homology_data(rc: RegionComplex) -> HomologyData:
             cycles += kernel if reported(k) else []
             image += columns if reported(k - 1) else []
     return HomologyData(tuple(cycles), Gf2Space(image))
+
+
+def homology_ranks(c: CfkComplex, region: Region) -> dict[int, int]:
+    """Homology rank per degree of a region meeting every diagonal, unbuilt: by
+    the Maslov law (c must obey it) a boundary lands one degree down, so bit j
+    names the j-th element there, and the cost is the sum of squared block sizes."""
+    power = [region.u_power(g.alexander) for g in c.generators]
+    if None in power:
+        raise ValueError(f"{region} misses a diagonal of the complex")
+    degree = [g.maslov - 2 * u for g, u in zip(c.generators, power)]
+    sizes, slot = {}, []  # elements per degree; place of each in its degree
+    for k in degree:
+        slot.append(sizes.get(k, 0))
+        sizes[k] = slot[-1] + 1
+    masks = [0] * len(degree)
+    for s, t, u in c.triples:
+        if power[t] == power[s] + u:
+            masks[s] |= 1 << slot[t]
+    ranks = block_ranks(zip(degree, masks))
+    return {k: n - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, n in sizes.items()}

@@ -12,6 +12,9 @@ import dataclasses
 import json
 import random
 import re
+from collections import Counter
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 import pytest
 
@@ -192,6 +195,42 @@ def tampered_certificate() -> str:
 
 
 def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
+    """Tensor product as built before triples were ranked as they are made:
+    every unranked triple in one list, ranked through a dict, duplicates
+    found with a set and offsets counted from the sorted triples."""
+    gens: list[Generator] = []
+    used: set[str] = set()
+    for g1 in c1.generators:
+        for g2 in c2.generators:
+            base = candidate = f"{g1.name}|{g2.name}"
+            tie = 2
+            while candidate in used:
+                candidate = f"{base}#{tie}"
+                tie += 1
+            used.add(candidate)
+            gens.append(Generator(candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov))
+    size, n2 = len(c1) * len(c2), len(c2.generators)
+    triples: list[tuple[int, int, int]] = []
+    for s, t, u in c1.triples:
+        triples.extend(zip(range(s * n2, s * n2 + n2), range(t * n2, t * n2 + n2), repeat(u)))
+    for s, t, u in c2.triples:
+        triples.extend(zip(range(s, size, n2), range(t, size, n2), repeat(u)))
+    keys = [(g.alexander, g.maslov, g.name) for g in gens]
+    order = sorted(range(len(gens)), key=keys.__getitem__)
+    rank = {k: r for r, k in enumerate(order)}
+    triples = sorted((rank[s], rank[t], u) for s, t, u in triples)
+    if len(set(triples)) != len(triples):
+        triples = sorted(_odd(triples))
+    counts = Counter(map(itemgetter(0), triples))
+    c = CfkComplex.__new__(CfkComplex)
+    c.generators = tuple(gens[k] for k in order)
+    c.triples = tuple(triples)
+    c.offsets = tuple(accumulate(map(counts.__getitem__, range(len(gens))), initial=0))
+    c._hash = None
+    return c
+
+
+def reference_named_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Tensor product built pair by pair from generator names."""
     name: dict[tuple[str, str], str] = {}
     used: set[str] = set()
@@ -306,6 +345,20 @@ def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
     return ReferenceRegionComplex(
         tuple(k for k, _ in index), tuple(u for _, u in index), position, tuple(boundary)
     )
+
+
+def reference_homology_ranks(c: CfkComplex, region) -> dict[int, int]:
+    """Homology rank per degree of the full region_complex build: each
+    element adds one to its degree, and each boundary column independent of
+    the earlier ones, over all degrees at once, takes one from the degree of
+    its element and one from the degree below."""
+    rc = region_complex(c, region)
+    ranks, space = Counter(rc.degree), Gf2Space()
+    for k, column in zip(rc.degree, rc.boundary):
+        if space.add(column):
+            ranks[k] -= 1
+            ranks[k - 1] -= 1
+    return dict(ranks)
 
 
 @dataclasses.dataclass(frozen=True)

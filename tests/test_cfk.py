@@ -39,6 +39,7 @@ from conftest import (
     random_staircase,
     randomized_corpus,
     reference_change_basis,
+    reference_named_tensor,
     reference_reduce,
     reference_tensor,
     torus_staircase,
@@ -400,7 +401,7 @@ def test_tensor_names_ties_in_pair_order():
         [Arrow("s", "s", 1), Arrow("b|c", "b|c|c", 0)],
     )
     product = tensor(left, right)
-    assert product == reference_tensor(left, right)
+    assert product == reference_tensor(left, right) == reference_named_tensor(left, right)
     names = {g.name for g in product.generators}
     assert {"a|b|c", "a|b|c#2", "a|b|c|c", "a|b|c|c#2"} <= names
     assert _digest(product) == "9533fce4ce1a52688261313a369d4884eb94df2ded7bc5634a43bac84816831c"
@@ -413,8 +414,39 @@ def test_tensor_names_ties_in_pair_order():
 def test_tensor_matches_reference_on_randomized_corpus():
     corpus = randomized_corpus(random.Random(SEED))
     for c, d in zip(corpus, corpus[1:] + corpus[:1]):
-        assert tensor(c, d) == reference_tensor(c, d)
+        assert tensor(c, d) == reference_tensor(c, d) == reference_named_tensor(c, d)
         assert tensor(c, dual(d)) == reference_tensor(c, dual(d))
+
+
+def _assert_same_tensor(c: CfkComplex, d: CfkComplex) -> None:
+    product, expected = tensor(c, d), reference_tensor(c, d)
+    assert product.generators == expected.generators
+    assert product.triples == expected.triples
+    assert product.offsets == expected.offsets
+
+
+def test_tensor_ranking_triples_as_made_matches_the_list_build():
+    rng = random.Random(SEED)
+    corpus = randomized_corpus(random.Random(SEED))
+    for c, d in zip(corpus, corpus[1:] + corpus[:1]):
+        tangled = random_basis_change(rng, with_flat_pairs(rng, c, 2))
+        for x, y in [(c, c), (c, dual(c)), (c, d), (tangled, d), (dual(d), tangled)]:
+            _assert_same_tensor(x, y)
+    # '#2' name ties, and a pair of self-loops whose two product arrows
+    # coincide and cancel mod 2 while the other arrows stay
+    left = CfkComplex(
+        [Generator("a", 0, 0), Generator("a|b", 1, 1), Generator("a|b|c", 1, 1)],
+        [Arrow("a|b", "a", 1), Arrow("a|b|c", "a", 0)],
+    )
+    right = CfkComplex([Generator("b|c", 0, 0), Generator("c", 0, 0)], [])
+    assert "a|b|c#2" in {g.name for g in tensor(left, right).generators}
+    _assert_same_tensor(left, right)
+    loop = CfkComplex([Generator("l", 2, 3), Generator("m", 1, 2)], [Arrow("l", "l", 1)])
+    tied = CfkComplex([Generator("l", 0, 0), Generator("n", 1, 2)], [Arrow("l", "l", 1)])
+    product = tensor(loop, tied)
+    assert product.arrows == (Arrow("l|n", "l|n", 1), Arrow("m|l", "m|l", 1))
+    _assert_same_tensor(loop, tied)
+    _assert_same_tensor(loop, loop)
 
 
 @pytest.mark.parametrize("p", range(2, 7))

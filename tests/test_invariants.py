@@ -163,12 +163,13 @@ def test_invariants_in_turn_build_each_region_once(monkeypatch):
     monkeypatch.setattr(invariants, "region_complex", counting)
     for _ in range(2):
         assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
-    # the full column finds the class's degree 0; every later build holds
-    # degrees -1..1 only.  After the bare-ray check, a1 = 1 is read off the
-    # first width region; a2 = 3 off the tail regions of depth 1, 2 and 4
+    # the column's per-degree ranks find the class's degree 0 without a
+    # build, so every build holds degrees -1..1 only.  After the bare-ray
+    # check, a1 = 1 is read off the first width region; a2 = 3 off the tail
+    # regions of depth 1, 2 and 4
     window = range(-1, 2)
+    assert all(rest == [window] for _, *rest in built)
     assert built == [
-        (Column0(),),
         (Column0(), window),
         (FullHook(6), window),
         (GHook(6), window),
@@ -468,6 +469,12 @@ def test_a2_requires_epsilon_plus_one():
 
 def test_hfk_table_of_trefoil():
     assert hfk_table(trefoil_complex()) == {(1, 0): 1, (0, -1): 1, (-1, -2): 1}
+
+
+def test_hfk_table_refuses_a_complex_that_validate_rejects():
+    rising = CfkComplex([Generator("a", 0, 0), Generator("b", 1, -1)], [Arrow("a", "b", 0)])
+    with pytest.raises(InconsistentInput, match="arrow a->b u=0 rises by 1"):
+        hfk_table(rising)
 
 
 def test_hfk_table_ignores_cancellable_pairs():

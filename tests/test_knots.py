@@ -7,6 +7,8 @@ the Euler characteristic of the reduced rank table.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from cfkcalc import (
@@ -41,7 +43,7 @@ from cfkcalc import (
     validate,
 )
 from cfkcalc import knots
-from cfkcalc.knots import MAX_DEPTH
+from cfkcalc.knots import MAX_ALEXANDER_DEGREE, MAX_DEPTH
 from conftest import trefoil_complex
 
 T23 = Torus(2, 3)
@@ -314,6 +316,46 @@ def test_classes_over_the_limit_are_refused_before_any_build(monkeypatch, text, 
     monkeypatch.setattr(knots, "tensor", built)
     with pytest.raises(UnsupportedExpression, match=f"class of {size} generators"):
         class_complex(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [
+        ("T(2,1000001)", "1,000,000"),
+        ("T(3,4) + -T(2,1000001)", "1,000,000"),
+        ("C(T(2,3);2,500001)", "500,004"),
+        ("-C(D;3,250001) + D", "500,006"),
+    ],
+)
+def test_leaf_polynomials_over_the_degree_limit_are_refused_before_any_is_built(
+    monkeypatch, text, degree
+):
+    def built(*args):
+        raise AssertionError("an Alexander polynomial was built")
+
+    monkeypatch.setattr(knots, "torus_alexander", built)
+    monkeypatch.setattr(knots, "cable_alexander", built)
+    message = f"a leaf polynomial of degree {degree} is over the limit of 500,000"
+    with pytest.raises(UnsupportedExpression, match=re.escape(message)):
+        class_complex(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text", ["U", "D", "T(2,3)", "T(5,7)", "C(T(2,3);2,5)", "C(C(D;2,3);3,20)", "C(U;3,2)"]
+)
+def test_leaf_degree_read_off_the_expression_is_the_polynomial_degree(text):
+    e = parse(text)
+    assert knots._leaf_degree(e) == knots._lspace_polynomial(e).degree
+
+
+def test_leaf_degree_of_a_sum_is_its_largest_leaf_degree():
+    assert knots._leaf_degree(parse("T(2,5) + -(C(D;2,5) + T(3,4))")) == 8 == 2 * 2 + 4
+
+
+def test_large_torus_leaves_stay_under_the_degree_limit():
+    assert knots._leaf_degree(parse("T(2,199999)")) == 199_998 <= MAX_ALEXANDER_DEGREE
+    assert knots._leaf_degree(parse("T(400,401)")) == 159_600 <= MAX_ALEXANDER_DEGREE
+    assert len(class_complex(parse("T(400,401)")).complex) == 799
 
 
 def test_each_leaf_polynomial_is_computed_once(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,20 +15,26 @@ from cfkcalc import (
     Row,
     TruncatedHook,
     class_complex,
+    direct_sum,
     dual,
     homology_data,
+    homology_ranks,
     parse,
     region_complex,
+    square_complex,
     tensor,
 )
 from cfkcalc.gf2 import Gf2Space
 from conftest import (
     SEED,
     random_staircase,
+    random_basis_change,
     randomized_corpus,
+    reference_homology_ranks,
     reference_region_complex,
     torus_staircase,
     trefoil_complex,
+    with_flat_pairs,
     with_random_squares,
 )
 
@@ -404,3 +411,46 @@ def test_position_is_none_exactly_outside_the_shape_or_the_window():
                             rc.chain([k])
     # generators outside the shape, outside the window only, and inside
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# per-degree homology ranks without a build
+
+
+def _ranks_cases(rng: random.Random):
+    for k, c in enumerate(randomized_corpus(random.Random(SEED))):
+        tangled = with_flat_pairs(rng, c, rng.randint(1, 3))
+        for _ in range(3):
+            tangled = random_basis_change(rng, tangled)
+        square = square_complex(rng.randint(1, 2), rng.randint(1, 2), 0, -1, prefix=f"s{k}_")
+        yield from (c, dual(c), tensor(c, c), tensor(c, dual(c)), tangled, direct_sum(c, square))
+
+
+def test_homology_ranks_match_the_full_build():
+    rng = random.Random(SEED)
+    largest = 0
+    for c in _ranks_cases(rng):
+        low, high = c.generators[0].alexander, c.generators[-1].alexander
+        levels = sorted({low - 1, low, 0, (low + high) // 2, high + 1})
+        for region in [Column0(), *map(Row, levels)]:
+            assert homology_ranks(c, region) == reference_homology_ranks(c, region), region
+        # column degree blocks of several elements: bits name places in a block
+        largest = max(largest, max(Counter(g.maslov for g in c.generators).values()))
+    assert largest >= 8
+
+
+@pytest.mark.parametrize(
+    "text", [f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 6)] + ["T(2,5) + T(3,4)"]
+)
+def test_homology_ranks_of_classes_have_rank_one_in_degree_0(text):
+    c = class_complex(parse(text)).complex
+    for region in (Column0(), Row(0), Row(3), Row(-2)):
+        ranks = homology_ranks(c, region)
+        assert ranks == reference_homology_ranks(c, region)
+        assert [r for r in ranks.values() if r] == [1]
+    assert {k: r for k, r in homology_ranks(c, Column0()).items() if r} == {0: 1}
+
+
+def test_homology_ranks_refuse_a_region_that_misses_a_diagonal():
+    with pytest.raises(ValueError, match="misses a diagonal"):
+        homology_ranks(trefoil_complex(), TruncatedHook(1, 0))
