@@ -13,15 +13,15 @@ is exact and deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice, repeat
 from operator import eq
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from ._value import Value
 from .errors import ParseError, UnsupportedExpression
 
 __all__ = [
@@ -44,17 +44,33 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
 class Generator:
-    """Basis element with Alexander and Maslov gradings."""
+    """Basis element with Alexander and Maslov gradings; immutable."""
 
-    name: str
-    alexander: int
-    maslov: int
+    __slots__ = ("name", "alexander", "maslov")
+
+    def __init__(self, name: str, alexander: int, maslov: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "maslov", maslov)
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.alexander, self.maslov))
+
+    def __repr__(self) -> str:
+        return "Generator(name={!r}, alexander={!r}, maslov={!r})".format(*self.__reduce__()[1])
+
+    __setattr__ = __delattr__ = Value.__setattr__
+
+    def __reduce__(self) -> tuple:
+        return Generator, (self.name, self.alexander, self.maslov)
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     """Differential component d(source) = U^u_exp * target + ..."""
 
     source: str
@@ -151,14 +167,12 @@ class CfkComplex:
 # validation
 
 
-@dataclasses.dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
 
 
-@dataclasses.dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[Violation, ...]
     warnings: tuple[Violation, ...]
 
@@ -182,8 +196,8 @@ class ValidationReport:
         return json.dumps(
             {
                 "ok": self.ok,
-                "errors": [dataclasses.asdict(v) for v in self.errors],
-                "warnings": [dataclasses.asdict(v) for v in self.warnings],
+                "errors": [v._asdict() for v in self.errors],
+                "warnings": [v._asdict() for v in self.warnings],
             },
             indent=2,
         )

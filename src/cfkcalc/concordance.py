@@ -9,12 +9,12 @@ complexes alone.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from ._value import Value
 from .cfk import (
     MAX_GENERATORS,
     CfkComplex,
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class ClassRep:
+class ClassRep(Value):
     """A concordance class, carried by a reduced knot-like complex."""
 
     complex: CfkComplex
@@ -124,8 +123,7 @@ SMALLER_A1 = "smaller-a1"
 LARGER_A2 = "larger-a2"
 
 
-@dataclasses.dataclass(frozen=True)
-class DominationResult:
+class DominationResult(NamedTuple):
     """Outcome of the invariant-based domination test."""
 
     proved: bool
@@ -137,8 +135,7 @@ class DominationResult:
         return f"{head}: {self.reason}"
 
 
-@dataclasses.dataclass(frozen=True)
-class _Summary:
+class _Summary(NamedTuple):
     epsilon: int
     a1: int | None
     a2: int | None
@@ -186,8 +183,7 @@ def dominates_by_invariants(k: ClassRep, j: ClassRep) -> DominationResult:
     return _compare_summaries(_summarize(k.complex), _summarize(j.complex))
 
 
-@dataclasses.dataclass(frozen=True)
-class DominanceEvidence:
+class DominanceEvidence(NamedTuple):
     """Result of directly testing k > n*j for n up to a bound."""
 
     consistent: bool
@@ -234,8 +230,7 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
 CERTIFICATE_FORMAT = "cfk-independence-certificate v1"
 
 
-@dataclasses.dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(NamedTuple):
     expression: str | None
     complex_text: str
     a1: int
@@ -246,8 +241,7 @@ class ChainEntry:
         return self.expression if self.expression is not None else f"#{index}"
 
 
-@dataclasses.dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     above: int
     below: int
     criterion: str
@@ -273,8 +267,7 @@ def _fields(record: dict, types: dict[str, tuple[type, ...]]) -> list:
     return [record[key] for key in types]
 
 
-@dataclasses.dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Dominance chain witnessing linear independence of its classes."""
 
     entries: tuple[ChainEntry, ...]
@@ -284,8 +277,8 @@ class Certificate:
         return json.dumps(
             {
                 "format": CERTIFICATE_FORMAT,
-                "chain": [dict(zip(_ENTRY_FIELDS, dataclasses.astuple(e))) for e in self.entries],
-                "links": [dict(zip(_LINK_FIELDS, dataclasses.astuple(l))) for l in self.links],
+                "chain": [dict(zip(_ENTRY_FIELDS, e)) for e in self.entries],
+                "links": [dict(zip(_LINK_FIELDS, l)) for l in self.links],
             },
             indent=2,
         )

@@ -28,11 +28,10 @@ complex is dropped as soon as another one is analysed.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cfk import CfkComplex, dual, reduce, tensor, validate
 from .errors import (
@@ -348,8 +347,7 @@ WHITEHEAD_RANK_TABLE: dict[tuple[int, int], int] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class WhiteheadModelReport:
+class WhiteheadModelReport(NamedTuple):
     """Whether a candidate behaves like the doubled trefoil class."""
 
     table_ok: bool

@@ -18,10 +18,11 @@ no small model determines).
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Iterator, Union
+import operator
+from typing import Iterator, NamedTuple, Union
 
+from ._value import Value
 from .cfk import MAX_GENERATORS, Arrow, CfkComplex, Generator, dual, tensor
 from .concordance import ClassRep
 from .errors import (
@@ -54,14 +55,12 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class Unknot:
+class Unknot(Value):
     def __str__(self) -> str:
         return "U"
 
 
-@dataclasses.dataclass(frozen=True)
-class Torus:
+class Torus(Value):
     p: int
     q: int
 
@@ -78,8 +77,7 @@ class Torus:
         return f"T({self.p},{self.q})"
 
 
-@dataclasses.dataclass(frozen=True)
-class Cable:
+class Cable(Value):
     inner: "KnotExpr"
     p: int
     q: int
@@ -94,8 +92,7 @@ class Cable:
         return f"C({self.inner};{self.p},{self.q})"
 
 
-@dataclasses.dataclass(frozen=True)
-class Sum:
+class Sum(Value):
     left: "KnotExpr"
     right: "KnotExpr"
 
@@ -106,8 +103,7 @@ class Sum:
         return f"{self.left} + {right}"
 
 
-@dataclasses.dataclass(frozen=True)
-class Mirror:
+class Mirror(Value):
     inner: "KnotExpr"
 
     def __str__(self) -> str:
@@ -115,8 +111,7 @@ class Mirror:
         return f"-{inner}"
 
 
-@dataclasses.dataclass(frozen=True)
-class WhiteheadDoubleTrefoil:
+class WhiteheadDoubleTrefoil(Value):
     def __str__(self) -> str:
         return "D"
 
@@ -128,8 +123,7 @@ KnotExpr = Union[Unknot, Torus, Cable, Sum, Mirror, WhiteheadDoubleTrefoil]
 # parsing
 
 
-@dataclasses.dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     column: int
@@ -318,18 +312,26 @@ def alexander(e: KnotExpr) -> LaurentPoly:
     """Alexander polynomial of the knot an expression denotes.
 
     Note D itself has trivial polynomial, so for D-cables this differs from
-    the polynomial of the class representative on purpose.
+    the polynomial of the class representative on purpose.  A degree over
+    MAX_ALEXANDER_DEGREE raises UnsupportedExpression before anything is built.
     """
+    if (degree := _leaf_degree(e, operator.add, 0)) > MAX_ALEXANDER_DEGREE:
+        limit = f"over the limit of {MAX_ALEXANDER_DEGREE:,}"
+        raise UnsupportedExpression(f"an Alexander polynomial of degree {degree:,} is {limit}")
+    return _alexander(e)
+
+
+def _alexander(e: KnotExpr) -> LaurentPoly:
     if isinstance(e, (Unknot, WhiteheadDoubleTrefoil)):
         return LaurentPoly.one()
     if isinstance(e, Torus):
         return torus_alexander(e.p, e.q)
     if isinstance(e, Sum):
-        return (alexander(e.left) * alexander(e.right)).normalized()
+        return (_alexander(e.left) * _alexander(e.right)).normalized()
     if isinstance(e, Mirror):
-        return alexander(e.inner)
+        return _alexander(e.inner)
     if isinstance(e, Cable):
-        return cable_alexander(alexander(e.inner), e.p, e.q)
+        return cable_alexander(_alexander(e.inner), e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")
 
 
@@ -346,7 +348,7 @@ def _lspace_polynomial(e: KnotExpr) -> LaurentPoly:
     if isinstance(e, (Sum, Mirror)):
         raise UnsupportedExpression("no class construction for cables of sums or mirrors")
     if not isinstance(e, Cable):
-        return alexander(e)
+        return _alexander(e)
     if e.q <= 0:
         raise UnsupportedExpression(f"cable framing must be positive to build a class, got q={e.q}")
     poly = _lspace_polynomial(e.inner)
@@ -360,18 +362,19 @@ def _lspace_polynomial(e: KnotExpr) -> LaurentPoly:
     return cable_alexander(poly, e.p, e.q)
 
 
-def _leaf_degree(e: KnotExpr) -> int:
-    """The largest degree of a leaf polynomial of e; D counts as the trefoil."""
+def _leaf_degree(e: KnotExpr, join=max, d_degree: int = 2) -> int:
+    """The largest degree of a leaf polynomial of e, D counting as the trefoil;
+    with join=operator.add and d_degree=0, the degree of alexander(e)."""
     if isinstance(e, Mirror):
-        return _leaf_degree(e.inner)
+        return _leaf_degree(e.inner, join, d_degree)
     if isinstance(e, Sum):
-        return max(_leaf_degree(e.left), _leaf_degree(e.right))
+        return join(_leaf_degree(e.left, join, d_degree), _leaf_degree(e.right, join, d_degree))
     if isinstance(e, WhiteheadDoubleTrefoil):
-        return 2
+        return d_degree
     if isinstance(e, Torus):
         return (e.p - 1) * (e.q - 1)
     if isinstance(e, Cable):
-        return e.p * _leaf_degree(e.inner) + (e.p - 1) * (e.q - 1)
+        return e.p * _leaf_degree(e.inner, join, d_degree) + (e.p - 1) * (abs(e.q) - 1)
     return 0
 
 

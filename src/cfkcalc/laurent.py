@@ -9,11 +9,11 @@ symmetric polynomial into its staircase exponent sequence.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from typing import Iterator, Mapping
 
+from ._value import Value
 from .errors import InexactDivision, NotCoprime, NotStaircaseForm, ParseError
 
 __all__ = [
@@ -245,8 +245,7 @@ class LaurentPoly:
         return cls(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class StaircaseExponents:
+class StaircaseExponents(Value):
     """Strictly decreasing exponents of a staircase polynomial.
 
     The sequence has odd length, ends at 0, and satisfies the symmetry

@@ -21,9 +21,9 @@ neighbours the window holds; homology_ranks ranks Column0 and Row unbuilt.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Container, Iterable, Iterator
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, NamedTuple
 
+from ._value import Value
 from .gf2 import Gf2Space, block_ranks, kernel_and_image
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class Region:
+class Region(Value):
     """A subset of the lattice queried along diagonals: every shape meets
     each diagonal j - i = a at most once, at (-u, a - u) for u = u_power(a)."""
 
@@ -55,7 +55,6 @@ class Region:
         raise NotImplementedError
 
 
-@dataclasses.dataclass(frozen=True)
 class Column0(Region):
     """The column i = 0; one element per generator, at (0, A(x))."""
 
@@ -63,7 +62,6 @@ class Column0(Region):
         return 0
 
 
-@dataclasses.dataclass(frozen=True)
 class FullHook(Region):
     """{i = 0, j >= level} united with {j = level, i >= 0}."""
 
@@ -73,7 +71,6 @@ class FullHook(Region):
         return 0 if a >= self.level else a - self.level
 
 
-@dataclasses.dataclass(frozen=True)
 class GHook(Region):
     """{i = 0, j <= level} united with {j = level, i <= 0}."""
 
@@ -83,7 +80,6 @@ class GHook(Region):
         return 0 if a <= self.level else a - self.level
 
 
-@dataclasses.dataclass(frozen=True)
 class TruncatedHook(Region):
     """{i = 0, j >= level} united with {j = level, 0 <= i <= width}."""
 
@@ -96,7 +92,6 @@ class TruncatedHook(Region):
         return a - self.level if self.level - self.width <= a else None
 
 
-@dataclasses.dataclass(frozen=True)
 class HookWithTail(TruncatedHook):
     """A truncated hook plus the tail {i = width, level - depth <= j < level}."""
 
@@ -110,7 +105,6 @@ class HookWithTail(TruncatedHook):
         return super().u_power(a)
 
 
-@dataclasses.dataclass(frozen=True)
 class Row(Region):
     """The row j = level; one element per generator."""
 
@@ -195,8 +189,7 @@ def region_complex(c: CfkComplex, region: Region, degrees=None) -> RegionComplex
     return RegionComplex(c, region, degrees)
 
 
-@dataclasses.dataclass(frozen=True)
-class HomologyData:
+class HomologyData(NamedTuple):
     """Cycle basis and boundary space of a region complex."""
 
     cycle_basis: tuple[int, ...]

@@ -484,6 +484,22 @@ def test_alexander_json(capsys):
     assert payload == {"expression": "U", "alexander": "1"}
 
 
+def test_alexander_refuses_a_polynomial_over_the_degree_limit(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["alexander", "T(2,1000001)"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: an Alexander polynomial of degree 1,000,000 is over the limit of 500,000\n"
+    )
+    assert peak < 20 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # show
 

@@ -7,6 +7,7 @@ the Euler characteristic of the reduced rank table.
 
 from __future__ import annotations
 
+import operator
 import re
 
 import pytest
@@ -338,6 +339,46 @@ def test_leaf_polynomials_over_the_degree_limit_are_refused_before_any_is_built(
     message = f"a leaf polynomial of degree {degree} is over the limit of 500,000"
     with pytest.raises(UnsupportedExpression, match=re.escape(message)):
         class_complex(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [
+        ("T(2,1000001)", "1,000,000"),
+        ("T(2,250001) + -T(2,250003)", "500,002"),
+        ("C(D;3,250003)", "500,004"),
+        ("C(U;2,-500003)", "500,002"),
+        ("C(T(2,3);2,499999) + U", "500,002"),
+    ],
+)
+def test_alexander_over_the_degree_limit_is_refused_before_any_polynomial(
+    monkeypatch, text, degree
+):
+    def built(*args):
+        raise AssertionError("an Alexander polynomial was built")
+
+    monkeypatch.setattr(knots, "torus_alexander", built)
+    monkeypatch.setattr(knots, "cable_alexander", built)
+    message = f"an Alexander polynomial of degree {degree} is over the limit of 500,000"
+    with pytest.raises(UnsupportedExpression, match=re.escape(message)):
+        alexander(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "U",
+        "D",
+        "T(5,7)",
+        "C(D;2,3)",
+        "C(U;3,-4)",
+        "C(T(2,3);2,-5)",
+        "-C(C(D;2,3);3,20) + T(2,5) + -(D + T(3,4))",
+    ],
+)
+def test_alexander_degree_read_off_the_expression_is_the_polynomial_degree(text):
+    e = parse(text)
+    assert knots._leaf_degree(e, operator.add, 0) == alexander(e).degree
 
 
 @pytest.mark.parametrize(
