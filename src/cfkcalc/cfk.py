@@ -39,7 +39,6 @@ __all__ = [
     "unknot_complex",
     "square_complex",
     "direct_sum",
-    "change_basis",
     "MAX_GENERATORS",
 ]
 
@@ -414,34 +413,6 @@ def direct_sum(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     n1 = len(c1)
     shifted = [(s + n1, t + n1, u) for s, t, u in c2.triples]
     return _indexed([*c1.generators, *c2.generators], [*c1.triples, *shifted])
-
-
-def change_basis(c: CfkComplex, target: str, donor: str, power: int = 0) -> CfkComplex:
-    """Filtered change of basis replacing target by target + U^power donor.
-
-    Requires power >= 0, M(donor) - 2*power == M(target) and
-    A(donor) - power <= A(target), so the new element is homogeneous and
-    filtration-compatible; an unknown name raises KeyError.  The arrows out
-    of donor are toggled onto target and the arrows into target onto donor,
-    both with power added.  Gradings and d^2 = 0 are preserved; the result
-    usually differs arrow-wise but is the same complex up to isomorphism.
-    """
-    if target == donor:
-        raise ValueError("target and donor must differ")
-    index = {g.name: k for k, g in enumerate(c.generators)}
-    t, d = index[target], index[donor]
-    gt, gd = c.generators[t], c.generators[d]
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    if gd.maslov - 2 * power != gt.maslov:
-        raise ValueError("gradings incompatible with this basis change")
-    if gd.alexander - power > gt.alexander:
-        raise ValueError("basis change would raise the filtration")
-    # _store adds the toggles to the old arrows mod 2
-    tr = c.triples
-    toggles = [(t, z, u + power) for _, z, u in tr[c.offsets[d] : c.offsets[d + 1]]]
-    toggles += [(s, d, u + power) for s, z, u in tr if z == t]
-    return _indexed(list(c.generators), [*tr, *toggles])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .cfk import (
     CfkComplex,
     deserialize,
     dual,
-    reduce,
     serialize,
     tensor,
     validate,
@@ -70,13 +69,12 @@ class ClassRep(Value):
             first = report.errors[0]
             raise InconsistentInput(f"not a knot-like complex: {first.message}")
         c = self.complex
-        if reduce(c) is not c:
-            g = c.generators
-            x, y = next(
-                (g[s].name, g[t].name)
-                for s, t, u in c.triples
-                if u == 0 and g[s].alexander == g[t].alexander
-            )
+        g = c.generators
+        flat = next(
+            ((s, t) for s, t, u in c.triples if u == 0 and g[s].alexander == g[t].alexander), None
+        )
+        if flat is not None:
+            x, y = (g[k].name for k in flat)
             raise InconsistentInput(f"not reduced: arrow {x} -> {y} drops no grading")
 
     def __str__(self) -> str:

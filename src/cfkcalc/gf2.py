@@ -55,17 +55,17 @@ class Gf2Space:
         return [self._pivots[p] for p in sorted(self._pivots)]
 
 
-def kernel_and_image(columns: Sequence[int], positions=None) -> tuple[list[int], list[int]]:
+def kernel_and_image(columns: Sequence[int]) -> tuple[list[int], list[int]]:
     """Kernel and image bases of the map sending basis vector i to columns[i].
 
-    Kernel vectors are combination masks, with bit positions[i] (default i)
-    for column i.  The image basis is returned in echelon form.
+    Kernel vectors are combination masks, with bit i for column i.  The
+    image basis is returned in echelon form.
     """
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
     image: list[int] = []
     for idx, col in enumerate(columns):
-        vec, track = col, 1 << (idx if positions is None else positions[idx])
+        vec, track = col, 1 << idx
         while vec:
             top = vec.bit_length() - 1
             hit = pivots.get(top)

@@ -18,8 +18,8 @@ row j = tau and must always agree with epsilon.
 The class lies in one Maslov degree d (0 for every class the tool builds),
 and each test needs only cycles in degree d and boundaries from degree d + 1:
 the column's homology ranks per degree find d without a build, and every
-region is built in the degrees d - 1, d, d + 1 alone, relying on the Maslov
-law checked up front.
+region is built as its degree-d slice, relying on the Maslov law checked up
+front.
 
 The four invariants share one analysis of the most recent complex: asking
 for them in turn on one complex finds the class once, and an earlier
@@ -94,8 +94,7 @@ class _Analysis:
             raise RankNotOne(f"column homology rank {rank}, expected 1")
         # with d^2 = 0 exactly one degree has homology
         self.degree = max(homology, key=homology.__getitem__)
-        self.window = range(self.degree - 1, self.degree + 2)
-        rc = region_complex(c, Column0(), self.window)
+        rc = region_complex(c, Column0(), self.degree)
         data = homology_data(rc)
         space = data.boundary_space
         z0 = next(k for k in data.cycle_basis if k not in space)
@@ -138,7 +137,7 @@ def _class_image(c: CfkComplex, rc, level: int) -> int:
 
 def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
     """Push the class through (drop j < level, include into region)."""
-    rc = region_complex(c, region, _analysis(c).window)
+    rc = region_complex(c, region, _analysis(c).degree)
     return _class_image(c, rc, level) in homology_data(rc).boundary_space
 
 
@@ -152,7 +151,7 @@ def g_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether no cycle of the G-hook at level s projects onto a
     non-boundary of the column (drop elements with i < 0)."""
     col = _analysis(c)
-    gh = region_complex(c, GHook(s), col.window)
+    gh = region_complex(c, GHook(s), col.degree)
     # The G-hook elements on the column (A <= s) come first and are the
     # column's first elements, in generator order, so bit k names the same
     # generator in both: dropping i < 0 from a G-hook chain is a mask.
@@ -198,7 +197,7 @@ def epsilon_oracle(c: CfkComplex) -> int:
     """
     col = _analysis(c)
     t = col.tau
-    row = region_complex(c, Row(t), col.window)
+    row = region_complex(c, Row(t), col.degree)
     column, gens = col.column, c.generators
 
     # column elements are in generator order, hence sorted by A
@@ -229,7 +228,7 @@ def _region_sizes(bound: int) -> Iterator[int]:
 
     A truncated hook of width w holds only the generators with A >= tau - w,
     so regions stay small while the answer is small against the span, where
-    one build at the bound would hold every generator of the window.
+    one build at the bound would hold every element of the slice.
     """
     size = 1
     while True:
@@ -245,7 +244,7 @@ def _least_killing_width(c: CfkComplex) -> int:
     Arrows never raise i, so the elements of width <= s in TruncatedHook(t, w)
     are the subcomplex TruncatedHook(t, s): the class dies at width s exactly
     when it lies in the span of their boundary columns.  One region answers
-    every width up to its own, one layer (``-u_power``) at a time.
+    every width up to its own, one layer (``-above_u_power``) at a time.
     """
     col = _analysis(c)
     t = col.tau
@@ -253,12 +252,11 @@ def _least_killing_width(c: CfkComplex) -> int:
     if _class_image_is_boundary(c, TruncatedHook(t, 0), t):
         raise InternalInconsistency("class already dies in the bare column ray")
     for size in _region_sizes(col.search_bound):
-        rc = region_complex(c, TruncatedHook(t, size), col.window)
+        rc = region_complex(c, TruncatedHook(t, size), col.degree)
         point = _class_image(c, rc, t)
         layers: dict[int, list[int]] = {}
-        for u, column, k in zip(rc.u_power, rc.boundary, rc.degree):
-            if k == col.degree + 1:  # only these columns land in the class's degree
-                layers.setdefault(-u, []).append(column)
+        for u, column in zip(rc.above_u_power, rc.above):
+            layers.setdefault(-u, []).append(column)
         boundaries = Gf2Space()
         for width in sorted(layers):
             for column in layers[width]:
@@ -282,9 +280,8 @@ def _least_reviving_depth(c: CfkComplex, width: int) -> int | None:
     col = _analysis(c)
     t = col.tau
     for size in _region_sizes(col.search_bound):
-        rc = region_complex(c, HookWithTail(t, width, size), col.window)
-        columns = [b for b, k in zip(rc.boundary, rc.degree) if k == col.degree + 1]
-        residual = Gf2Space(columns).reduce(_class_image(c, rc, t))
+        rc = region_complex(c, HookWithTail(t, width, size), col.degree)
+        residual = Gf2Space(rc.above).reduce(_class_image(c, rc, t))
         if residual:
             top = rc.gen_index[residual.bit_length() - 1]
             depth = t - width - c.generators[top].alexander

@@ -14,16 +14,19 @@ differential path between two region elements lie in the region: the
 region complex therefore still squares to zero.
 
 Region complexes are graded: U^k x sits in degree M(x) - 2k, and by the
-Maslov law every boundary entry lowers it by one.  A build may keep only the
-degrees in a window; homology_data then reports the degrees whose two
-neighbours the window holds; homology_ranks ranks Column0 and Row unbuilt.
+Maslov law every boundary entry lowers it by one.  The invariants read
+homology in one degree d, so a build is one slice: the degree-d elements
+with their boundaries over degree d - 1, and the boundaries of the degree
+d + 1 elements over degree d, so every chain is a mask over one degree.
+homology_ranks ranks Column0 and Row in every degree without a build.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._value import Value
+from .errors import InconsistentInput
 from .gf2 import Gf2Space, block_ranks, kernel_and_image
 
 if TYPE_CHECKING:
@@ -123,50 +126,67 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 class RegionComplex:
-    """Elements of a region in generator order (only those in the window of
-    degrees, when one is given), with the induced boundary as bit columns.
+    """One Maslov-degree slice of a region complex.
 
-    A generator has at most one element in a region, so its index names
-    it: position p holds U^u_power[p] of generator gen_index[p], in degree
-    degree[p], and position[k] is the position of generator k, or None when
-    k is outside the build.
+    Position p holds U^u_power[p] of generator gen_index[p], the degree-d
+    elements in generator order; a generator has at most one element in a
+    region, so position[k] is the position of generator k, or None when k
+    has no element in degree d.  boundary[p] is the boundary of element p as
+    a mask over the degree d - 1 elements (bit j = j-th in generator order),
+    and above[q] that of the q-th degree d + 1 element, U^above_u_power[q],
+    as a mask over positions.  A boundary entry that does not land one
+    degree down raises InconsistentInput.
     """
 
-    __slots__ = ("gen_index", "u_power", "degree", "boundary", "position", "window")
+    __slots__ = ("gen_index", "u_power", "boundary", "position", "above", "above_u_power")
 
-    def __init__(self, source: CfkComplex, region: Region, degrees: Container[int] | None = None):
+    def __init__(self, source: CfkComplex, region: Region, degree: int):
         gens = source.generators
-        # position and U power per generator; None outside the build
-        pos: list = [None] * len(gens)
-        power: list = [None] * len(gens)
-        members, alexander = [], None
+        power: list = [None] * len(gens)  # U power per generator; None outside the region
+        place: list = [None] * len(gens)  # place among its degree's elements, d - 1..d + 1
+        members: list[int] = []
+        above: list[int] = []
+        blocks = {degree - 1: [], degree: members, degree + 1: above}
+        alexander = None
         for k, g in enumerate(gens):
             if g.alexander != alexander:  # generators are sorted by A: one query per run
                 alexander, u = g.alexander, region.u_power(g.alexander)
-            if u is not None and (degrees is None or g.maslov - 2 * u in degrees):
-                pos[k], power[k] = len(members), u
-                members.append(k)
+            if u is not None:
+                power[k] = u
+                block = blocks.get(g.maslov - 2 * u)
+                if block is not None:
+                    place[k] = len(block)
+                    block.append(k)
+        tr, off = source.triples, source.offsets
+
+        def columns(block: list[int], target: int) -> tuple[int, ...]:
+            out = []
+            for k in block:
+                mask, pk = 0, power[k]
+                for _, t, u in tr[off[k] : off[k + 1]]:
+                    if power[t] == pk + u:
+                        if gens[t].maslov - 2 * power[t] != target:
+                            name = f"{gens[k].name}->{gens[t].name} u={u}"
+                            raise InconsistentInput(f"arrow {name} breaks the Maslov law")
+                        mask |= 1 << place[t]
+                out.append(mask)
+            return tuple(out)
+
         self.gen_index = tuple(members)
         self.u_power = tuple(power[k] for k in members)
-        self.degree = tuple(gens[k].maslov - 2 * power[k] for k in members)
-        self.position = pos
-        self.window = degrees
-        tr, off = source.triples, source.offsets
-        boundary = []
-        for k in members:
-            mask = 0
-            for _, t, u in tr[off[k] : off[k + 1]]:
-                if power[t] == power[k] + u:
-                    mask |= 1 << pos[t]
-            boundary.append(mask)
-        self.boundary = tuple(boundary)
+        self.boundary = columns(members, degree - 1)
+        self.above = columns(above, degree)
+        self.above_u_power = tuple(power[k] for k in above)
+        self.position = [None] * len(gens)
+        for p, k in enumerate(members):
+            self.position[k] = p
 
     def __len__(self) -> int:
         return len(self.gen_index)
 
     def chain(self, gens: Iterable[int]) -> int:
         """Bit mask of the elements of the given generator indices; a
-        generator outside the build raises KeyError."""
+        generator outside the slice raises KeyError."""
         mask = 0
         for k in gens:
             if self.position[k] is None:
@@ -179,41 +199,29 @@ class RegionComplex:
         return [self.gen_index[p] for p in _set_bits(mask)]
 
     def differential(self, mask: int) -> int:
+        """Boundary of a chain, as a mask over the degree d - 1 elements."""
         out = 0
         for idx in _set_bits(mask):
             out ^= self.boundary[idx]
         return out
 
 
-def region_complex(c: CfkComplex, region: Region, degrees=None) -> RegionComplex:
-    return RegionComplex(c, region, degrees)
+def region_complex(c: CfkComplex, region: Region, degree: int) -> RegionComplex:
+    return RegionComplex(c, region, degree)
 
 
 class HomologyData(NamedTuple):
-    """Cycle basis and boundary space of a region complex."""
+    """Cycle basis and boundary space of a region complex slice."""
 
     cycle_basis: tuple[int, ...]
     boundary_space: Gf2Space
 
 
 def homology_data(rc: RegionComplex) -> HomologyData:
-    """Cycle basis and boundary space in the degrees whose neighbours the
-    build holds (every degree of a full build), eliminated one degree at a
-    time; the kernel masks are over region positions, so they are chains."""
-
-    def reported(k: int) -> bool:
-        return rc.window is None or (k - 1 in rc.window and k + 1 in rc.window)
-
-    blocks: dict[int, list[int]] = {}
-    for p, k in enumerate(rc.degree):
-        blocks.setdefault(k, []).append(p)
-    cycles, image = [], []
-    for k, positions in blocks.items():
-        if reported(k) or reported(k - 1):
-            kernel, columns = kernel_and_image([rc.boundary[p] for p in positions], positions)
-            cycles += kernel if reported(k) else []
-            image += columns if reported(k - 1) else []
-    return HomologyData(tuple(cycles), Gf2Space(image))
+    """Cycles of the slice (the kernel of its boundary) and boundaries (the
+    span of the columns from one degree up), both as masks over positions."""
+    cycles, _ = kernel_and_image(rc.boundary)
+    return HomologyData(tuple(cycles), Gf2Space(rc.above))
 
 
 def homology_ranks(c: CfkComplex, region: Region) -> dict[int, int]:

@@ -29,14 +29,12 @@ from cfkcalc import (
     RankNotOne,
     TruncatedHook,
     StaircaseExponents,
-    change_basis,
     class_complex,
     direct_sum,
     dual,
     independence_certificate,
     parse,
     reduce,
-    region_complex,
     square_complex,
     staircase,
     tensor,
@@ -122,7 +120,7 @@ def random_basis_change(rng: random.Random, c: CfkComplex, tries: int = 4) -> Cf
         return c
     for _ in range(tries):
         target, donor, k = candidates[rng.randrange(len(candidates))]
-        out = change_basis(c, target, donor, k)
+        out = reference_change_basis(c, target, donor, k)
         if out != c:
             return out
     return c
@@ -314,14 +312,41 @@ def reference_change_basis(c: CfkComplex, target: str, donor: str, power: int = 
 class ReferenceRegionComplex:
     gen_index: tuple[int, ...]
     u_power: tuple[int, ...]
+    degree: tuple[int, ...]
     position: list[int | None]
     boundary: tuple[int, ...]
 
+    def chain(self, gens) -> int:
+        return sum(1 << self.position[k] for k in gens)
+
+    def chain_elements(self, mask: int) -> list[int]:
+        return [k for p, k in enumerate(self.gen_index) if mask >> p & 1]
+
+    def differential(self, mask: int) -> int:
+        out = 0
+        for p, column in enumerate(self.boundary):
+            if mask >> p & 1:
+                out ^= column
+        return out
+
+    def homology_ranks(self) -> dict[int, int]:
+        """Homology rank per degree: each element adds one to its degree,
+        and each boundary column independent of the earlier ones, over all
+        degrees at once, takes one from the degree of its element and one
+        from the degree below."""
+        ranks, space = Counter(self.degree), Gf2Space()
+        for k, column in zip(self.degree, self.boundary):
+            if space.add(column):
+                ranks[k] -= 1
+                ranks[k - 1] -= 1
+        return dict(ranks)
+
 
 def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
-    """Region complex built element by element, one per generator whose
-    diagonal meets the region, with boundary targets looked up by
-    (generator index, U power) from the named arrows."""
+    """Region complex over every degree, built element by element: one per
+    generator whose diagonal meets the region, in degree M - 2u, with
+    boundary targets looked up by (generator index, U power) from the named
+    arrows, as masks over all its elements."""
     index: dict[tuple[int, int], int] = {}
     for k, g in enumerate(c.generators):
         u = region.u_power(g.alexander)
@@ -342,23 +367,15 @@ def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
     position: list[int | None] = [None] * len(c)
     for (k, _), p in index.items():
         position[k] = p
+    degree = tuple(c.generators[k].maslov - 2 * u for k, u in index)
     return ReferenceRegionComplex(
-        tuple(k for k, _ in index), tuple(u for _, u in index), position, tuple(boundary)
+        tuple(k for k, _ in index), tuple(u for _, u in index), degree, position, tuple(boundary)
     )
 
 
 def reference_homology_ranks(c: CfkComplex, region) -> dict[int, int]:
-    """Homology rank per degree of the full region_complex build: each
-    element adds one to its degree, and each boundary column independent of
-    the earlier ones, over all degrees at once, takes one from the degree of
-    its element and one from the degree below."""
-    rc = region_complex(c, region)
-    ranks, space = Counter(rc.degree), Gf2Space()
-    for k, column in zip(rc.degree, rc.boundary):
-        if space.add(column):
-            ranks[k] -= 1
-            ranks[k - 1] -= 1
-    return dict(ranks)
+    """Homology rank per degree of the reference build."""
+    return reference_region_complex(c, region).homology_ranks()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -373,8 +390,8 @@ class ReferenceAnalysis:
 
 def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
     """tau, epsilon, a1, a2 and the F/G maps at every level from min A - 1
-    to max A + 1, from the total homology of full region builds: one
-    elimination over every degree, with no Maslov grading read anywhere.
+    to max A + 1, from the total homology of reference region builds: one
+    elimination over every degree, with no Maslov grading used anywhere.
 
     a1 and a2 are searched one width or depth at a time, straight from
     their definitions.
@@ -385,7 +402,7 @@ def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
         kernel, image = kernel_and_image(rc.boundary)
         return kernel, Gf2Space(image)
 
-    column = region_complex(c, Column0())
+    column = reference_region_complex(c, Column0())
     cycles, boundaries = homology(column)
     if len(cycles) - boundaries.dim != 1:
         raise RankNotOne("reference column homology rank is not 1")
@@ -394,12 +411,12 @@ def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
     t = c.generators[class_gens[-1]].alexander
 
     def dies(region, level: int) -> bool:
-        rc = region_complex(c, region)
+        rc = reference_region_complex(c, region)
         point = rc.chain(k for k in class_gens if c.generators[k].alexander >= level)
         return point in homology(rc)[1]
 
     def g_trivial(level: int) -> bool:
-        rc = region_complex(c, GHook(level))
+        rc = reference_region_complex(c, GHook(level))
         return all(
             column.chain(k for k in rc.chain_elements(cyc) if rc.u_power[rc.position[k]] == 0)
             in boundaries

@@ -44,10 +44,8 @@ from cfkcalc import (
     f_map_trivial,
     g_map_trivial,
     hfk_table,
-    homology_data,
     parse,
     reduce,
-    region_complex,
     square_complex,
     staircase,
     staircase_a_invariants,
@@ -59,6 +57,7 @@ from cfkcalc import (
     vertical_class,
 )
 from cfkcalc import invariants
+from cfkcalc.gf2 import Gf2Space, kernel_and_image
 from conftest import (
     SEED,
     figure_eight_like,
@@ -66,6 +65,7 @@ from conftest import (
     random_staircase,
     randomized_corpus,
     reference_analysis,
+    reference_region_complex,
     shift_maslov,
     torus_staircase,
     trefoil_complex,
@@ -164,20 +164,18 @@ def test_invariants_in_turn_build_each_region_once(monkeypatch):
     for _ in range(2):
         assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
     # the column's per-degree ranks find the class's degree 0 without a
-    # build, so every build holds degrees -1..1 only.  After the bare-ray
+    # build, so every build is the degree-0 slice.  After the bare-ray
     # check, a1 = 1 is read off the first width region; a2 = 3 off the tail
     # regions of depth 1, 2 and 4
-    window = range(-1, 2)
-    assert all(rest == [window] for _, *rest in built)
     assert built == [
-        (Column0(), window),
-        (FullHook(6), window),
-        (GHook(6), window),
-        (TruncatedHook(6, 0), window),
-        (TruncatedHook(6, 1), window),
-        (HookWithTail(6, 1, 1), window),
-        (HookWithTail(6, 1, 2), window),
-        (HookWithTail(6, 1, 4), window),
+        (Column0(), 0),
+        (FullHook(6), 0),
+        (GHook(6), 0),
+        (TruncatedHook(6, 0), 0),
+        (TruncatedHook(6, 1), 0),
+        (HookWithTail(6, 1, 1), 0),
+        (HookWithTail(6, 1, 2), 0),
+        (HookWithTail(6, 1, 4), 0),
     ]
 
 
@@ -234,12 +232,13 @@ def test_f_and_g_disagree_with_each_other_on_epsilon_zero_input():
 
 
 def reference_g_map_trivial(c: CfkComplex, s: int) -> bool:
-    """The G map by per-element projection: walk each G-hook cycle, keep the
-    elements with u_power == 0 and rebuild the column chain by generator."""
-    column = region_complex(c, Column0())
-    boundaries = homology_data(column).boundary_space
-    gh = region_complex(c, GHook(s))
-    for cyc in homology_data(gh).cycle_basis:
+    """The G map by per-element projection: walk each cycle of the G-hook
+    reference build, keep the elements with u_power == 0 and rebuild the
+    column chain by generator."""
+    column = reference_region_complex(c, Column0())
+    boundaries = Gf2Space(kernel_and_image(column.boundary)[1])
+    gh = reference_region_complex(c, GHook(s))
+    for cyc in kernel_and_image(gh.boundary)[0]:
         kept = [gh.gen_index[p] for p, u in enumerate(gh.u_power) if cyc >> p & 1 and u == 0]
         mask = column.chain(kept)
         assert column.differential(mask) == 0
@@ -375,13 +374,14 @@ def test_a1_memory_follows_the_generators_not_the_step_length():
 
 
 def class_dies_in(c: CfkComplex, region) -> bool:
-    """Whether the class, with j < tau dropped, is a boundary in region."""
+    """Whether the class, with j < tau dropped, is a boundary in the
+    reference build of region."""
     t = tau(c)
-    rc = region_complex(c, region)
+    rc = reference_region_complex(c, region)
     gens = [g.name for g in c.generators]
     indices = [gens.index(x) for x in vertical_class(c)]
     point = rc.chain(k for k in indices if c.generators[k].alexander >= t)
-    return point in homology_data(rc).boundary_space
+    return point in Gf2Space(kernel_and_image(rc.boundary)[1])
 
 
 def search_span(c: CfkComplex) -> range:

@@ -8,10 +8,14 @@ from collections import Counter
 import pytest
 
 from cfkcalc import (
+    Arrow,
+    CfkComplex,
     Column0,
     FullHook,
     GHook,
+    Generator,
     HookWithTail,
+    InconsistentInput,
     Row,
     TruncatedHook,
     class_complex,
@@ -24,7 +28,6 @@ from cfkcalc import (
     square_complex,
     tensor,
 )
-from cfkcalc.gf2 import Gf2Space
 from conftest import (
     SEED,
     random_staircase,
@@ -181,92 +184,91 @@ def test_regions_are_order_convex(region):
                         assert False, f"gap at {(i, j)} between {(i1, j1)} and {(i2, j2)}"
 
 
+def slices(c, region) -> dict:
+    """The region's slice at every degree of its elements, and one beyond
+    each end."""
+    powers = [(g, region.u_power(g.alexander)) for g in c.generators]
+    degrees = [g.maslov - 2 * u for g, u in powers if u is not None]
+    if not degrees:
+        return {}
+    return {d: region_complex(c, region, d) for d in range(min(degrees) - 1, max(degrees) + 2)}
+
+
+def total_homology_rank(c, region) -> int:
+    return sum(homology_rank(homology_data(rc)) for rc in slices(c, region).values())
+
+
 def test_column_complex_of_trefoil():
     c = trefoil_complex()
-    rc = region_complex(c, Column0())
-    assert named(c, rc) == [
-        ("x2", 0),
-        ("x1", 0),
-        ("x0", 0),
-    ]
-    x1 = rc.chain(gens(c, "x1"))
-    assert rc.differential(x1) == rc.chain(gens(c, "x2"))
-    assert rc.differential(rc.chain(gens(c, "x0"))) == 0
-    assert homology_rank(homology_data(rc)) == 1
+    s = slices(c, Column0())
+    assert [named(c, s[d]) for d in (-2, -1, 0)] == [[("x2", 0)], [("x1", 0)], [("x0", 0)]]
+    # a boundary is a mask over the degree below, in that slice's order
+    x1 = s[-1].chain(gens(c, "x1"))
+    assert s[-1].differential(x1) == s[-2].chain(gens(c, "x2"))
+    assert s[0].differential(s[0].chain(gens(c, "x0"))) == 0
+    assert s[-2].above == (s[-2].chain(gens(c, "x2")),)
+    assert total_homology_rank(c, Column0()) == 1
 
 
 def test_full_hook_complex_of_trefoil():
     c = trefoil_complex()
-    rc = region_complex(c, FullHook(1))
-    assert named(c, rc) == [
-        ("x2", -2),
-        ("x1", -1),
-        ("x0", 0),
-    ]
+    s = slices(c, FullHook(1))
+    assert [named(c, s[d]) for d in (0, 1, 2)] == [[("x0", 0)], [("x1", -1)], [("x2", -2)]]
     # the translated x1 sits on the row and its differential keeps only x0
-    x1 = rc.chain(gens(c, "x1"))
-    assert rc.differential(x1) == rc.chain(gens(c, "x0"))
-    data = homology_data(rc)
-    assert homology_rank(data) == 1
-    assert rc.chain(gens(c, "x0")) in data.boundary_space
+    x1 = s[1].chain(gens(c, "x1"))
+    assert s[1].differential(x1) == s[0].chain(gens(c, "x0"))
+    assert total_homology_rank(c, FullHook(1)) == 1
+    assert s[0].chain(gens(c, "x0")) in homology_data(s[0]).boundary_space
 
 
 def test_g_hook_complex_of_trefoil():
     c = trefoil_complex()
-    rc = region_complex(c, GHook(1))
-    assert named(c, rc) == [
-        ("x2", 0),
-        ("x1", 0),
-        ("x0", 0),
-    ]
+    s = slices(c, GHook(1))
+    assert [named(c, s[d]) for d in (-2, -1, 0)] == [[("x2", 0)], [("x1", 0)], [("x0", 0)]]
     # inside the G-hook the horizontal arrow leaves the region
-    x1 = rc.chain(gens(c, "x1"))
-    assert rc.differential(x1) == rc.chain(gens(c, "x2"))
-    data = homology_data(rc)
-    assert homology_rank(data) == 1
-    assert rc.chain(gens(c, "x0")) not in data.boundary_space
+    x1 = s[-1].chain(gens(c, "x1"))
+    assert s[-1].differential(x1) == s[-2].chain(gens(c, "x2"))
+    assert total_homology_rank(c, GHook(1)) == 1
+    assert s[0].chain(gens(c, "x0")) not in homology_data(s[0]).boundary_space
 
 
 def test_row_complex_sees_horizontal_arrows_only():
     c = trefoil_complex()
-    rc = region_complex(c, Row(1))
-    assert named(c, rc) == [
-        ("x2", -2),
-        ("x1", -1),
-        ("x0", 0),
-    ]
-    x1 = rc.chain(gens(c, "x1"))
-    assert rc.differential(x1) == rc.chain(gens(c, "x0"))
-    assert homology_rank(homology_data(rc)) == 1
+    s = slices(c, Row(1))
+    assert [named(c, s[d]) for d in (0, 1, 2)] == [[("x0", 0)], [("x1", -1)], [("x2", -2)]]
+    x1 = s[1].chain(gens(c, "x1"))
+    assert s[1].differential(x1) == s[0].chain(gens(c, "x0"))
+    assert total_homology_rank(c, Row(1)) == 1
 
 
 def test_truncated_hook_search_shape_on_trefoil():
     c = trefoil_complex()
     # width 0 is the bare ray: x0 survives
-    rc0 = region_complex(c, TruncatedHook(1, 0))
+    rc0 = region_complex(c, TruncatedHook(1, 0), 0)
     assert rc0.chain(gens(c, "x0")) not in homology_data(rc0).boundary_space
     # width 1 brings in the translated x1 whose differential is exactly x0
-    rc1 = region_complex(c, TruncatedHook(1, 1))
+    rc1 = region_complex(c, TruncatedHook(1, 1), 0)
     assert rc1.chain(gens(c, "x0")) in homology_data(rc1).boundary_space
 
 
 def test_hook_with_tail_revives_trefoil_class():
     c = trefoil_complex()
-    rc = region_complex(c, HookWithTail(1, 1, 1))
-    # the tail admits the translated x2, which restores d(x1) = x0 + x2
-    assert {("x2", -1), ("x1", -1)} <= set(named(c, rc))
+    rc = region_complex(c, HookWithTail(1, 1, 1), 0)
+    # the tail admits the translated x2 beside x0, which restores
+    # d(x1) = x0 + x2 from one degree up
+    assert named(c, rc) == [("x2", -1), ("x0", 0)]
+    assert rc.above == (rc.chain(gens(c, "x0", "x2")),)
     assert rc.chain(gens(c, "x0")) not in homology_data(rc).boundary_space
 
 
 def test_cycle_and_boundary_membership():
     c = trefoil_complex()
-    rc = region_complex(c, Column0())
-    data = homology_data(rc)
-    x0 = rc.chain(gens(c, "x0"))
-    x2 = rc.chain(gens(c, "x2"))
-    assert rc.differential(x0) == 0 and x0 not in data.boundary_space
-    assert rc.differential(x2) == 0 and x2 in data.boundary_space
-    assert rc.differential(rc.chain(gens(c, "x1"))) != 0
+    s = slices(c, Column0())
+    x0 = s[0].chain(gens(c, "x0"))
+    x2 = s[-2].chain(gens(c, "x2"))
+    assert s[0].differential(x0) == 0 and x0 not in homology_data(s[0]).boundary_space
+    assert s[-2].differential(x2) == 0 and x2 in homology_data(s[-2]).boundary_space
+    assert s[-1].differential(s[-1].chain(gens(c, "x1"))) != 0
 
 
 def brute_chain_elements(rc, mask: int) -> list[int]:
@@ -292,22 +294,21 @@ def test_differential_squares_to_zero_everywhere(rng):
     ]
     for c in samples:
         for region in ALL_REGIONS:
-            rc = region_complex(c, region)
-            n = len(rc)
-            for idx in range(n):
-                once = rc.differential(1 << idx)
-                assert rc.differential(once) == 0
-            masks = [0]
-            if n:
-                masks += [1 << (n - 1)] + [rng.getrandbits(n) for _ in range(6)]
-            for mask in masks:
-                assert rc.chain_elements(mask) == brute_chain_elements(rc, mask)
-                assert rc.differential(mask) == brute_differential(rc, mask)
-                assert rc.differential(rc.differential(mask)) == 0
+            for rc in slices(c, region).values():
+                # d^2 = 0 from one degree up to one degree down
+                for column in rc.above:
+                    assert rc.differential(column) == 0
+                n = len(rc)
+                masks = [0]
+                if n:
+                    masks += [1 << (n - 1)] + [rng.getrandbits(n) for _ in range(6)]
+                for mask in masks:
+                    assert rc.chain_elements(mask) == brute_chain_elements(rc, mask)
+                    assert rc.differential(mask) == brute_differential(rc, mask)
 
 
 # ---------------------------------------------------------------------------
-# the build matches a reference keyed by (generator index, U power)
+# every slice is the reference build cut to its degree
 
 
 def _shapes_at(level: int, span: int):
@@ -321,16 +322,50 @@ def _shapes_at(level: int, span: int):
             yield HookWithTail(level, width, depth)
 
 
+def _reindex(mask: int, index: dict[int, int]) -> int:
+    """mask over reference positions, as a mask over the positions of one
+    degree (bit index[p] for bit p); a bit outside that degree fails."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << index[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _assert_slices_match_reference(c, region) -> None:
+    """Every slice holding an element or a column from above or below (one
+    empty slice when the region is empty) equals the reference build cut to
+    its degree and re-indexed, and its homology rank is the reference's in
+    that degree."""
+    ref = reference_region_complex(c, region)
+    ranks = ref.homology_ranks()
+    blocks: dict[int, list[int]] = {}
+    for p, k in enumerate(ref.degree):
+        blocks.setdefault(k, []).append(p)
+    index = {k: {p: i for i, p in enumerate(block)} for k, block in blocks.items()}
+    for d in sorted({k + e for k in blocks for e in (-1, 0, 1)} or {0}):
+        rc = region_complex(c, region, d)
+        keep, above = blocks.get(d, []), blocks.get(d + 1, [])
+        below_index, keep_index = index.get(d - 1, {}), index.get(d, {})
+        assert rc.gen_index == tuple(ref.gen_index[p] for p in keep), (region, d)
+        assert rc.u_power == tuple(ref.u_power[p] for p in keep), (region, d)
+        boundary = tuple(_reindex(ref.boundary[p], below_index) for p in keep)
+        assert rc.boundary == boundary, (region, d)
+        assert rc.above == tuple(_reindex(ref.boundary[p], keep_index) for p in above), (region, d)
+        assert rc.above_u_power == tuple(ref.u_power[p] for p in above), (region, d)
+        # position names the slice's generators in order, and no others
+        assert [rc.position[k] for k in rc.gen_index] == list(range(len(rc))), (region, d)
+        assert len(rc.position) - rc.position.count(None) == len(rc) and len(rc.position) == len(c)
+        assert homology_rank(homology_data(rc)) == ranks.get(d, 0), (region, d)
+
+
 def _assert_builds_match_reference(c) -> None:
     low, high = c.generators[0].alexander, c.generators[-1].alexander
-    for level in range(low - 1, high + 2):
-        for region in _shapes_at(level, high - low):
-            rc = region_complex(c, region)
-            ref = reference_region_complex(c, region)
-            assert rc.gen_index == ref.gen_index, region
-            assert rc.u_power == ref.u_power, region
-            assert rc.position == ref.position, region
-            assert rc.boundary == ref.boundary, region
+    levels = range(low - 1, high + 2)
+    # Column0 is the same region at every level: check each region once
+    for region in dict.fromkeys(r for s in levels for r in _shapes_at(s, high - low)):
+        _assert_slices_match_reference(c, region)
 
 
 def test_region_builds_match_reference_on_randomized_corpus():
@@ -348,58 +383,45 @@ def test_region_builds_match_reference_on_classes(text):
     _assert_builds_match_reference(class_complex(parse(text)).complex)
 
 
-# ---------------------------------------------------------------------------
-# builds cut to a window of degrees
-
-
 def test_boundary_entries_lower_the_degree_by_one():
+    # each slice's columns fit the slices one and two degrees down
     for c in randomized_corpus(random.Random(SEED)):
         for region in ALL_REGIONS:
-            rc = region_complex(c, region)
-            for p, column in enumerate(rc.boundary):
-                assert {rc.degree[q] for q in range(len(rc)) if column >> q & 1} <= {
-                    rc.degree[p] - 1
-                }
+            s = slices(c, region)
+            for d, rc in s.items():
+                below = len(s[d - 1]) if d - 1 in s else 0
+                assert all(column >> below == 0 for column in rc.boundary)
+                assert all(column >> len(rc) == 0 for column in rc.above)
+                assert len(rc.above) == (len(s[d + 1]) if d + 1 in s else 0)
 
 
-def test_a_windowed_build_is_the_full_build_cut_to_its_degrees():
-    window = range(-1, 2)
-    for c in randomized_corpus(random.Random(SEED)):
-        for region in ALL_REGIONS:
-            full = region_complex(c, region)
-            rc = region_complex(c, region, window)
-            keep = [p for p, k in enumerate(full.degree) if k in window]
-            assert rc.u_power == tuple(full.u_power[p] for p in keep)
-            assert rc.gen_index == tuple(full.gen_index[p] for p in keep)
-            assert rc.degree == tuple(full.degree[p] for p in keep)
-            for new, old in enumerate(keep):
-                cut = [q for q, p in enumerate(keep) if full.boundary[old] >> p & 1]
-                assert rc.boundary[new] == sum(1 << q for q in cut)
-            # homology is reported in degree 0 only, where it equals the
-            # degree-0 homology of the full build
-            data = homology_data(rc)
-            on_degree_0 = sum(1 << q for q, k in enumerate(rc.degree) if k == 0)
-            assert all(z & ~on_degree_0 == 0 for z in data.cycle_basis)
-            r0, r1 = (
-                Gf2Space(b for b, k in zip(full.boundary, full.degree) if k == d).dim
-                for d in (0, 1)
-            )
-            assert homology_rank(data) == full.degree.count(0) - r0 - r1
+def test_a_boundary_entry_off_the_next_degree_is_inconsistent_input():
+    # the trefoil with M(x0) raised by 2: in the row j = 1, x1 -> x0 leaves
+    # U^-1 x1 in degree 1 for x0 in degree 2, not 0
+    c = CfkComplex(
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    for degree in (1, 0):  # x1 in the slice, or among its degree + 1 elements
+        with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
+            region_complex(c, Row(1), degree)
+    # a slice that builds no column of the arrow is built
+    assert named(c, region_complex(c, Row(1), 2)) == [("x2", -2), ("x0", 0)]
 
 
-def test_position_is_none_exactly_outside_the_shape_or_the_window():
+def test_position_is_none_exactly_outside_the_shape_or_the_slice():
     seen = set()
     for c in randomized_corpus(random.Random(SEED)):
         assert all(abs(g.alexander) < 40 for g in c.generators)
         for region in ALL_REGIONS:
             alexander = {g.alexander for g in c.generators}
             hits = {a: brute_diagonal(region, a, window=50) for a in alexander}
-            for degrees in (None, range(-1, 2)):
-                rc = region_complex(c, region, degrees)
+            for degree in (-1, 0):
+                rc = region_complex(c, region, degree)
                 for k, g in enumerate(c.generators):
                     hit = hits[g.alexander]
                     u = -next(iter(hit))[0] if hit else None
-                    inside = u is not None and (degrees is None or g.maslov - 2 * u in degrees)
+                    inside = u is not None and g.maslov - 2 * u == degree
                     seen.add((u is None, inside))
                     p = rc.position[k]
                     if inside:
@@ -409,7 +431,7 @@ def test_position_is_none_exactly_outside_the_shape_or_the_window():
                         assert p is None
                         with pytest.raises(KeyError):
                             rc.chain([k])
-    # generators outside the shape, outside the window only, and inside
+    # generators outside the shape, outside the slice's degree only, and inside
     assert seen == {(True, False), (False, False), (False, True)}
 
 

@@ -126,7 +126,7 @@ def test_records_keep_their_value_semantics(value, text):
 
 
 def test_homology_data_round_trips():
-    data = homology_data(region_complex(TREFOIL.complex, Column0()))
+    data = homology_data(region_complex(TREFOIL.complex, Column0(), 0))
     assert copy.copy(data) == data
     restored = pickle.loads(pickle.dumps(data))
     assert restored.cycle_basis == data.cycle_basis
