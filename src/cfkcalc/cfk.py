@@ -22,7 +22,8 @@ from operator import eq
 from typing import Iterable, NamedTuple
 
 from ._value import Value
-from .errors import ParseError, UnsupportedExpression
+from .errors import ParseError, UnsupportedExpression, parse_int
+from .regions import Column0, Row, homology_ranks
 
 __all__ = [
     "Generator",
@@ -242,11 +243,9 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     warnings: list[Violation] = []
     errors = _math_errors(c)
     if knot_class and not errors:
-        from . import regions
-
         # the Maslov law holds here, which homology_ranks needs
-        for kind, region in (("column", regions.Column0()), ("row", regions.Row(0))):
-            rank = sum(regions.homology_ranks(c, region).values())
+        for kind, region in (("column", Column0()), ("row", Row(0))):
+            rank = sum(homology_ranks(c, region).values())
             if rank != 1:
                 errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
     if not errors:
@@ -466,7 +465,8 @@ def deserialize(text: str) -> CfkComplex:
                 message = f"duplicate generator {name!r}"
                 raise ParseError(message, line=lineno, column=m.start(1) + 1)
             seen[name] = len(gens)
-            gens.append(Generator(name, int(m.group(2)), int(m.group(3))))
+            alexander = parse_int(m[2], lineno, m.start(2) + 1)
+            gens.append(Generator(name, alexander, parse_int(m[3], lineno, m.start(3) + 1)))
         elif line.startswith("arr"):
             m = _ARR_RE.match(line)
             if m is None:
@@ -475,7 +475,7 @@ def deserialize(text: str) -> CfkComplex:
                 if m.group(k) not in seen:
                     message = f"unknown generator {m.group(k)!r}"
                     raise ParseError(message, line=lineno, column=m.start(k) + 1)
-            triples.append((seen[m.group(1)], seen[m.group(2)], int(m.group(3))))
+            triples.append((seen[m[1]], seen[m[2]], parse_int(m[3], lineno, m.start(3) + 1)))
         else:
             raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
     if not header_seen:

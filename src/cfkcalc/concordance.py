@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from ._value import Value
 from .cfk import (
     MAX_GENERATORS,
     CfkComplex,
@@ -33,12 +32,9 @@ from .errors import (
     UnsupportedExpression,
 )
 from .invariants import a1, a2, epsilon
-
-if TYPE_CHECKING:
-    from .knots import KnotExpr
+from .knots import ClassRep, Mirror
 
 __all__ = [
-    "ClassRep",
     "Ordering",
     "class_cmp",
     "class_sign",
@@ -55,32 +51,6 @@ __all__ = [
     "cable_tau",
     "epsilon_from_cable_taus",
 ]
-
-
-class ClassRep(Value):
-    """A concordance class, carried by a reduced knot-like complex."""
-
-    complex: CfkComplex
-    provenance: "KnotExpr | None" = None
-
-    def __post_init__(self) -> None:
-        report = validate(self.complex, knot_class=True)
-        if not report.ok:
-            first = report.errors[0]
-            raise InconsistentInput(f"not a knot-like complex: {first.message}")
-        c = self.complex
-        g = c.generators
-        flat = next(
-            ((s, t) for s, t, u in c.triples if u == 0 and g[s].alexander == g[t].alexander), None
-        )
-        if flat is not None:
-            x, y = (g[k].name for k in flat)
-            raise InconsistentInput(f"not reduced: arrow {x} -> {y} drops no grading")
-
-    def __str__(self) -> str:
-        if self.provenance is not None:
-            return str(self.provenance)
-        return f"<class on {len(self.complex.generators)} generators>"
 
 
 class Ordering(enum.Enum):
@@ -105,11 +75,7 @@ def abs_class(k: ClassRep) -> ClassRep:
     """k itself when its sign is nonnegative, otherwise the mirror class."""
     if class_sign(k) >= 0:
         return k
-    provenance = None
-    if k.provenance is not None:
-        from .knots import Mirror
-
-        provenance = Mirror(k.provenance)
+    provenance = None if k.provenance is None else Mirror(k.provenance)
     return ClassRep(dual(k.complex), provenance)
 
 
@@ -285,7 +251,7 @@ class Certificate(NamedTuple):
     def from_json(cls, text: str) -> "Certificate":
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
+        except (ValueError, RecursionError) as exc:  # bad JSON, too long a number, too deep
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("format") != CERTIFICATE_FORMAT:
             raise CertificateError(f"missing format tag {CERTIFICATE_FORMAT!r}")

@@ -54,6 +54,14 @@ class ParseError(InputError):
         super().__init__(message)
 
 
+def parse_int(text: str, line: int | None = None, column: int | None = None) -> int:
+    """int(text) of digits; past the interpreter's digit limit, ParseError at (line, column)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"an integer of {len(text):,} characters is too long", line, column)
+
+
 class NotCoprime(InputError):
     """Torus or cabling parameters share a factor."""
 

@@ -44,6 +44,7 @@ from .errors import (
     TooShort,
 )
 from .gf2 import Gf2Space
+from .knots import Torus, class_complex
 from .laurent import StaircaseExponents
 from .regions import (
     Column0,
@@ -388,8 +389,6 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     epsilon 0, i.e. the candidate and the trefoil share a concordance class.
     A candidate that validate() rejects fails all three with an empty table.
     """
-    from .knots import Torus, class_complex
-
     try:
         table = hfk_table(c)
     except InconsistentInput:

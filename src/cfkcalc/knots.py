@@ -19,18 +19,18 @@ no small model determines).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterator, NamedTuple, Union
 
 from ._value import Value
-from .cfk import MAX_GENERATORS, Arrow, CfkComplex, Generator, dual, tensor
-from .concordance import ClassRep
+from .cfk import MAX_GENERATORS, Arrow, CfkComplex, Generator, dual, tensor, validate
 from .errors import (
     ExpressionError,
+    InconsistentInput,
     NotCoprime,
     NotStaircaseForm,
     ParseError,
     UnsupportedExpression,
+    parse_int,
 )
 from .laurent import (
     LaurentPoly,
@@ -51,6 +51,7 @@ __all__ = [
     "parse",
     "staircase",
     "alexander",
+    "ClassRep",
     "class_complex",
 ]
 
@@ -207,7 +208,7 @@ class _Parser:
             tok = self.take()
         if tok.kind != "int":
             raise ParseError(f"expected an integer, got {tok.text!r}", 1, tok.column)
-        return sign * int(tok.text)
+        return sign * parse_int(tok.text, 1, tok.column)
 
     # Each rule returns its node and the node's depth: the nesting levels on
     # its deepest path.  A sum's depth is checked together with the levels
@@ -283,6 +284,7 @@ def parse(text: str) -> KnotExpr:
 # ---------------------------------------------------------------------------
 # building complexes
 MAX_ALEXANDER_DEGREE = 500_000  # the largest leaf polynomial built
+MAX_PRODUCTS = 20_000_000  # coefficient products alexander or class_complex may make
 
 
 def staircase(exps: StaircaseExponents) -> CfkComplex:
@@ -313,11 +315,12 @@ def alexander(e: KnotExpr) -> LaurentPoly:
 
     Note D itself has trivial polynomial, so for D-cables this differs from
     the polynomial of the class representative on purpose.  A degree over
-    MAX_ALEXANDER_DEGREE raises UnsupportedExpression before anything is built.
+    MAX_ALEXANDER_DEGREE, or over MAX_PRODUCTS coefficient products, raises
+    UnsupportedExpression before anything is built.
     """
-    if (degree := _leaf_degree(e, operator.add, 0)) > MAX_ALEXANDER_DEGREE:
-        limit = f"over the limit of {MAX_ALEXANDER_DEGREE:,}"
-        raise UnsupportedExpression(f"an Alexander polynomial of degree {degree:,} is {limit}")
+    degree, products, _, _ = _work(e)
+    _check(degree, MAX_ALEXANDER_DEGREE, "an Alexander polynomial of degree {:,}")
+    _check(products, MAX_PRODUCTS, "building the polynomial with {:,} coefficient products")
     return _alexander(e)
 
 
@@ -362,20 +365,31 @@ def _lspace_polynomial(e: KnotExpr) -> LaurentPoly:
     return cable_alexander(poly, e.p, e.q)
 
 
-def _leaf_degree(e: KnotExpr, join=max, d_degree: int = 2) -> int:
-    """The largest degree of a leaf polynomial of e, D counting as the trefoil;
-    with join=operator.add and d_degree=0, the degree of alexander(e)."""
+def _work(e: KnotExpr) -> tuple[int, int, int, int]:
+    """Read off e before anything is built: the degree of alexander(e) and the
+    coefficient products it makes (at each '+' and each cable), then the
+    largest leaf degree of class_complex (D counting as the trefoil) and the
+    coefficient products its leaves make (at each cable)."""
     if isinstance(e, Mirror):
-        return _leaf_degree(e.inner, join, d_degree)
+        return _work(e.inner)
     if isinstance(e, Sum):
-        return join(_leaf_degree(e.left, join, d_degree), _leaf_degree(e.right, join, d_degree))
+        (d1, n1, l1, m1), (d2, n2, l2, m2) = _work(e.left), _work(e.right)
+        return d1 + d2, n1 + n2 + (d1 + 1) * (d2 + 1), max(l1, l2), m1 + m2
     if isinstance(e, WhiteheadDoubleTrefoil):
-        return d_degree
+        return 0, 0, 2, 0
     if isinstance(e, Torus):
-        return (e.p - 1) * (e.q - 1)
+        return (e.p - 1) * (e.q - 1), 0, (e.p - 1) * (e.q - 1), 0
     if isinstance(e, Cable):
-        return e.p * _leaf_degree(e.inner, join, d_degree) + (e.p - 1) * (abs(e.q) - 1)
-    return 0
+        d, n, leaf, m = _work(e.inner)
+        t = (e.p - 1) * (abs(e.q) - 1)  # the degree of the (p, q) torus factor
+        return e.p * d + t, n + (d + 1) * (t + 1), e.p * leaf + t, m + (leaf + 1) * (t + 1)
+    return 0, 0, 0, 0
+
+
+def _check(value: int, limit: int, what: str) -> None:
+    """Raise UnsupportedExpression when value, the {:,} of what, is over limit."""
+    if value > limit:
+        raise UnsupportedExpression(f"{what.format(value)} is over the limit of {limit:,}")
 
 
 def _staircases(e: KnotExpr) -> list[StaircaseExponents]:
@@ -398,20 +412,44 @@ def _class_of(e: KnotExpr, leaves: Iterator[StaircaseExponents]) -> CfkComplex:
     return staircase(next(leaves))
 
 
+class ClassRep(Value):
+    """A concordance class, carried by a reduced knot-like complex."""
+
+    complex: CfkComplex
+    provenance: KnotExpr | None = None
+
+    def __post_init__(self) -> None:
+        report = validate(self.complex, knot_class=True)
+        if not report.ok:
+            first = report.errors[0]
+            raise InconsistentInput(f"not a knot-like complex: {first.message}")
+        c = self.complex
+        g = c.generators
+        flat = next(
+            ((s, t) for s, t, u in c.triples if u == 0 and g[s].alexander == g[t].alexander), None
+        )
+        if flat is not None:
+            x, y = (g[k].name for k in flat)
+            raise InconsistentInput(f"not reduced: arrow {x} -> {y} drops no grading")
+
+    def __str__(self) -> str:
+        if self.provenance is not None:
+            return str(self.provenance)
+        return f"<class on {len(self.complex.generators)} generators>"
+
+
 def class_complex(e: KnotExpr) -> ClassRep:
     """Reduced representative complex of the concordance class of e.
 
     UnsupportedExpression is raised before any polynomial is built for a leaf
-    of degree over MAX_ALEXANDER_DEGREE, and before any staircase for a class
-    over MAX_GENERATORS generators (the product of the leaves' staircase sizes).
+    of degree over MAX_ALEXANDER_DEGREE or leaves over MAX_PRODUCTS coefficient
+    products, and before any staircase for a class over MAX_GENERATORS
+    generators (the product of the leaves' staircase sizes).
     """
-    if (degree := _leaf_degree(e)) > MAX_ALEXANDER_DEGREE:
-        limit = f"over the limit of {MAX_ALEXANDER_DEGREE:,}"
-        raise UnsupportedExpression(f"a leaf polynomial of degree {degree:,} is {limit}")
+    _, _, degree, products = _work(e)
+    _check(degree, MAX_ALEXANDER_DEGREE, "a leaf polynomial of degree {:,}")
+    _check(products, MAX_PRODUCTS, "building the leaf polynomials with {:,} coefficient products")
     leaves = _staircases(e)
     size = math.prod(len(exps.exponents) for exps in leaves)
-    if size > MAX_GENERATORS:
-        raise UnsupportedExpression(
-            f"a class of {size:,} generators is over the limit of {MAX_GENERATORS:,}"
-        )
+    _check(size, MAX_GENERATORS, "a class of {:,} generators")
     return ClassRep(_class_of(e, iter(leaves)), e)

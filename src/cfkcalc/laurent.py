@@ -14,7 +14,7 @@ import re
 from typing import Iterator, Mapping
 
 from ._value import Value
-from .errors import InexactDivision, NotCoprime, NotStaircaseForm, ParseError
+from .errors import InexactDivision, NotCoprime, NotStaircaseForm, ParseError, parse_int
 
 __all__ = [
     "LaurentPoly",
@@ -233,13 +233,13 @@ class LaurentPoly:
             coeff_txt, var, exp_txt = m.group("coeff"), m.group("var"), m.group("exp")
             if coeff_txt is None and var is None:
                 raise ParseError("expected a term", column=pos + 1)
-            coeff = int(coeff_txt) if coeff_txt is not None else 1
+            coeff = 1 if coeff_txt is None else parse_int(coeff_txt, None, m.start("coeff") + 1)
             if var is None:
                 exp = 0
             elif exp_txt is None:
                 exp = 1
             else:
-                exp = int(exp_txt)
+                exp = parse_int(exp_txt, None, m.start("exp") + 1)
             out[exp] = out.get(exp, 0) + sign * coeff
             pos = m.end()
         return cls(out)

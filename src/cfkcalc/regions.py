@@ -23,6 +23,7 @@ homology_ranks ranks Column0 and Row in every degree without a build.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._value import Value
@@ -129,16 +130,15 @@ class RegionComplex:
     """One Maslov-degree slice of a region complex.
 
     Position p holds U^u_power[p] of generator gen_index[p], the degree-d
-    elements in generator order; a generator has at most one element in a
-    region, so position[k] is the position of generator k, or None when k
-    has no element in degree d.  boundary[p] is the boundary of element p as
-    a mask over the degree d - 1 elements (bit j = j-th in generator order),
-    and above[q] that of the q-th degree d + 1 element, U^above_u_power[q],
-    as a mask over positions.  A boundary entry that does not land one
-    degree down raises InconsistentInput.
+    elements in generator order (a generator has at most one element in a
+    region, so gen_index is sorted).  boundary[p] is the boundary of element
+    p as a mask over the degree d - 1 elements (bit j = j-th in generator
+    order), and above[q] that of the q-th degree d + 1 element,
+    U^above_u_power[q], as a mask over positions.  A boundary entry that
+    does not land one degree down raises InconsistentInput.
     """
 
-    __slots__ = ("gen_index", "u_power", "boundary", "position", "above", "above_u_power")
+    __slots__ = ("gen_index", "u_power", "boundary", "above", "above_u_power")
 
     def __init__(self, source: CfkComplex, region: Region, degree: int):
         gens = source.generators
@@ -177,9 +177,6 @@ class RegionComplex:
         self.boundary = columns(members, degree - 1)
         self.above = columns(above, degree)
         self.above_u_power = tuple(power[k] for k in above)
-        self.position = [None] * len(gens)
-        for p, k in enumerate(members):
-            self.position[k] = p
 
     def __len__(self) -> int:
         return len(self.gen_index)
@@ -189,9 +186,10 @@ class RegionComplex:
         generator outside the slice raises KeyError."""
         mask = 0
         for k in gens:
-            if self.position[k] is None:
+            p = bisect_left(self.gen_index, k)
+            if self.gen_index[p : p + 1] != (k,):
                 raise KeyError(f"generator {k} is not in the region complex")
-            mask |= 1 << self.position[k]
+            mask |= 1 << p
         return mask
 
     def chain_elements(self, mask: int) -> list[int]:

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import random
 import re
+import sys
 from collections import Counter
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -476,3 +477,12 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(SEED)
+
+
+@pytest.fixture
+def too_many_digits() -> str:
+    """An integer literal one digit past the interpreter's limit on int(str)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter puts no limit on the digits of an integer")
+    return "1" * (limit + 1)

@@ -142,6 +142,17 @@ def test_deserialize_errors():
         deserialize("cfk v1\nfoo\n")
 
 
+def test_deserialize_refuses_a_literal_past_the_digit_limit_at_its_field(too_many_digits):
+    for text, line, column in [
+        (f"cfk v1\ngen a A={too_many_digits} M=0\n", 2, 9),
+        (f"cfk v1\ngen a A=0 M=-{too_many_digits}\n", 2, 13),
+        (f"cfk v1\ngen a A=1 M=0\ngen b A=0 M=-1\narr a b u={too_many_digits}\n", 4, 11),
+    ]:
+        with pytest.raises(ParseError, match="too long") as exc:
+            deserialize(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_deserialize_cancels_duplicate_arrows():
     text = "cfk v1\ngen a A=1 M=0\ngen b A=0 M=-1\narr b a u=0\narr b a u=0\n"
     assert deserialize(text).arrows == ()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -281,6 +282,48 @@ def test_dominates_refuses_evidence_over_the_generator_limit(capsys):
         "error: multiple 4 needs 2,278,125 generators, over the limit of 200,000\n"
     )
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["alexander", "T(2,250001) + T(2,250001)"], "polynomial with 62,500,500,001"),
+        (["invariants", "C(T(2,125001);2,250001)"], "leaf polynomials with 31,250,375,001"),
+    ],
+)
+def test_polynomial_products_over_the_limit_exit_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: building the {message} coefficient products is over the limit of 20,000,000\n"
+    )
+
+
+def test_literals_past_the_digit_limit_exit_2_without_a_traceback(capsys, tmp_path, too_many_digits):
+    digits = too_many_digits
+    vertex = tmp_path / "vertex.cfk"
+    vertex.write_text(f"cfk v1\ngen x0 A={digits} M=0\n")
+    arrow = tmp_path / "arrow.cfk"
+    arrow.write_text(f"cfk v1\ngen x0 A=1 M=0\ngen x1 A=0 M=-1\narr x0 x1 u={digits}\n")
+    assert main(["independence", "T(2,3)", "--json"]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out.replace('"a1": 1,', f'"a1": {digits},', 1))
+    for argv in (
+        ["validate", str(vertex)],
+        ["invariants", str(vertex)],
+        ["validate", str(arrow)],
+        ["invariants", str(arrow)],
+        ["invariants", f"T(2,{digits})"],
+        ["alexander", f"C(T(2,3);{digits},1)"],
+        ["independence", "--recheck", str(cert)],
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "", argv[0]
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, argv[0]
 
 
 def test_dominates_json(capsys):

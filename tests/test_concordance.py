@@ -321,6 +321,13 @@ def test_recheck_notices_a_broken_embedded_complex():
         recheck_certificate(cert)
 
 
+def test_from_json_refuses_a_number_past_the_digit_limit(too_many_digits):
+    text = chain_certificate().to_json()
+    assert '"a1": 1,' in text
+    with pytest.raises(CertificateError, match="not valid JSON"):
+        Certificate.from_json(text.replace('"a1": 1,', f'"a1": {too_many_digits},', 1))
+
+
 def test_from_json_rejects_garbage():
     with pytest.raises(CertificateError, match="not valid JSON"):
         Certificate.from_json("{")

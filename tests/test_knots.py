@@ -7,7 +7,6 @@ the Euler characteristic of the reduced rank table.
 
 from __future__ import annotations
 
-import operator
 import re
 
 import pytest
@@ -147,6 +146,13 @@ def test_parse_errors_carry_columns(text, column, fragment):
         parse(text)
     assert exc.value.column == column
     assert fragment in str(exc.value)
+
+
+def test_parse_refuses_a_literal_past_the_digit_limit_at_its_column(too_many_digits):
+    for text, column in [(f"T(2,{too_many_digits})", 5), (f"C(T(2,3);-{too_many_digits},1)", 11)]:
+        with pytest.raises(ParseError, match="too long") as exc:
+            parse(text)
+        assert exc.value.column == column
 
 
 def _nested(kind: str, depth: int) -> str:
@@ -378,7 +384,7 @@ def test_alexander_over_the_degree_limit_is_refused_before_any_polynomial(
 )
 def test_alexander_degree_read_off_the_expression_is_the_polynomial_degree(text):
     e = parse(text)
-    assert knots._leaf_degree(e, operator.add, 0) == alexander(e).degree
+    assert knots._work(e)[0] == alexander(e).degree
 
 
 @pytest.mark.parametrize(
@@ -386,17 +392,95 @@ def test_alexander_degree_read_off_the_expression_is_the_polynomial_degree(text)
 )
 def test_leaf_degree_read_off_the_expression_is_the_polynomial_degree(text):
     e = parse(text)
-    assert knots._leaf_degree(e) == knots._lspace_polynomial(e).degree
+    assert knots._work(e)[2] == knots._lspace_polynomial(e).degree
 
 
 def test_leaf_degree_of_a_sum_is_its_largest_leaf_degree():
-    assert knots._leaf_degree(parse("T(2,5) + -(C(D;2,5) + T(3,4))")) == 8 == 2 * 2 + 4
+    assert knots._work(parse("T(2,5) + -(C(D;2,5) + T(3,4))"))[2] == 8 == 2 * 2 + 4
 
 
 def test_large_torus_leaves_stay_under_the_degree_limit():
-    assert knots._leaf_degree(parse("T(2,199999)")) == 199_998 <= MAX_ALEXANDER_DEGREE
-    assert knots._leaf_degree(parse("T(400,401)")) == 159_600 <= MAX_ALEXANDER_DEGREE
+    assert knots._work(parse("T(2,199999)"))[2] == 199_998 <= MAX_ALEXANDER_DEGREE
+    assert knots._work(parse("T(400,401)"))[2] == 159_600 <= MAX_ALEXANDER_DEGREE
     assert len(class_complex(parse("T(400,401)")).complex) == 799
+
+
+def _products_made(monkeypatch, build, e) -> int:
+    """Coefficient products build(e) makes, leaving out the binomial products
+    inside torus_alexander, which the count read off e does not cover."""
+    made = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        if max(len(dict(a)), len(dict(b))) > 2:
+            made.append(len(dict(a)) * len(dict(b)))
+        return multiply(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(LaurentPoly, "__mul__", counted)
+        build(e)
+    return sum(made)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "U + U",
+        "T(2,5) + T(2,7)",
+        "C(D;2,3)",
+        "C(U;3,-4)",
+        "C(T(2,3);2,-5)",
+        "C(T(2,3) + T(2,5);2,3)",
+        "-C(C(D;2,3);3,20) + T(2,5) + -(D + T(3,4))",
+    ],
+)
+def test_products_read_off_the_expression_bound_those_alexander_makes(monkeypatch, text):
+    e = parse(text)
+    made = _products_made(monkeypatch, alexander, e)
+    assert made <= knots._work(e)[1]
+    if text == "T(2,5) + T(2,7)":  # dense factors: the bound is exact
+        assert made == knots._work(e)[1] == 5 * 7
+
+
+@pytest.mark.parametrize(
+    "text", ["T(5,7)", "C(T(2,3);2,5)", "C(C(D;2,3);3,20)", "T(2,5) + -(C(D;2,5) + T(3,4))"]
+)
+def test_products_read_off_the_expression_bound_those_the_leaves_make(monkeypatch, text):
+    e = parse(text)
+    made = _products_made(monkeypatch, knots._staircases, e)
+    assert made <= knots._work(e)[3]
+    if text == "C(T(2,3);2,5)":  # dense factors: the bound is exact
+        assert made == knots._work(e)[3] == 3 * 5
+
+
+@pytest.mark.parametrize(
+    "build, text, message",
+    [
+        (alexander, "T(2,250001) + T(2,250001)", "polynomial with 62,500,500,001"),
+        (alexander, "C(T(2,125001);2,250001)", "polynomial with 31,250,375,001"),
+        (class_complex, "C(T(2,125001);2,250001)", "leaf polynomials with 31,250,375,001"),
+        (class_complex, "-C(T(2,201);2,200001) + U", "leaf polynomials with 40,200,201"),
+    ],
+)
+def test_polynomial_products_over_the_limit_are_refused_before_any_polynomial(
+    monkeypatch, build, text, message
+):
+    def built(*args):
+        raise AssertionError("an Alexander polynomial was built")
+
+    monkeypatch.setattr(knots, "torus_alexander", built)
+    monkeypatch.setattr(knots, "cable_alexander", built)
+    message = f"building the {message} coefficient products is over the limit of 20,000,000"
+    with pytest.raises(UnsupportedExpression, match=re.escape(message)):
+        build(parse(text))
+
+
+def test_the_largest_sum_readme_cites_keeps_its_polynomial():
+    # the square of 1 - t + ... + t^4000: coefficient k counts the ways to
+    # write k as i + j with 0 <= i, j <= 4000, with sign (-1)^k
+    square = LaurentPoly({k: (-1) ** k * (min(k, 8000 - k) + 1) for k in range(8001)})
+    assert knots._work(parse("T(2,4001) + T(2,4001)"))[1] == 4001**2 <= knots.MAX_PRODUCTS
+    assert alexander(parse("T(2,4001) + T(2,4001)")) == square
 
 
 def test_each_leaf_polynomial_is_computed_once(monkeypatch):

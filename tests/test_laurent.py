@@ -41,6 +41,13 @@ def test_parse_rejects_garbage():
             P(text)
 
 
+def test_parse_refuses_a_literal_past_the_digit_limit_at_its_column(too_many_digits):
+    for text, column in [(f"t + {too_many_digits}t^2", 5), (f"1 - t^-{too_many_digits}", 7)]:
+        with pytest.raises(ParseError, match="too long") as exc:
+            P(text)
+        assert exc.value.column == column
+
+
 @settings(deadline=None, max_examples=60)
 @given(polys)
 def test_str_parse_round_trip(p):

@@ -354,9 +354,9 @@ def _assert_slices_match_reference(c, region) -> None:
         assert rc.boundary == boundary, (region, d)
         assert rc.above == tuple(_reindex(ref.boundary[p], keep_index) for p in above), (region, d)
         assert rc.above_u_power == tuple(ref.u_power[p] for p in above), (region, d)
-        # position names the slice's generators in order, and no others
-        assert [rc.position[k] for k in rc.gen_index] == list(range(len(rc))), (region, d)
-        assert len(rc.position) - rc.position.count(None) == len(rc) and len(rc.position) == len(c)
+        # gen_index rises, so chain finds each of the slice's generators at its place
+        assert all(a < b for a, b in zip(rc.gen_index, rc.gen_index[1:])), (region, d)
+        assert [rc.chain([k]) for k in rc.gen_index] == [1 << p for p in range(len(rc))], (region, d)
         assert homology_rank(homology_data(rc)) == ranks.get(d, 0), (region, d)
 
 
@@ -409,7 +409,7 @@ def test_a_boundary_entry_off_the_next_degree_is_inconsistent_input():
     assert named(c, region_complex(c, Row(1), 2)) == [("x2", -2), ("x0", 0)]
 
 
-def test_position_is_none_exactly_outside_the_shape_or_the_slice():
+def test_chain_raises_exactly_outside_the_shape_or_the_slice():
     seen = set()
     for c in randomized_corpus(random.Random(SEED)):
         assert all(abs(g.alexander) < 40 for g in c.generators)
@@ -423,12 +423,11 @@ def test_position_is_none_exactly_outside_the_shape_or_the_slice():
                     u = -next(iter(hit))[0] if hit else None
                     inside = u is not None and g.maslov - 2 * u == degree
                     seen.add((u is None, inside))
-                    p = rc.position[k]
                     if inside:
-                        assert (rc.gen_index[p], rc.u_power[p]) == (k, u)
-                        assert rc.chain([k]) == 1 << p
+                        p = rc.gen_index.index(k)
+                        assert rc.u_power[p] == u and rc.chain([k]) == 1 << p
                     else:
-                        assert p is None
+                        assert k not in rc.gen_index
                         with pytest.raises(KeyError):
                             rc.chain([k])
     # generators outside the shape, outside the slice's degree only, and inside
