@@ -100,14 +100,14 @@ class CfkComplex:
     the arrows leaving generator k are ``triples[offsets[k]:offsets[k + 1]]``.
 
     The constructor checks structure only (names usable and unique, arrow
-    endpoints present, U-exponents nonnegative) and cancels duplicate arrow
-    triples mod 2; grading laws and d^2 = 0 are checked by validate().
+    endpoints present, U-exponents nonnegative) in the order given; _store
+    sorts once and cancels duplicate triples mod 2.  validate() checks the rest.
     """
 
     __slots__ = ("generators", "triples", "offsets", "_hash")
 
     def __init__(self, generators: Iterable[Generator], arrows: Iterable[Arrow] = ()):
-        gens = sorted(generators, key=_gen_key)
+        gens = list(generators)
         index: dict[str, int] = {}
         for k, g in enumerate(gens):
             if not _NAME.fullmatch(g.name):
@@ -243,7 +243,7 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     warnings: list[Violation] = []
     errors = _math_errors(c)
     if knot_class and not errors:
-        # the Maslov law holds here, which homology_ranks needs
+        # the Maslov law holds here, so homology_ranks raises on no arrow
         for kind, region in (("column", Column0()), ("row", Row(0))):
             rank = sum(homology_ranks(c, region).values())
             if rank != 1:
@@ -434,6 +434,14 @@ def serialize(c: CfkComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field(m: re.Match, k: int, lineno: int) -> int:
+    """Integer group k of m; past the digit limit, ParseError at its column."""
+    try:
+        return int(m[k])
+    except ValueError:
+        return parse_int(m[k], lineno, m.start(k) + 1)
+
+
 def deserialize(text: str) -> CfkComplex:
     """Parse the cfk v1 format; structural problems raise ParseError.
 
@@ -465,8 +473,7 @@ def deserialize(text: str) -> CfkComplex:
                 message = f"duplicate generator {name!r}"
                 raise ParseError(message, line=lineno, column=m.start(1) + 1)
             seen[name] = len(gens)
-            alexander = parse_int(m[2], lineno, m.start(2) + 1)
-            gens.append(Generator(name, alexander, parse_int(m[3], lineno, m.start(3) + 1)))
+            gens.append(Generator(name, _field(m, 2, lineno), _field(m, 3, lineno)))
         elif line.startswith("arr"):
             m = _ARR_RE.match(line)
             if m is None:
@@ -475,7 +482,7 @@ def deserialize(text: str) -> CfkComplex:
                 if m.group(k) not in seen:
                     message = f"unknown generator {m.group(k)!r}"
                     raise ParseError(message, line=lineno, column=m.start(k) + 1)
-            triples.append((seen[m[1]], seen[m[2]], parse_int(m[3], lineno, m.start(3) + 1)))
+            triples.append((seen[m[1]], seen[m[2]], _field(m, 3, lineno)))
         else:
             raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
     if not header_seen:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from .cfk import (
@@ -115,27 +116,18 @@ def _summarize(c: CfkComplex) -> _Summary:
 def _compare_summaries(k: _Summary, j: _Summary) -> DominationResult:
     """Domination test on precomputed invariant summaries."""
     if k.epsilon != 1 or j.epsilon != 1:
-        return DominationResult(
-            False, None, "test applies only when both classes have epsilon +1"
-        )
+        return DominationResult(False, None, "test applies only when both classes have epsilon +1")
     assert k.a1 is not None and j.a1 is not None
     if k.a1 < j.a1:
-        return DominationResult(
-            True, SMALLER_A1, f"a1 drops from {j.a1} to {k.a1}"
-        )
+        return DominationResult(True, SMALLER_A1, f"a1 drops from {j.a1} to {k.a1}")
     if k.a1 > j.a1:
         return DominationResult(False, None, f"a1 rises from {j.a1} to {k.a1}")
     if k.a2 is None or j.a2 is None:
-        return DominationResult(
-            False, None, "equal a1 and at least one side has no finite a2"
-        )
+        return DominationResult(False, None, "equal a1 and at least one side has no finite a2")
     if k.a2 > j.a2:
-        return DominationResult(
-            True, LARGER_A2, f"equal a1 = {k.a1}, a2 rises from {j.a2} to {k.a2}"
-        )
-    return DominationResult(
-        False, None, f"equal a1 = {k.a1}, a2 does not rise ({j.a2} to {k.a2})"
-    )
+        reason = f"equal a1 = {k.a1}, a2 rises from {j.a2} to {k.a2}"
+        return DominationResult(True, LARGER_A2, reason)
+    return DominationResult(False, None, f"equal a1 = {k.a1}, a2 does not rise ({j.a2} to {k.a2})")
 
 
 def dominates_by_invariants(k: ClassRep, j: ClassRep) -> DominationResult:
@@ -223,6 +215,15 @@ _ENTRY_FIELDS = {
 _LINK_FIELDS = {"above": (int,), "below": (int,), "criterion": (str,)}
 
 
+def _json_int(text: str) -> int:
+    """int(text); past the interpreter's digit limit, a ValueError that says so."""
+    try:
+        return int(text)
+    except ValueError:
+        limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
+        raise ValueError(f"an integer of {digits:,} digits is over the limit of {limit:,}")
+
+
 def _fields(record: dict, types: dict[str, tuple[type, ...]]) -> list:
     for key, allowed in types.items():
         if type(record[key]) not in allowed:  # exact types: true is not an int
@@ -250,7 +251,7 @@ class Certificate(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_int=_json_int)
         except (ValueError, RecursionError) as exc:  # bad JSON, too long a number, too deep
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("format") != CERTIFICATE_FORMAT:
@@ -296,9 +297,7 @@ def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
     summaries = [_summarize(r.complex) for r in reps]
     for rep, summary in zip(reps, summaries):
         if summary.epsilon != 1:
-            raise NotAChain(
-                f"{rep} has epsilon {summary.epsilon}, not +1", (str(rep),)
-            )
+            raise NotAChain(f"{rep} has epsilon {summary.epsilon}, not +1", (str(rep),))
     order = sorted(range(len(reps)), key=lambda i: _chain_sort_key(summaries[i]))
     entries = []
     for i in order:
@@ -320,9 +319,7 @@ def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
         result = _compare_summaries(above, below)
         if not result.proved:
             pair = (entries[pos].label(pos), entries[pos + 1].label(pos + 1))
-            raise NotAChain(
-                f"{pair[0]} does not dominate {pair[1]}: {result.reason}", pair
-            )
+            raise NotAChain(f"{pair[0]} does not dominate {pair[1]}: {result.reason}", pair)
         assert result.criterion is not None
         links.append(ChainLink(pos, pos + 1, result.criterion))
     return Certificate(tuple(entries), tuple(links))
@@ -359,9 +356,7 @@ def recheck_certificate(cert: Certificate) -> bool:
     expected_pairs = [(i, i + 1) for i in range(len(cert.entries) - 1)]
     actual_pairs = [(l.above, l.below) for l in cert.links]
     if actual_pairs != expected_pairs:
-        raise CertificateError(
-            f"links {actual_pairs} do not chain the entries in order"
-        )
+        raise CertificateError(f"links {actual_pairs} do not chain the entries in order")
     for link in cert.links:
         result = _compare_summaries(summaries[link.above], summaries[link.below])
         if not result.proved or result.criterion != link.criterion:
@@ -388,9 +383,7 @@ def cable_tau(tau_value: int, eps: int, p: int, q: int) -> int:
         return p * tau_value + (p - 1) * (q + 1) // 2
     if eps == 0:
         if tau_value != 0:
-            raise InconsistentInput(
-                f"epsilon 0 forces tau 0, got tau {tau_value}"
-            )
+            raise InconsistentInput(f"epsilon 0 forces tau 0, got tau {tau_value}")
         if q < 0:
             return (p - 1) * (q + 1) // 2
         return (p - 1) * (q - 1) // 2

@@ -22,7 +22,7 @@ import math
 from typing import Iterator, NamedTuple, Union
 
 from ._value import Value
-from .cfk import MAX_GENERATORS, Arrow, CfkComplex, Generator, dual, tensor, validate
+from .cfk import MAX_GENERATORS, CfkComplex, Generator, _indexed, dual, tensor, validate
 from .errors import (
     ExpressionError,
     InconsistentInput,
@@ -303,11 +303,8 @@ def staircase(exps: StaircaseExponents) -> CfkComplex:
         else:
             maslov[i] = maslov[i - 1] - 1
     gens = [Generator(f"x{i}", n[i] - g, maslov[i]) for i in range(len(n))]
-    arrows = []
-    for i in range(1, len(n), 2):
-        arrows.append(Arrow(f"x{i}", f"x{i - 1}", n[i - 1] - n[i]))
-        arrows.append(Arrow(f"x{i}", f"x{i + 1}", 0))
-    return CfkComplex(gens, arrows)
+    odd = range(1, len(n), 2)
+    return _indexed(gens, [(i, i - 1, n[i - 1] - n[i]) for i in odd] + [(i, i + 1, 0) for i in odd])
 
 
 def alexander(e: KnotExpr) -> LaurentPoly:

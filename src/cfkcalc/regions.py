@@ -223,9 +223,9 @@ def homology_data(rc: RegionComplex) -> HomologyData:
 
 
 def homology_ranks(c: CfkComplex, region: Region) -> dict[int, int]:
-    """Homology rank per degree of a region meeting every diagonal, unbuilt: by
-    the Maslov law (c must obey it) a boundary lands one degree down, so bit j
-    names the j-th element there, and the cost is the sum of squared block sizes."""
+    """Homology rank per degree of a region meeting every diagonal, unbuilt: an arrow
+    breaking the Maslov law raises InconsistentInput, so a boundary lands one degree
+    down, bit j names the j-th element there, and the cost is the sum of squared block sizes."""
     power = [region.u_power(g.alexander) for g in c.generators]
     if None in power:
         raise ValueError(f"{region} misses a diagonal of the complex")
@@ -236,6 +236,9 @@ def homology_ranks(c: CfkComplex, region: Region) -> dict[int, int]:
         sizes[k] = slot[-1] + 1
     masks = [0] * len(degree)
     for s, t, u in c.triples:
+        if degree[s] - degree[t] != 1 + 2 * (power[t] - power[s] - u):  # M(s) - 1 != M(t) - 2u
+            name = f"{c.generators[s].name}->{c.generators[t].name} u={u}"
+            raise InconsistentInput(f"arrow {name} breaks the Maslov law")
         if power[t] == power[s] + u:
             masks[s] |= 1 << slot[t]
     ranks = block_ranks(zip(degree, masks))

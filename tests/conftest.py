@@ -66,14 +66,21 @@ def figure_eight_like() -> CfkComplex:
     return direct_sum(unknot_complex("z"), square_complex(1, 1, 0, -1, prefix="sq"))
 
 
-def random_staircase(rng: random.Random, max_steps: int = 3, max_len: int = 3) -> CfkComplex:
-    """Staircase with palindromic step lengths, so its exponent vector is a
-    valid symmetric sequence."""
+def random_exponents(
+    rng: random.Random, max_steps: int = 3, max_len: int = 3
+) -> StaircaseExponents:
+    """Exponents with palindromic step lengths, so the vector is a valid
+    symmetric sequence."""
     steps = rng.randint(1, max_steps)
     half = [rng.randint(1, max_len) for _ in range(steps)]
     diffs = half + half[::-1]
     exps = [sum(diffs[i:]) for i in range(len(diffs))] + [0]
-    return staircase(StaircaseExponents(tuple(exps)))
+    return StaircaseExponents(tuple(exps))
+
+
+def random_staircase(rng: random.Random, max_steps: int = 3, max_len: int = 3) -> CfkComplex:
+    """Staircase on random_exponents."""
+    return staircase(random_exponents(rng, max_steps, max_len))
 
 
 def with_random_squares(
@@ -191,6 +198,25 @@ def tampered_certificate() -> str:
 
 # ---------------------------------------------------------------------------
 # name-keyed references for the index-based fast paths
+
+
+def reference_staircase(exps: StaircaseExponents) -> CfkComplex:
+    """Staircase built by name, as before it was built on index triples: one
+    Arrow per step, through the name-keyed constructor."""
+    n = exps.exponents
+    g = exps.genus
+    maslov = [0] * len(n)
+    for i in range(1, len(n)):
+        if i % 2 == 1:
+            maslov[i] = maslov[i - 1] + 1 - 2 * (n[i - 1] - n[i])
+        else:
+            maslov[i] = maslov[i - 1] - 1
+    gens = [Generator(f"x{i}", n[i] - g, maslov[i]) for i in range(len(n))]
+    arrows = []
+    for i in range(1, len(n), 2):
+        arrows.append(Arrow(f"x{i}", f"x{i - 1}", n[i - 1] - n[i]))
+        arrows.append(Arrow(f"x{i}", f"x{i + 1}", 0))
+    return CfkComplex(gens, arrows)
 
 
 def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:

@@ -153,6 +153,15 @@ def test_deserialize_refuses_a_literal_past_the_digit_limit_at_its_field(too_man
         assert (exc.value.line, exc.value.column) == (line, column)
 
 
+def test_deserialize_reads_generator_names_of_any_digit_count():
+    # only integer fields meet the digit limit: a name of 5,000 digits is a name
+    name = "1" * 5000
+    c = deserialize(f"cfk v1\ngen {name} A=1 M=0\ngen b A=0 M=-1\narr {name} b u=0\n")
+    assert [g.name for g in c.generators] == ["b", name]
+    assert c.arrows == (Arrow(name, "b", 0),)
+    assert deserialize(serialize(c)) == c
+
+
 def test_deserialize_cancels_duplicate_arrows():
     text = "cfk v1\ngen a A=1 M=0\ngen b A=0 M=-1\narr b a u=0\narr b a u=0\n"
     assert deserialize(text).arrows == ()

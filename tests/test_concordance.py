@@ -8,6 +8,7 @@ recheck to notice every edit.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -42,6 +43,7 @@ from cfkcalc import (
     tensor,
     unknot_complex,
 )
+from cfkcalc.cli import main
 from cfkcalc.concordance import LARGER_A2, SMALLER_A1, _Summary, _compare_summaries
 from conftest import torus_staircase, trefoil_complex
 
@@ -326,6 +328,22 @@ def test_from_json_refuses_a_number_past_the_digit_limit(too_many_digits):
     assert '"a1": 1,' in text
     with pytest.raises(CertificateError, match="not valid JSON"):
         Certificate.from_json(text.replace('"a1": 1,', f'"a1": {too_many_digits},', 1))
+
+
+def test_recheck_states_a_number_past_the_digit_limit_in_certificate_terms(
+    capsys, tmp_path, too_many_digits
+):
+    path = tmp_path / "long.json"
+    text = chain_certificate().to_json()
+    path.write_text(text.replace('"a1": 1,', f'"a1": -{too_many_digits},', 1))
+    assert main(["independence", "--recheck", str(path)]) == 2
+    captured = capsys.readouterr()
+    digits, limit = len(too_many_digits), sys.get_int_max_str_digits()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: not valid JSON: an integer of {digits:,} digits is over the limit of {limit:,}\n"
+    )
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def test_from_json_rejects_garbage():

@@ -7,6 +7,8 @@ the Euler characteristic of the reduced rank table.
 
 from __future__ import annotations
 
+import math
+import random
 import re
 
 import pytest
@@ -44,7 +46,7 @@ from cfkcalc import (
 )
 from cfkcalc import knots
 from cfkcalc.knots import MAX_ALEXANDER_DEGREE, MAX_DEPTH
-from conftest import trefoil_complex
+from conftest import SEED, random_exponents, reference_staircase, trefoil_complex
 
 T23 = Torus(2, 3)
 
@@ -207,6 +209,28 @@ def test_staircase_gradings_for_a_two_step_example():
         (-3, -6): 1,
     }
     assert len(c.arrows) == 4
+
+
+def _staircase_cross_check_cases():
+    yield StaircaseExponents((0,))
+    for p in range(2, 13):
+        for q in range(p + 1, 13):
+            if math.gcd(p, q) == 1:
+                yield staircase_exponents(torus_alexander(p, q))
+    yield staircase_exponents(torus_alexander(2, 4001))
+    yield staircase_exponents(torus_alexander(400, 401))
+    for p in range(2, 13):
+        yield staircase_exponents(knots._lspace_polynomial(parse(f"C(D;{p},{p + 1})")))
+    rng = random.Random(SEED)
+    for _ in range(50):
+        yield random_exponents(rng, max_steps=rng.randint(1, 8), max_len=rng.randint(1, 6))
+
+
+def test_staircase_on_index_triples_matches_the_named_build():
+    for exps in _staircase_cross_check_cases():
+        built, reference = staircase(exps), reference_staircase(exps)
+        assert built == reference, exps
+        assert serialize(built) == serialize(reference), exps
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 7), (3, 4), (3, 5), (4, 5), (5, 7)])

@@ -475,3 +475,17 @@ def test_homology_ranks_of_classes_have_rank_one_in_degree_0(text):
 def test_homology_ranks_refuse_a_region_that_misses_a_diagonal():
     with pytest.raises(ValueError, match="misses a diagonal"):
         homology_ranks(trefoil_complex(), TruncatedHook(1, 0))
+
+
+def test_homology_ranks_raise_on_an_arrow_breaking_the_maslov_law():
+    # a flat arrow between two generators of one degree: column homology 0
+    flat = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)], [Arrow("a", "b", 0)])
+    # the trefoil with M(x0) raised by 2: x1 -> x0 has u = 1, no Column0 entry
+    raised = CfkComplex(
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    for c, arrow in ((flat, "a->b u=0"), (raised, "x1->x0 u=1")):
+        for region in (Column0(), Row(0)):
+            with pytest.raises(InconsistentInput, match=rf"^arrow {arrow} breaks the Maslov law$"):
+                homology_ranks(c, region)
