@@ -160,10 +160,9 @@ def _cmd_independence(args: argparse.Namespace) -> _Output:
     else:
         raise InconsistentInput("no expressions given")
     doc = cert.to_json()
-    lines = [str(cert)]
-    if args.recheck:
+    if args.recheck:  # before str(cert), which indexes the entries by the links
         recheck_certificate(Certificate.from_json(doc))
-        lines.append("recheck: ok")
+    lines = [str(cert)] + (["recheck: ok"] if args.recheck else [])
     if args.out is not None and not from_file:
         _write_file(args.out, doc + "\n")
         lines.append(f"saved: {args.out}")

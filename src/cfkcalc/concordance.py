@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import sys
 from typing import NamedTuple, Sequence
 
 from .cfk import (
@@ -31,6 +30,7 @@ from .errors import (
     NotCoprime,
     ParseError,
     UnsupportedExpression,
+    parse_int,
 )
 from .invariants import a1, a2, epsilon
 from .knots import ClassRep, Mirror
@@ -215,15 +215,6 @@ _ENTRY_FIELDS = {
 _LINK_FIELDS = {"above": (int,), "below": (int,), "criterion": (str,)}
 
 
-def _json_int(text: str) -> int:
-    """int(text); past the interpreter's digit limit, a ValueError that says so."""
-    try:
-        return int(text)
-    except ValueError:
-        limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
-        raise ValueError(f"an integer of {digits:,} digits is over the limit of {limit:,}")
-
-
 def _fields(record: dict, types: dict[str, tuple[type, ...]]) -> list:
     for key, allowed in types.items():
         if type(record[key]) not in allowed:  # exact types: true is not an int
@@ -251,8 +242,10 @@ class Certificate(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
-            raw = json.loads(text, parse_int=_json_int)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too long a number, too deep
+            raw = json.loads(text, parse_int=parse_int)
+        except ParseError as exc:  # valid JSON, but a number past the digit limit
+            raise CertificateError(str(exc)) from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON or too deep
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("format") != CERTIFICATE_FORMAT:
             raise CertificateError(f"missing format tag {CERTIFICATE_FORMAT!r}")

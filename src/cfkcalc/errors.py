@@ -8,6 +8,8 @@ exit codes.
 
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "CfkError",
     "InputError",
@@ -18,7 +20,6 @@ __all__ = [
     "UnsupportedExpression",
     "InconsistentInput",
     "CertificateError",
-    "InexactDivision",
     "NotStaircaseForm",
     "RankNotOne",
     "EpsilonNotOne",
@@ -59,7 +60,9 @@ def parse_int(text: str, line: int | None = None, column: int | None = None) -> 
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"an integer of {len(text):,} characters is too long", line, column)
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        message = f"an integer of {digits:,} digits is over the limit of {limit:,}"
+        raise ParseError(message, line, column)
 
 
 class NotCoprime(InputError):
@@ -80,10 +83,6 @@ class InconsistentInput(InputError):
 
 class CertificateError(InputError):
     """A certificate document is structurally unusable."""
-
-
-class InexactDivision(MathError):
-    """Polynomial division left a remainder or a fractional coefficient."""
 
 
 class NotStaircaseForm(MathError):

@@ -326,8 +326,8 @@ def _alexander(e: KnotExpr) -> LaurentPoly:
         return LaurentPoly.one()
     if isinstance(e, Torus):
         return torus_alexander(e.p, e.q)
-    if isinstance(e, Sum):
-        return (_alexander(e.left) * _alexander(e.right)).normalized()
+    if isinstance(e, Sum):  # a product of normalized polynomials is normalized
+        return _alexander(e.left) * _alexander(e.right)
     if isinstance(e, Mirror):
         return _alexander(e.inner)
     if isinstance(e, Cable):

@@ -14,7 +14,7 @@ import re
 from typing import Iterator, Mapping
 
 from ._value import Value
-from .errors import InexactDivision, NotCoprime, NotStaircaseForm, ParseError, parse_int
+from .errors import NotCoprime, NotStaircaseForm, ParseError, parse_int
 
 __all__ = [
     "LaurentPoly",
@@ -48,10 +48,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exponent: coeff})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -118,42 +114,6 @@ class LaurentPoly:
         if n == 0:
             raise ValueError("substitution power must be nonzero")
         return LaurentPoly({e * n: c for e, c in self._coeffs.items()})
-
-    def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / den over the integers.
-
-        Raises InexactDivision when the quotient would need a remainder or a
-        fractional coefficient, and ZeroDivisionError on a zero divisor.
-        """
-        if not den:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentPoly.zero()
-        shift = self.valuation - den.valuation
-        num = {e - self.valuation: c for e, c in self._coeffs.items()}
-        dpoly = {e - den.valuation: c for e, c in den._coeffs.items()}
-        ddeg = max(dpoly)
-        dlead = dpoly[ddeg]
-        quot: dict[int, int] = {}
-        rem = dict(num)
-        while rem:
-            rdeg = max(rem)
-            if rdeg < ddeg:
-                raise InexactDivision("nonzero remainder")
-            lead = rem[rdeg]
-            q, r = divmod(lead, dlead)
-            if r != 0:
-                raise InexactDivision("coefficient not divisible")
-            pos = rdeg - ddeg
-            quot[pos] = q
-            for e, c in dpoly.items():
-                ne = e + pos
-                nc = rem.get(ne, 0) - q * c
-                if nc:
-                    rem[ne] = nc
-                else:
-                    rem.pop(ne, None)
-        return LaurentPoly(quot).shifted(shift)
 
     def normalized(self) -> "LaurentPoly":
         """Shift to lowest exponent 0 and make the leading coefficient positive."""
@@ -313,7 +273,10 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q) torus knot, lowest exponent 0.
 
     p and q must be coprime; q may be negative, in which case |q| is used
-    (mirrors share the polynomial).
+    (mirrors share the polynomial).  The polynomial is read off the semigroup
+    S = <p, q>: with 2g = (p - 1)(q - 1), Delta = (1 - t) * sum(t^s for s in S
+    below 2g) + t^2g, so it has +1 where a run of S starts and -1 one past
+    where a run ends, in time linear in the degree and with no division.
 
     >>> str(torus_alexander(2, 3))
     't^2 - t + 1'
@@ -325,10 +288,17 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
     if p <= 1 or q <= 1:
         return LaurentPoly.one()
-    tt = LaurentPoly.monomial
-    num = (tt(p * q) - tt(0)) * (tt(1) - tt(0))
-    den = (tt(p) - tt(0)) * (tt(q) - tt(0))
-    return num.divide_exact(den).normalized()
+    top = (p - 1) * (q - 1)
+    member = bytearray(top + 1)  # member[n] == 1 iff n is in S, for n <= 2g
+    for a in range(0, top + 1, q):
+        member[a::p] = b"\x01" * ((top - a) // p + 1)
+    # every n >= 2g is in S and 2g - 1 is not, so the last run starts at 2g
+    coeffs, start = {top: 1}, 0
+    while start < top:
+        end = member.find(0, start)
+        coeffs[start], coeffs[end] = 1, -1
+        start = member.find(1, end)
+    return LaurentPoly(coeffs)
 
 
 def cable_alexander(delta: LaurentPoly, p: int, q: int) -> LaurentPoly:

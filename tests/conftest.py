@@ -512,3 +512,9 @@ def too_many_digits() -> str:
     if not limit:
         pytest.skip("this interpreter puts no limit on the digits of an integer")
     return "1" * (limit + 1)
+
+
+def digit_limit_message(digits: int) -> str:
+    """What every reader says of an integer literal of this many digits (the
+    sign not counted) past the interpreter's limit on int(str)."""
+    return f"an integer of {digits:,} digits is over the limit of {sys.get_int_max_str_digits():,}"

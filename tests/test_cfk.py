@@ -33,6 +33,7 @@ from cfkcalc import (
 )
 from conftest import (
     SEED,
+    digit_limit_message,
     random_basis_change,
     random_staircase,
     randomized_corpus,
@@ -148,7 +149,8 @@ def test_deserialize_refuses_a_literal_past_the_digit_limit_at_its_field(too_man
         (f"cfk v1\ngen a A=0 M=-{too_many_digits}\n", 2, 13),
         (f"cfk v1\ngen a A=1 M=0\ngen b A=0 M=-1\narr a b u={too_many_digits}\n", 4, 11),
     ]:
-        with pytest.raises(ParseError, match="too long") as exc:
+        message = f"^line {line}, column {column}: {digit_limit_message(len(too_many_digits))}$"
+        with pytest.raises(ParseError, match=message) as exc:
             deserialize(text)
         assert (exc.value.line, exc.value.column) == (line, column)
 

@@ -18,7 +18,7 @@ import pytest
 
 from cfkcalc import class_complex, parse, serialize
 from cfkcalc.cli import _diagram_geometry, _layout_offsets, main
-from conftest import tampered_certificate, trefoil_complex
+from conftest import digit_limit_message, tampered_certificate, trefoil_complex
 
 T45_INVARIANTS = (
     "expression: T(4,5)\n"
@@ -324,6 +324,9 @@ def test_literals_past_the_digit_limit_exit_2_without_a_traceback(capsys, tmp_pa
         captured = capsys.readouterr()
         assert captured.out == "", argv[0]
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err, argv[0]
+        # one line, worded alike by every reader
+        assert captured.err.endswith(f"{digit_limit_message(len(digits))}\n"), argv[0]
+        assert captured.err.count("\n") == 1, argv[0]
 
 
 def test_dominates_json(capsys):
@@ -371,6 +374,23 @@ def test_independence_recheck_notices_tampering(tmp_path, capsys):
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["independence", "--recheck", str(path)]) == 2
     assert "certificate says" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("field", ["above", "below"])
+def test_independence_recheck_refuses_a_link_outside_the_chain(tmp_path, capsys, form, field):
+    path = tmp_path / "chain.json"
+    assert main(["independence", "T(2,3)", "T(3,4)", "--out", str(path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["links"][0][field] = 99
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["independence", "--recheck", str(path)] + form) == 2
+    pair = (99, 1) if field == "above" else (0, 99)
+    assert capsys.readouterr() == (
+        "",
+        f"error: links [{pair}] do not chain the entries in order\n",
+    )
 
 
 def test_independence_recheck_validates_the_embedded_complexes(tmp_path, capsys):

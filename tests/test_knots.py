@@ -46,7 +46,13 @@ from cfkcalc import (
 )
 from cfkcalc import knots
 from cfkcalc.knots import MAX_ALEXANDER_DEGREE, MAX_DEPTH
-from conftest import SEED, random_exponents, reference_staircase, trefoil_complex
+from conftest import (
+    SEED,
+    digit_limit_message,
+    random_exponents,
+    reference_staircase,
+    trefoil_complex,
+)
 
 T23 = Torus(2, 3)
 
@@ -152,7 +158,8 @@ def test_parse_errors_carry_columns(text, column, fragment):
 
 def test_parse_refuses_a_literal_past_the_digit_limit_at_its_column(too_many_digits):
     for text, column in [(f"T(2,{too_many_digits})", 5), (f"C(T(2,3);-{too_many_digits},1)", 11)]:
-        with pytest.raises(ParseError, match="too long") as exc:
+        message = f"^line 1, column {column}: {digit_limit_message(len(too_many_digits))}$"
+        with pytest.raises(ParseError, match=message) as exc:
             parse(text)
         assert exc.value.column == column
 

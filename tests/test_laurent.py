@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfkcalc import (
-    InexactDivision,
     LaurentPoly,
     NotCoprime,
     NotStaircaseForm,
     ParseError,
     StaircaseExponents,
     cable_alexander,
+    class_complex,
+    knots,
+    laurent,
+    parse,
     staircase_exponents,
     torus_alexander,
 )
+
+from conftest import digit_limit_message
 
 coeff = st.integers(min_value=-4, max_value=4)
 exponent = st.integers(min_value=-6, max_value=6)
@@ -42,8 +49,9 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_refuses_a_literal_past_the_digit_limit_at_its_column(too_many_digits):
+    message = digit_limit_message(len(too_many_digits))
     for text, column in [(f"t + {too_many_digits}t^2", 5), (f"1 - t^-{too_many_digits}", 7)]:
-        with pytest.raises(ParseError, match="too long") as exc:
+        with pytest.raises(ParseError, match=f"^column {column}: {message}$") as exc:
             P(text)
         assert exc.value.column == column
 
@@ -62,19 +70,6 @@ def test_ring_identities(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a - a == LaurentPoly.zero()
     assert a * LaurentPoly.one() == a
-
-
-@settings(deadline=None, max_examples=60)
-@given(polys, nonzero_polys)
-def test_exact_division_inverts_multiplication(a, b):
-    assert (a * b).divide_exact(b) == a
-
-
-def test_divide_exact_rejects_remainder():
-    with pytest.raises(InexactDivision):
-        P("t^2 + 1").divide_exact(P("t + 1"))
-    with pytest.raises(ZeroDivisionError):
-        P("t").divide_exact(LaurentPoly.zero())
 
 
 def test_normalized_moves_valuation_to_zero():
@@ -108,6 +103,7 @@ def test_torus_alexander_trefoil_and_figure_values():
 def test_torus_alexander_unknot_cases():
     assert torus_alexander(1, 5) == LaurentPoly.one()
     assert torus_alexander(7, 1) == LaurentPoly.one()
+    assert torus_alexander(0, 1) == torus_alexander(1, -8) == LaurentPoly.one()
 
 
 def test_torus_alexander_symmetry_and_coprimality():
@@ -118,6 +114,49 @@ def test_torus_alexander_symmetry_and_coprimality():
                     torus_alexander(p, q)
             else:
                 assert torus_alexander(p, q) == torus_alexander(q, p)
+
+
+def _torus_identity_holds(p: int, q: int) -> bool:
+    """The oracle, by multiplication alone: Delta (t^p - 1)(t^q - 1) equals
+    (t^pq - 1)(t - 1), which pins Delta, its shift and its sign."""
+    def less_one(e: int) -> LaurentPoly:
+        return LaurentPoly({e: 1, 0: -1})
+
+    return torus_alexander(p, q) * less_one(p) * less_one(q) == less_one(p * q) * less_one(1)
+
+
+def test_torus_alexander_satisfies_the_product_identity_on_a_grid():
+    for p in range(1, 30):
+        for q in range(1, 60):
+            if math.gcd(p, q) == 1:
+                assert _torus_identity_holds(p, q), (p, q)
+                assert torus_alexander(p, q) == torus_alexander(q, p) == torus_alexander(p, -q)
+
+
+def test_torus_alexander_satisfies_the_product_identity_on_every_class_leaf(monkeypatch):
+    # the benchmark's T(2,q) and T(p,p+1) bands, and every torus factor the
+    # class path makes on the criterion 10 families C(D;p,p+1) - T(p,p+1)
+    leaves = {(2, q) for q in range(3995, 4006, 2)} | {(p, p + 1) for p in range(399, 402)}
+    made = set()
+
+    def recording(p: int, q: int) -> LaurentPoly:
+        made.add((p, q))
+        return torus_alexander(p, q)
+
+    monkeypatch.setattr(laurent, "torus_alexander", recording)
+    monkeypatch.setattr(knots, "torus_alexander", recording)
+    for p in range(2, 7):
+        class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})"))
+    assert made == {(2, 3)} | {(p, p + 1) for p in range(2, 7)}
+    for p, q in sorted(leaves | made):
+        assert _torus_identity_holds(p, q), (p, q)
+
+
+def test_torus_alexander_refuses_a_negative_p_and_a_shared_factor_of_q():
+    with pytest.raises(ValueError):
+        torus_alexander(-2, 3)
+    with pytest.raises(NotCoprime):
+        torus_alexander(6, -9)
 
 
 def test_cable_alexander_trefoil_cable():
