@@ -223,8 +223,8 @@ def _region_sizes(bound: int) -> Iterator[int]:
     """Region sizes 1, 2, 4, ... capped at bound, ending with bound itself.
 
     A truncated hook of width w holds only the generators with A >= tau - w,
-    so regions stay small while the answer is small against the span, where
-    one build at the bound would hold every element of the slice.
+    and a slice costs its own elements and arrows, so small answers cost
+    small regions, where one region at the bound holds the whole slice.
     """
     size = 1
     while True:

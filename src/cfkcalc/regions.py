@@ -23,7 +23,9 @@ homology_ranks ranks Column0 and Row in every degree without a build.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._value import Value
@@ -48,22 +50,33 @@ __all__ = [
     "homology_ranks",
 ]
 
+_INF, _ALEXANDER = float("inf"), attrgetter("alexander")
+
 
 class Region(Value):
     """A subset of the lattice queried along diagonals: every shape meets
-    each diagonal j - i = a at most once, at (-u, a - u) for u = u_power(a)."""
+    each diagonal j - i = a at most once, at (-u, a - u) for u = u_power(a).
+    pieces() gives the shape as at most three disjoint pieces (low, high, slope,
+    shift) in ascending A, meeting the diagonals low <= a <= high at u = slope *
+    a + shift: a column piece (slope 0, u constant) or a row piece (u = a - level)."""
+
+    def pieces(self) -> tuple[tuple[float, float, int, int], ...]:
+        raise NotImplementedError
 
     def u_power(self, a: int) -> int | None:
         """The U power of the region's point on the diagonal j - i = a, or
         None when the region misses that diagonal."""
-        raise NotImplementedError
+        for low, high, slope, shift in self.pieces():
+            if low <= a <= high:
+                return slope * a + shift
+        return None
 
 
 class Column0(Region):
     """The column i = 0; one element per generator, at (0, A(x))."""
 
-    def u_power(self, a: int) -> int | None:
-        return 0
+    def pieces(self):
+        return ((-_INF, _INF, 0, 0),)
 
 
 class FullHook(Region):
@@ -71,8 +84,8 @@ class FullHook(Region):
 
     level: int
 
-    def u_power(self, a: int) -> int | None:
-        return 0 if a >= self.level else a - self.level
+    def pieces(self):
+        return ((-_INF, self.level - 1, 1, -self.level), (self.level, _INF, 0, 0))
 
 
 class GHook(Region):
@@ -80,8 +93,8 @@ class GHook(Region):
 
     level: int
 
-    def u_power(self, a: int) -> int | None:
-        return 0 if a <= self.level else a - self.level
+    def pieces(self):
+        return ((-_INF, self.level, 0, 0), (self.level + 1, _INF, 1, -self.level))
 
 
 class TruncatedHook(Region):
@@ -90,10 +103,8 @@ class TruncatedHook(Region):
     level: int
     width: int
 
-    def u_power(self, a: int) -> int | None:
-        if a >= self.level:
-            return 0
-        return a - self.level if self.level - self.width <= a else None
+    def pieces(self):
+        return ((self.level - self.width, self.level - 1, 1, -self.level), (self.level, _INF, 0, 0))
 
 
 class HookWithTail(TruncatedHook):
@@ -101,12 +112,9 @@ class HookWithTail(TruncatedHook):
 
     depth: int
 
-    def u_power(self, a: int) -> int | None:
-        # the tail's diagonals all lie below the hook's, so a tail point is
-        # the only one on its diagonal
-        if self.level - self.depth <= a + self.width < self.level:
-            return -self.width
-        return super().u_power(a)
+    def pieces(self):
+        top = self.level - self.width - 1  # the tail's diagonals all lie below the hook's
+        return ((top + 1 - self.depth, top, 0, -self.width), *super().pieces())
 
 
 class Row(Region):
@@ -114,8 +122,8 @@ class Row(Region):
 
     level: int
 
-    def u_power(self, a: int) -> int | None:
-        return a - self.level
+    def pieces(self):
+        return ((-_INF, _INF, 1, -self.level),)
 
 
 def _set_bits(mask: int) -> Iterator[int]:
@@ -124,6 +132,21 @@ def _set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=1)
+def _index(c: CfkComplex) -> tuple[list[int], list[int], tuple]:
+    """A and M per generator, and per slope s the generator indices sorted by
+    (M - 2sA, index) beside their sorted M - 2sA; for the last complex only.
+    A piece of slope s and shift b holds the degree-D elements with M - 2sA =
+    D + 2b, so those with k0 <= k < k1 are one run of the order for s."""
+    alexander = [g.alexander for g in c.generators]
+    maslov = [g.maslov for g in c.generators]
+    gens, orders = list(range(len(maslov))), []
+    for key in (maslov, [m - 2 * a for a, m in zip(alexander, maslov)]):
+        order = sorted(gens, key=key.__getitem__)
+        orders.append(([key[k] for k in order], order))
+    return alexander, maslov, tuple(orders)
 
 
 class RegionComplex:
@@ -135,48 +158,42 @@ class RegionComplex:
     p as a mask over the degree d - 1 elements (bit j = j-th in generator
     order), and above[q] that of the q-th degree d + 1 element,
     U^above_u_power[q], as a mask over positions.  A boundary entry that
-    does not land one degree down raises InconsistentInput.
+    does not land one degree down raises InconsistentInput.  A slice costs its
+    own elements and arrows: each degree is cut from the complex's _index.
     """
 
     __slots__ = ("gen_index", "u_power", "boundary", "above", "above_u_power")
 
     def __init__(self, source: CfkComplex, region: Region, degree: int):
-        gens = source.generators
-        power: list = [None] * len(gens)  # U power per generator; None outside the region
-        place: list = [None] * len(gens)  # place among its degree's elements, d - 1..d + 1
-        members: list[int] = []
-        above: list[int] = []
-        blocks = {degree - 1: [], degree: members, degree + 1: above}
-        alexander = None
-        for k, g in enumerate(gens):
-            if g.alexander != alexander:  # generators are sorted by A: one query per run
-                alexander, u = g.alexander, region.u_power(g.alexander)
-            if u is not None:
-                power[k] = u
-                block = blocks.get(g.maslov - 2 * u)
-                if block is not None:
-                    place[k] = len(block)
-                    block.append(k)
-        tr, off = source.triples, source.offsets
-
-        def columns(block: list[int], target: int) -> tuple[int, ...]:
-            out = []
-            for k in block:
-                mask, pk = 0, power[k]
+        alexander, maslov, orders = _index(source)
+        below, members, above = [], [], []  # the degree d - 1, d, d + 1 elements
+        for low, high, slope, shift in region.pieces():
+            k0, k1 = bisect_left(alexander, low), bisect_right(alexander, high)
+            if k0 < k1:  # the runs of M - 2sA = d - 1 + 2b, d + 2b, d + 1 + 2b
+                (key, order), m = orders[slope], degree - 1 + 2 * shift
+                r0, r1 = bisect_left(key, m), bisect_left(key, m + 1)
+                r2, r3 = bisect_left(key, m + 2, r1), bisect_left(key, m + 3, r1)
+                below += order[bisect_left(order, k0, r0, r1) : bisect_left(order, k1, r0, r1)]
+                members += order[bisect_left(order, k0, r1, r2) : bisect_left(order, k1, r1, r2)]
+                above += order[bisect_left(order, k0, r2, r3) : bisect_left(order, k1, r2, r3)]
+        gens, tr, off = source.generators, source.triples, source.offsets
+        parts = []  # boundaries and U powers of the degree d, then d + 1, elements
+        for d, lower, block in ((degree, below, members), (degree + 1, members, above)):
+            out, power, place = [], [], {k: p for p, k in enumerate(lower)}
+            for k in block:  # its boundary over the degree d - 1 elements, lower
+                mask, target, pk = 0, maslov[k] - 1, (maslov[k] - d) >> 1  # M - 2u is the degree
                 for _, t, u in tr[off[k] : off[k + 1]]:
-                    if power[t] == pk + u:
-                        if gens[t].maslov - 2 * power[t] != target:
-                            name = f"{gens[k].name}->{gens[t].name} u={u}"
-                            raise InconsistentInput(f"arrow {name} breaks the Maslov law")
-                        mask |= 1 << place[t]
+                    if maslov[t] - 2 * u == target:  # the law holds: in the region iff in lower
+                        if t in place:
+                            mask |= 1 << place[t]
+                    elif region.u_power(alexander[t]) == pk + u:
+                        name = f"{gens[k].name}->{gens[t].name} u={u}"
+                        raise InconsistentInput(f"arrow {name} breaks the Maslov law")
                 out.append(mask)
-            return tuple(out)
-
+                power.append(pk)
+            parts += tuple(out), tuple(power)
         self.gen_index = tuple(members)
-        self.u_power = tuple(power[k] for k in members)
-        self.boundary = columns(members, degree - 1)
-        self.above = columns(above, degree)
-        self.above_u_power = tuple(power[k] for k in above)
+        self.boundary, self.u_power, self.above, self.above_u_power = parts
 
     def __len__(self) -> int:
         return len(self.gen_index)
@@ -226,10 +243,13 @@ def homology_ranks(c: CfkComplex, region: Region) -> dict[int, int]:
     """Homology rank per degree of a region meeting every diagonal, unbuilt: an arrow
     breaking the Maslov law raises InconsistentInput, so a boundary lands one degree
     down, bit j names the j-th element there, and the cost is the sum of squared block sizes."""
-    power = [region.u_power(g.alexander) for g in c.generators]
-    if None in power:
+    gens, power = c.generators, []
+    for low, high, slope, shift in region.pieces():  # ascending A, so in generator order
+        k0, k1 = bisect_left(gens, low, key=_ALEXANDER), bisect_right(gens, high, key=_ALEXANDER)
+        power += [g.alexander + shift for g in gens[k0:k1]] if slope else [shift] * (k1 - k0)
+    if len(power) != len(gens):
         raise ValueError(f"{region} misses a diagonal of the complex")
-    degree = [g.maslov - 2 * u for g, u in zip(c.generators, power)]
+    degree = [g.maslov - 2 * u for g, u in zip(gens, power)]
     sizes, slot = {}, []  # elements per degree; place of each in its degree
     for k in degree:
         slot.append(sizes.get(k, 0))
@@ -237,7 +257,7 @@ def homology_ranks(c: CfkComplex, region: Region) -> dict[int, int]:
     masks = [0] * len(degree)
     for s, t, u in c.triples:
         if degree[s] - degree[t] != 1 + 2 * (power[t] - power[s] - u):  # M(s) - 1 != M(t) - 2u
-            name = f"{c.generators[s].name}->{c.generators[t].name} u={u}"
+            name = f"{gens[s].name}->{gens[t].name} u={u}"
             raise InconsistentInput(f"arrow {name} breaks the Maslov law")
         if power[t] == power[s] + u:
             masks[s] |= 1 << slot[t]

@@ -16,6 +16,7 @@ from cfkcalc import (
     Generator,
     HookWithTail,
     InconsistentInput,
+    Region,
     Row,
     TruncatedHook,
     class_complex,
@@ -26,6 +27,7 @@ from cfkcalc import (
     parse,
     region_complex,
     square_complex,
+    tau,
     tensor,
 )
 from conftest import (
@@ -59,6 +61,23 @@ ALL_REGIONS = [
     Row(2),
     Row(-3),
 ]
+
+
+def _shapes_at(level: int, span: int):
+    yield Column0()
+    yield FullHook(level)
+    yield GHook(level)
+    yield Row(level)
+    for width in sorted({0, 1, 2, span}):
+        yield TruncatedHook(level, width)
+        for depth in sorted({1, 2, span + 1}):
+            yield HookWithTail(level, width, depth)
+
+
+# every shape above, and every shape the slice checks build at a level,
+# with widths 0..span and tails deeper than the span
+AT_LEVELS = [r for level in (-3, 0, 2) for span in (0, 3) for r in _shapes_at(level, span)]
+SHAPES = list(dict.fromkeys(ALL_REGIONS + AT_LEVELS))
 
 
 def reference_contains(region, i: int, j: int) -> bool:
@@ -157,12 +176,23 @@ def test_row_shape():
     assert not contains(row, 0, 1)
 
 
-@pytest.mark.parametrize("region", ALL_REGIONS, ids=repr)
+@pytest.mark.parametrize("region", SHAPES, ids=repr)
 def test_diagonal_hits_match_brute_force(region):
-    """u_power names the one point of the region on each diagonal, or None."""
-    for a in range(-6, 7):
+    """u_power names the one point of the region on each diagonal, or None,
+    and so do the pieces: at most three, disjoint and in ascending A."""
+    pieces = region.pieces()
+    assert len(pieces) <= 3 and all(slope in (0, 1) for _, _, slope, _ in pieces)
+    assert all(p[1] < q[0] for p, q in zip(pieces, pieces[1:]))
+    # the bounded piece ends lie within the shape's span (width + depth)
+    # below its level: look 2 past it on either side
+    level = getattr(region, "level", 0)
+    reach = abs(level) + getattr(region, "width", 0) + getattr(region, "depth", 0) + 2
+    for a in range(-6 - reach, 7 + reach):
+        hits = brute_diagonal(region, a, window=12 + 2 * reach)
         u = region.u_power(a)
-        assert brute_diagonal(region, a) == (set() if u is None else {(-u, a - u)})
+        assert hits == (set() if u is None else {(-u, a - u)})
+        on = [slope * a + shift for low, high, slope, shift in pieces if low <= a <= high]
+        assert hits == {(-u, a - u) for u in on}
 
 
 @pytest.mark.parametrize("region", ALL_REGIONS, ids=repr)
@@ -311,17 +341,6 @@ def test_differential_squares_to_zero_everywhere(rng):
 # every slice is the reference build cut to its degree
 
 
-def _shapes_at(level: int, span: int):
-    yield Column0()
-    yield FullHook(level)
-    yield GHook(level)
-    yield Row(level)
-    for width in sorted({0, 1, 2, span}):
-        yield TruncatedHook(level, width)
-        for depth in sorted({1, 2, span + 1}):
-            yield HookWithTail(level, width, depth)
-
-
 def _reindex(mask: int, index: dict[int, int]) -> int:
     """mask over reference positions, as a mask over the positions of one
     degree (bit index[p] for bit p); a bit outside that degree fails."""
@@ -393,6 +412,33 @@ def test_boundary_entries_lower_the_degree_by_one():
                 assert all(column >> below == 0 for column in rc.boundary)
                 assert all(column >> len(rc) == 0 for column in rc.above)
                 assert len(rc.above) == (len(s[d + 1]) if d + 1 in s else 0)
+
+
+class Counted(Region):
+    """A region that answers as inner does and records each query made of it."""
+
+    inner: Region
+    queries: list
+
+    def pieces(self):
+        self.queries.append("pieces")
+        return self.inner.pieces()
+
+    def u_power(self, a: int) -> int | None:
+        self.queries.append(a)
+        return self.inner.u_power(a)
+
+
+def test_a_slice_queries_its_region_in_proportion_to_its_own_elements():
+    # T(2,4001) has 4,001 generators at 4,001 Alexander gradings; the slice
+    # of the narrowest truncated hook at tau holds a handful of them
+    c = class_complex(parse("T(2,4001)")).complex
+    region = Counted(TruncatedHook(tau(c), 1), [])
+    rc = region_complex(c, region, 0)
+    arrows = sum(c.offsets[k + 1] - c.offsets[k] for k in rc.gen_index)
+    assert 0 < len(rc) + len(rc.above) < 10
+    assert len(region.queries) <= len(rc) + arrows + len(rc.above) + 3, region.queries[:10]
+    assert rc.gen_index == region_complex(c, region.inner, 0).gen_index
 
 
 def test_a_boundary_entry_off_the_next_degree_is_inconsistent_input():
