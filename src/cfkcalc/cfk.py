@@ -102,9 +102,11 @@ class CfkComplex:
     The constructor checks structure only (names usable and unique, arrow
     endpoints present, U-exponents nonnegative) in the order given; _store
     sorts once and cancels duplicate triples mod 2.  validate() checks the rest.
+    _class_degree, the degree of the rank-one column homology or None, is set
+    only by validate, tensor and dual, and is not part of equality.
     """
 
-    __slots__ = ("generators", "triples", "offsets", "_hash")
+    __slots__ = ("generators", "triples", "offsets", "_hash", "_class_degree")
 
     def __init__(self, generators: Iterable[Generator], arrows: Iterable[Arrow] = ()):
         gens = list(generators)
@@ -134,7 +136,7 @@ class CfkComplex:
         self.generators = tuple(gens[k] for k in order)
         self.triples = tuple(triples)
         self.offsets = tuple(bisect_left(triples, (k,)) for k in range(len(gens) + 1))
-        self._hash = None
+        self._hash = self._class_degree = None
 
     @property
     def arrows(self) -> tuple[Arrow, ...]:
@@ -236,7 +238,8 @@ def _math_errors(c: CfkComplex) -> list[Violation]:
 def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     """Report every grading or d^2 violation; never raises on bad math.
 
-    With knot_class=True also requires column and row homology of rank one.
+    With knot_class=True also requires column and row homology of rank one,
+    and when the column's is, records its degree on c for the invariants.
     A symmetry warning compares generator counts of the reduced complex at
     (s, m) and (-s, m - 2s); it is only attempted on error-free complexes.
     """
@@ -245,9 +248,13 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     if knot_class and not errors:
         # the Maslov law holds here, so homology_ranks raises on no arrow
         for kind, region in (("column", Column0()), ("row", Row(0))):
-            rank = sum(homology_ranks(c, region).values())
+            ranks = homology_ranks(c, region)
+            rank, degree = sum(ranks.values()), max(ranks, key=ranks.__getitem__, default=None)
+            del ranks  # not held while the row is ranked
             if rank != 1:
                 errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
+            elif kind == "column":
+                c._class_degree = degree
     if not errors:
         table = reduce(c).grading_table()
         for (s, m), count in sorted(table.items()):
@@ -263,10 +270,12 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
 # operations
 
 
-def _indexed(gens: list[Generator], triples: Iterable[tuple[int, int, int]]) -> CfkComplex:
-    """Complex on gens (usable, unique names) and triples over their list order."""
+def _indexed(gens: list[Generator], triples: Iterable, degree: int | None = None) -> CfkComplex:
+    """Complex on gens (usable, unique names) and (src, tgt, u) triples over
+    their list order, recording degree as its class degree."""
     c = CfkComplex.__new__(CfkComplex)
     c._store(gens, triples)
+    c._class_degree = degree
     return c
 
 
@@ -274,7 +283,8 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Tensor product; gradings add and the differential obeys the
     Leibniz rule, so every arrow acts on one factor and fixes the other,
     keeping its U power and Alexander drop: a tensor product of reduced
-    complexes is reduced, like the dual of one.
+    complexes is reduced, like the dual of one.  Column0 of the product is
+    the product of the columns, so by Kuenneth class degrees d1, d2 give d1 + d2.
 
     The pair (x1, x2) is named 'x1|x2', plus '#2', '#3', ... when an earlier
     pair took that name.  A product of more than MAX_GENERATORS generators
@@ -303,7 +313,8 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
          for s, t, u in c1.triples),
         (zip(range(s, size, n2), range(t, size, n2), repeat(u)) for s, t, u in c2.triples),
     )
-    return _indexed(gens, chain.from_iterable(runs))
+    d1, d2 = c1._class_degree, c2._class_degree
+    return _indexed(gens, chain.from_iterable(runs), None if None in (d1, d2) else d1 + d2)
 
 
 def _dual_name(name: str) -> str:
@@ -313,7 +324,8 @@ def _dual_name(name: str) -> str:
 def dual(c: CfkComplex) -> CfkComplex:
     """Mirror complex: gradings negate, arrows reverse with the same power.
 
-    Names gain or lose a trailing '*' so that dual(dual(c)) == c.
+    Names gain or lose a trailing '*' so that dual(dual(c)) == c.  The
+    column of the dual is the dual of the column: class degree d becomes -d.
     """
     gens = [Generator(_dual_name(g.name), -g.alexander, -g.maslov) for g in c.generators]
     names = {g.name for g in gens}
@@ -321,7 +333,8 @@ def dual(c: CfkComplex) -> CfkComplex:
         raise ValueError("generator names collide under dualization")
     if "" in names:  # the dual of '*'
         raise ValueError("unusable generator name ''")
-    return _indexed(gens, [(t, s, u) for s, t, u in c.triples])
+    d = c._class_degree
+    return _indexed(gens, [(t, s, u) for s, t, u in c.triples], None if d is None else -d)
 
 
 def reduce(c: CfkComplex) -> CfkComplex:

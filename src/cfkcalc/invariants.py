@@ -16,10 +16,11 @@ epsilon_oracle recomputes epsilon by an independent second route inside the
 row j = tau and must always agree with epsilon.
 
 The class lies in one Maslov degree d (0 for every class the tool builds),
-and each test needs only cycles in degree d and boundaries from degree d + 1:
-the column's homology ranks per degree find d without a build, and every
-region is built as its degree-d slice, relying on the Maslov law that
-homology_ranks checks on every arrow up front.
+and each test needs only cycles in degree d and boundaries from degree d + 1,
+so every region is built as its degree-d slice.  A complex that passed
+validate(knot_class=True), or a tensor product or dual of such, carries d;
+on any other the column's homology ranks per degree find d without a build
+and check on every arrow, up front, the Maslov law the slices rely on.
 
 The four invariants share one analysis of the most recent complex: asking
 for them in turn on one complex finds the class once, and an earlier
@@ -78,18 +79,21 @@ __all__ = [
 class _Analysis:
     """What the invariants read off one complex.
 
-    The degree d and the vertical class of the column complex are found on
-    construction; epsilon, a1 and a2 are stored in ``known`` on first use.
+    The degree d (recorded on c, else ranked) and the vertical class of the
+    column are found on construction; epsilon, a1 and a2 are stored in
+    ``known`` on first use.
     """
 
     def __init__(self, c: CfkComplex):
         gens = c.generators
-        homology = homology_ranks(c, Column0())  # raises on an arrow breaking the Maslov law
-        rank = sum(homology.values())
-        if rank != 1:
-            raise RankNotOne(f"column homology rank {rank}, expected 1")
-        # with d^2 = 0 exactly one degree has homology
-        self.degree = max(homology, key=homology.__getitem__)
+        self.degree = c._class_degree  # recorded by validate, tensor or dual
+        if self.degree is None:
+            homology = homology_ranks(c, Column0())  # raises on an arrow breaking the Maslov law
+            rank = sum(homology.values())
+            if rank != 1:
+                raise RankNotOne(f"column homology rank {rank}, expected 1")
+            # with d^2 = 0 exactly one degree has homology
+            self.degree = max(homology, key=homology.__getitem__)
         rc = region_complex(c, Column0(), self.degree)
         data = homology_data(rc)
         space = data.boundary_space

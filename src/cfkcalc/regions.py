@@ -103,6 +103,10 @@ class TruncatedHook(Region):
     level: int
     width: int
 
+    def __post_init__(self) -> None:
+        if min(self._values()[1:]) < 0:  # the width, and a tail's depth
+            raise ValueError(f"{self!r}: width and depth must be nonnegative")
+
     def pieces(self):
         return ((self.level - self.width, self.level - 1, 1, -self.level), (self.level, _INF, 0, 0))
 

@@ -251,7 +251,7 @@ def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     c.generators = tuple(gens[k] for k in order)
     c.triples = tuple(triples)
     c.offsets = tuple(accumulate(map(counts.__getitem__, range(len(gens))), initial=0))
-    c._hash = None
+    c._hash = c._class_degree = None
     return c
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 import time
 
@@ -41,6 +43,7 @@ from conftest import (
     reference_named_tensor,
     reference_reduce,
     reference_tensor,
+    shift_maslov,
     torus_staircase,
     trefoil_complex,
     with_flat_pairs,
@@ -122,6 +125,47 @@ def test_validate_knot_class_flag():
     two = CfkComplex([Generator("a", 0, 0), Generator("b", 1, 1)])
     report = validate(two, knot_class=True)
     assert not report.ok
+
+
+def test_validate_records_the_class_degree_only_when_the_column_has_rank_one():
+    c = trefoil_complex()
+    assert c._class_degree is None
+    assert validate(c, knot_class=True).ok and c._class_degree == 0
+    maslov = CfkComplex(
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    gens = [Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2)]
+    d_squared = CfkComplex(gens, [Arrow("a", "b", 0), Arrow("b", "c", 0)])
+    rank_two = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)])
+    for bad, kind in ((maslov, "maslov"), (d_squared, "d-squared"), (rank_two, "column-rank")):
+        assert validate(bad, knot_class=True).errors[0].kind == kind
+        assert bad._class_degree is None
+
+
+def test_only_validate_tensor_and_dual_record_a_class_degree(rng):
+    padded = with_flat_pairs(rng, trefoil_complex(), 2)
+    assert validate(padded, knot_class=True).ok and padded._class_degree == 0
+    reduced = reduce(padded)
+    assert reduced == trefoil_complex() and reduced._class_degree is None
+    summed = direct_sum(padded, square_complex(prefix="s"))
+    assert summed._class_degree is None
+    assert deserialize(serialize(padded))._class_degree is None
+    assert tensor(padded, trefoil_complex())._class_degree is None  # one factor unrecorded
+    assert tensor(padded, dual(padded))._class_degree == 0
+
+
+def test_a_class_degree_keeps_equality_hash_and_copies():
+    c = shift_maslov(class_complex(parse("T(3,4)")).complex, 2)
+    assert validate(c, knot_class=True).ok and c._class_degree == 2
+    product = tensor(c, c)
+    plain = deserialize(serialize(product))
+    assert product._class_degree == 4 and plain._class_degree is None
+    assert product == plain and hash(product) == hash(plain)
+    for twin in (pickle.loads(pickle.dumps(product)), copy.deepcopy(product)):
+        assert twin == product and hash(twin) == hash(product)
+        assert twin._class_degree == 4
+        assert (tau(twin), epsilon(twin)) == (6, 1)
 
 
 def test_serialize_golden_and_round_trip():

@@ -38,14 +38,17 @@ from cfkcalc import (
     class_complex,
     direct_sum,
     deserialize,
+    dominance_evidence,
     dual,
     epsilon,
     epsilon_oracle,
     f_map_trivial,
     g_map_trivial,
     hfk_table,
+    homology_ranks,
     parse,
     reduce,
+    serialize,
     square_complex,
     staircase,
     staircase_a_invariants,
@@ -54,6 +57,7 @@ from cfkcalc import (
     tensor,
     torus_alexander,
     unknot_complex,
+    validate,
     vertical_class,
 )
 from cfkcalc import invariants
@@ -295,6 +299,72 @@ def test_an_arrow_breaking_the_maslov_law_is_inconsistent_input():
     )
     with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
         tau(c)
+
+
+# ---------------------------------------------------------------------------
+# the class degree recorded by validate, tensor and dual
+
+
+def validated(c: CfkComplex) -> CfkComplex:
+    assert validate(c, knot_class=True).ok, c
+    return c
+
+
+def recorded_corpus() -> list[CfkComplex]:
+    """Every criterion 10 complex that validates as a class, C(D;p,p+1) -
+    T(p,p+1) for p = 2..6, the duals of all of them, pairwise tensor products
+    of a few, the difference of p = 3 and p = 2, and one whose class sits in
+    degree 2 - 4 = -2: each carries its degree from validate, or from tensor
+    and dual of validated factors."""
+    corpus = [c for c in randomized_corpus(random.Random(SEED)) if validate(c, knot_class=True).ok]
+    exprs = (f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 7))
+    classes = [class_complex(parse(e)).complex for e in exprs]
+    corpus += classes
+    corpus += [dual(c) for c in corpus]
+    small = sorted(corpus, key=len)[::12][:5]
+    corpus += [tensor(a, b) for a in small for b in small]
+    corpus.append(tensor(classes[1], dual(classes[0])))  # 675 generators, epsilon = +1
+    a, b = small[-2:]
+    corpus.append(tensor(validated(shift_maslov(a, 2)), dual(validated(shift_maslov(b, 4)))))
+    return corpus
+
+
+def test_recorded_degree_is_the_ranked_degree_and_the_analysis_agrees():
+    corpus = recorded_corpus()
+    assert corpus[-1]._class_degree == -2
+    for c in corpus:
+        ranks = homology_ranks(c, Column0())
+        assert {k: n for k, n in ranks.items() if n} == {c._class_degree: 1}, c
+        answers = []
+        for complex_ in (c, deserialize(serialize(c))):  # the copy carries no record
+            assert (complex_ is c) == (complex_._class_degree is not None)
+            invariants._analysis.cache_clear()  # an equal complex must not share the analysis
+            answers.append((tau(complex_), epsilon(complex_)))
+            if epsilon(complex_) == 1:
+                answers[-1] += (a1(complex_), a2(complex_))
+        ref = reference_analysis(c)
+        expected = (ref.tau, ref.epsilon) + ((ref.a1, ref.a2) if ref.epsilon == 1 else ())
+        assert answers == [expected, expected], c
+
+
+def test_a_recorded_class_is_not_ranked_again(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the column of a recorded class was ranked again")
+
+    invariants._analysis.cache_clear()
+    monkeypatch.setattr(invariants, "homology_ranks", refuse)
+    k, j = (class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2))
+    assert dominance_evidence(k, j, 2) == (True, 2)
+    c = class_complex(parse("T(2,41)")).complex
+    assert (tau(c), epsilon(c), a1(c), a2(c)) == (20, 1, 1, 1)
+    monkeypatch.undo()
+    # an unvalidated complex is still ranked, with the same refusals
+    rank_two = deserialize("cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n")
+    with pytest.raises(RankNotOne, match=r"^column homology rank 2, expected 1$"):
+        tau(rank_two)
+    broken = deserialize(serialize(trefoil_complex()).replace("x0 A=1 M=0", "x0 A=1 M=2"))
+    with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
+        tau(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,24 @@ def test_hook_with_tail_shape():
     assert not contains(hook, 1, 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TruncatedHook(1, -1),
+    lambda: HookWithTail(1, -1, 2),
+    lambda: HookWithTail(1, 1, -1),
+])
+def test_hooks_refuse_a_negative_width_or_depth(make):
+    # HookWithTail(1, -1, 2) would have a tail overlapping its column
+    with pytest.raises(ValueError, match="width and depth must be nonnegative"):
+        make()
+
+
+def test_hooks_of_width_and_depth_zero_stay_legal():
+    # the a1 search builds the bare ray TruncatedHook(tau, 0)
+    c = trefoil_complex()
+    assert region_complex(c, TruncatedHook(1, 0), 0).gen_index == (2,)
+    assert region_complex(c, HookWithTail(1, 0, 0), 0).gen_index == (2,)
+
+
 def test_row_shape():
     row = Row(2)
     assert contains(row, -5, 2) and contains(row, 5, 2)
