@@ -21,7 +21,6 @@ from itertools import chain, islice, repeat
 from operator import eq
 from typing import Iterable, NamedTuple
 
-from ._value import Value
 from .errors import ParseError, UnsupportedExpression, parse_int
 from .regions import Column0, Row, homology_ranks
 
@@ -44,30 +43,12 @@ __all__ = [
 ]
 
 
-class Generator:
-    """Basis element with Alexander and Maslov gradings; immutable."""
+class Generator(NamedTuple):
+    """Basis element with Alexander and Maslov gradings."""
 
-    __slots__ = ("name", "alexander", "maslov")
-
-    def __init__(self, name: str, alexander: int, maslov: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "maslov", maslov)
-
-    def __eq__(self, other: object) -> bool:
-        same = type(other) is type(self)
-        return self.__reduce__() == other.__reduce__() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.alexander, self.maslov))
-
-    def __repr__(self) -> str:
-        return "Generator(name={!r}, alexander={!r}, maslov={!r})".format(*self.__reduce__()[1])
-
-    __setattr__ = __delattr__ = Value.__setattr__
-
-    def __reduce__(self) -> tuple:
-        return Generator, (self.name, self.alexander, self.maslov)
+    name: str
+    alexander: int
+    maslov: int
 
 
 class Arrow(NamedTuple):
@@ -156,6 +137,10 @@ class CfkComplex:
 
     def __len__(self) -> int:
         return len(self.generators)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt, not restored: the cached hash depends on the string-hash seed
+        return _indexed, (list(self.generators), self.triples, self._class_degree)
 
     def __repr__(self) -> str:
         return f"CfkComplex({len(self.generators)} generators, {len(self.triples)} arrows)"

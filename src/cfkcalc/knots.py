@@ -142,9 +142,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("punct", c, i + 1))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # not isdigit: it passes '³', which int() refuses
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i + 1))
             i = j

@@ -226,6 +226,9 @@ class RegionComplex:
 
 
 def region_complex(c: CfkComplex, region: Region, degree: int) -> RegionComplex:
+    """The Maslov-degree slice of c's region complex at degree.  The degree is
+    required: no build holds every degree.  A boundary entry that does not
+    land one degree down raises InconsistentInput."""
     return RegionComplex(c, region, degree)
 
 

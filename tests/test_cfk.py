@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cfkcalc
 from cfkcalc import (
     MAX_GENERATORS,
     Arrow,
@@ -166,6 +171,23 @@ def test_a_class_degree_keeps_equality_hash_and_copies():
         assert twin == product and hash(twin) == hash(product)
         assert twin._class_degree == 4
         assert (tau(twin), epsilon(twin)) == (6, 1)
+
+
+def test_an_unpickled_complex_hashes_under_the_loading_seed():
+    # the string-hash seeds differ, so a hash carried in the pickle would not
+    # be the loading interpreter's hash of an equal complex
+    src = str(Path(cfkcalc.__file__).resolve().parent.parent)
+    build = "import pickle, sys; from cfkcalc import class_complex, parse; "
+    build += "c = class_complex(parse('T(2,3)')).complex"
+    dump = build + "; hash(c); sys.stdout.buffer.write(pickle.dumps(c))"
+    load = build + "; print(pickle.load(sys.stdin.buffer) in {c})"
+
+    def run(seed: str, code: str, data: bytes | None = None) -> bytes:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        argv = [sys.executable, "-c", code]
+        return subprocess.run(argv, env=env, input=data, capture_output=True, check=True).stdout
+
+    assert run("2", load, run("1", dump)).strip() == b"True"
 
 
 def test_serialize_golden_and_round_trip():

@@ -7,6 +7,7 @@ result, 2 bad input.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import shlex
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from cfkcalc import class_complex, parse, serialize
+from cfkcalc import Ordering, class_complex, parse, serialize
 from cfkcalc.cli import _diagram_geometry, _layout_offsets, main
 from conftest import digit_limit_message, tampered_certificate, trefoil_complex
 
@@ -737,13 +738,12 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 
 # ---------------------------------------------------------------------------
-# README transcripts
+# README transcripts and the Library example
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-TRANSCRIPTS = re.findall(
-    r"^```\n\$ (cfkcalc [^\n]*)\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S
-)
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+TRANSCRIPTS = re.findall(r"^```\n\$ (cfkcalc [^\n]*)\n(.*?)^```$", README, re.M | re.S)
+LIBRARY = re.search(r"^## Library\n\n```python\n(.*?)^```$", README, re.M | re.S)[1]
 
 
 def test_readme_shows_every_subcommand():
@@ -760,3 +760,16 @@ def test_readme_transcripts_are_byte_identical(command, stdout, tmp_path, monkey
     (tmp_path / "trefoil.cfk").write_text(trefoil, encoding="utf-8")
     assert main(shlex.split(command)[1:]) in (0, 1)  # dominates says "not proved"
     assert capsys.readouterr().out == stdout
+
+
+def test_readme_library_block_gives_what_its_comments_state():
+    namespace, shown = {}, []  # the value of each expression statement, in order
+    for node in ast.parse(LIBRARY).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert re.findall(r"# (.*)", LIBRARY) == [
+        "(3, 1, 1, 3)", "raises CertificateError on any defect", "Ordering.GT",
+    ]
+    assert shown == [(3, 1, 1, 3), True, Ordering.GT]

@@ -141,6 +141,7 @@ def test_parse_inverts_rendering(expr):
         ("", 1, "input ended"),
         ("X", 1, "unknown knot symbol"),
         ("$", 1, "unexpected character"),
+        ("T(2,³)", 5, "unexpected character '³'"),  # a digit to isdigit, not to int()
         ("T(a,b)", 3, "expected an integer"),
         ("T(2 3)", 5, "expected ','"),
         ("T(2,3", 6, "expression ended"),
