@@ -17,11 +17,12 @@ import json
 import re
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, islice, repeat
-from operator import eq
+from functools import partial
+from itertools import chain, count, islice, repeat
+from operator import eq, itemgetter, ne
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError, UnsupportedExpression, parse_int
+from .errors import InternalInconsistency, ParseError, UnsupportedExpression, parse_int
 from .regions import Column0, Row, homology_ranks
 
 __all__ = [
@@ -59,16 +60,14 @@ class Arrow(NamedTuple):
     u_exp: int
 
 
-def _gen_key(g: Generator) -> tuple[int, int, str]:
-    return (g.alexander, g.maslov, g.name)
-
-
 def _odd(keys: Iterable[tuple]) -> set[tuple]:
     """The keys that occur an odd number of times: their sum over F2."""
     return {k for k, n in Counter(keys).items() if n % 2}
 
 
 _NAME = re.compile(r"\S+")
+_GEN_KEY = itemgetter(1, 2, 0)  # a generator's (alexander, maslov, name)
+_generator = partial(tuple.__new__, Generator)  # Generator((name, A, M)) in C, for bulk builds
 
 MAX_GENERATORS = 200_000  # the largest tensor product built
 
@@ -109,14 +108,18 @@ class CfkComplex:
 
     def _store(self, gens: list[Generator], triples: Iterable[tuple[int, int, int]]) -> None:
         """Sort gens, rank the triples to match as read, cancel equal ones mod 2."""
-        order = sorted(range(len(gens)), key=lambda k: _gen_key(gens[k]))
-        rank = sorted(range(len(gens)), key=order.__getitem__)  # order's inverse
-        triples = sorted((rank[s], rank[t], u) for s, t, u in triples)
+        order = sorted(range(len(gens)), key=lambda k: _GEN_KEY(gens[k]))
+        if any(map(ne, order, count())):  # gens not already sorted
+            rank = sorted(range(len(gens)), key=order.__getitem__)  # order's inverse
+            triples = ((rank[s], rank[t], u) for s, t, u in triples)
+            gens = map(gens.__getitem__, order)
+        triples = sorted(triples)
         if any(map(eq, triples, islice(triples, 1, None))):  # equal triples are neighbours
             triples = sorted(_odd(triples))
-        self.generators = tuple(gens[k] for k in order)
+        self.generators = tuple(gens)
         self.triples = tuple(triples)
-        self.offsets = tuple(bisect_left(triples, (k,)) for k in range(len(gens) + 1))
+        # the arrows leaving k start at the first triple not below (k,)
+        self.offsets = tuple(map(bisect_left, repeat(triples), zip(range(len(order) + 1))))
         self._hash = self._class_degree = None
 
     @property
@@ -147,7 +150,7 @@ class CfkComplex:
 
     def grading_table(self) -> dict[tuple[int, int], int]:
         """Generator count per (alexander, maslov) pair."""
-        return dict(Counter((g.alexander, g.maslov) for g in self.generators))
+        return dict(Counter(map(itemgetter(1, 2), self.generators)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +171,9 @@ class ValidationReport(NamedTuple):
         return not self.errors
 
     def __str__(self) -> str:
-        if self.ok and not self.warnings:
-            return "ok"
-        lines = []
-        for v in self.errors:
-            lines.append(f"error {v.kind}: {v.message}")
-        for v in self.warnings:
-            lines.append(f"warning {v.kind}: {v.message}")
-        if self.ok:
-            lines.insert(0, "ok")
+        lines = ["ok"] if self.ok else []
+        lines += [f"error {v.kind}: {v.message}" for v in self.errors]
+        lines += [f"warning {v.kind}: {v.message}" for v in self.warnings]
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -190,33 +187,25 @@ class ValidationReport(NamedTuple):
         )
 
 
-def _d_squared_witnesses(c: CfkComplex) -> list[tuple[str, str, int]]:
-    tr, off = c.triples, c.offsets
-    paths = _odd((s, z, u + v) for s, t, u in tr for _, z, v in tr[off[t] : off[t + 1]])
-    names = [g.name for g in c.generators]
-    return sorted((names[s], names[z], n) for s, z, n in paths)
-
-
 def _math_errors(c: CfkComplex) -> list[Violation]:
-    gens = c.generators
-    bad = []
-    for s, t, u in c.triples:
-        gs, gt = gens[s], gens[t]
-        drop = gs.alexander - gt.alexander + u
-        maslov_ok = gs.maslov - 1 == gt.maslov - 2 * u
-        if drop < 0 or not maslov_ok:
-            bad.append(((gs.name, gt.name, u), drop, maslov_ok))
-    errors: list[Violation] = []
-    for (src, tgt, u), drop, maslov_ok in sorted(bad):
-        if drop < 0:
-            errors.append(Violation("j-drop", f"arrow {src}->{tgt} u={u} rises by {-drop}"))
-        if not maslov_ok:
-            message = f"arrow {src}->{tgt} u={u}: M({src})-1 != M({tgt})-2u"
-            errors.append(Violation("maslov", message))
-    for src, tgt, power in _d_squared_witnesses(c):
-        errors.append(
-            Violation("d-squared", f"d^2 sends {src} to U^{power} {tgt} with odd multiplicity")
-        )
+    """Errors of the arrows raising the Alexander grading or breaking the Maslov
+    law, in (source, target, u) name order, sorted only when one fails; then
+    each (source, target, U power) that d^2 reaches an odd number of times."""
+    gens, tr, off, errors = c.generators, c.triples, c.offsets, []
+    alexander, maslov = [g.alexander for g in gens], [g.maslov for g in gens]
+    if not all(alexander[s] + u >= alexander[t] and maslov[s] + 2 * u == maslov[t] + 1
+               for s, t, u in tr):
+        for src, tgt, u, s, t in sorted((gens[s].name, gens[t].name, u, s, t) for s, t, u in tr):
+            if alexander[s] + u < alexander[t]:
+                rise = alexander[t] - alexander[s] - u
+                errors.append(Violation("j-drop", f"arrow {src}->{tgt} u={u} rises by {rise}"))
+            if maslov[s] - 1 != maslov[t] - 2 * u:
+                message = f"arrow {src}->{tgt} u={u}: M({src})-1 != M({tgt})-2u"
+                errors.append(Violation("maslov", message))
+    paths = _odd((s, z, u + v) for s, t, u in tr for _, z, v in tr[off[t] : off[t + 1]])
+    for src, tgt, n in sorted((gens[s].name, gens[z].name, n) for s, z, n in paths):
+        message = f"d^2 sends {src} to U^{n} {tgt} with odd multiplicity"
+        errors.append(Violation("d-squared", message))
     return errors
 
 
@@ -228,12 +217,12 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     A symmetry warning compares generator counts of the reduced complex at
     (s, m) and (-s, m - 2s); it is only attempted on error-free complexes.
     """
-    warnings: list[Violation] = []
     errors = _math_errors(c)
+    warnings: list[Violation] = []
     if knot_class and not errors:
-        # the Maslov law holds here, so homology_ranks raises on no arrow
+        # every arrow keeps the Maslov law, checked above
         for kind, region in (("column", Column0()), ("row", Row(0))):
-            ranks = homology_ranks(c, region)
+            ranks = homology_ranks(c, region, lawful=True)
             rank, degree = sum(ranks.values()), max(ranks, key=ranks.__getitem__, default=None)
             del ranks  # not held while the row is ranked
             if rank != 1:
@@ -242,10 +231,10 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
                 c._class_degree = degree
     if not errors:
         table = reduce(c).grading_table()
-        for (s, m), count in sorted(table.items()):
+        for (s, m), n in sorted(table.items()):
             other = table.get((-s, m - 2 * s), 0)
-            if count != other:
-                message = f"{count} generators at (A, M) = ({s}, {m}) but "
+            if n != other:
+                message = f"{n} generators at (A, M) = ({s}, {m}) but "
                 message += f"{other} at ({-s}, {m - 2 * s})"
                 warnings.append(Violation("symmetry", message))
     return ValidationReport(tuple(errors), tuple(warnings))
@@ -290,7 +279,7 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
                 candidate = f"{base}#{tie}"
                 tie += 1
             used.add(candidate)
-            gens.append(Generator(candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov))
+            gens.append(_generator((candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov)))
     # the pair (k1, k2) sits at k1 * n2 + k2; _store ranks triples as they are made
     n2 = len(c2.generators)
     runs = chain(
@@ -312,7 +301,7 @@ def dual(c: CfkComplex) -> CfkComplex:
     Names gain or lose a trailing '*' so that dual(dual(c)) == c.  The
     column of the dual is the dual of the column: class degree d becomes -d.
     """
-    gens = [Generator(_dual_name(g.name), -g.alexander, -g.maslov) for g in c.generators]
+    gens = [_generator((_dual_name(g.name), -g.alexander, -g.maslov)) for g in c.generators]
     names = {g.name for g in gens}
     if len(names) != len(gens):
         raise ValueError("generator names collide under dualization")
@@ -432,57 +421,62 @@ def serialize(c: CfkComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field(m: re.Match, k: int, lineno: int) -> int:
-    """Integer group k of m; past the digit limit, ParseError at its column."""
-    try:
-        return int(m[k])
-    except ValueError:
-        return parse_int(m[k], lineno, m.start(k) + 1)
+def _refuse(line: str, lineno: int, seen: dict[str, int]) -> None:
+    """Raise the ParseError of a line the split reading refused, placed by the regexes."""
+    if line.startswith("gen"):
+        m = _GEN_RE.match(line)
+        if m is None:
+            raise ParseError("malformed gen line", line=lineno, column=1)
+        if m[1] in seen:
+            raise ParseError(f"duplicate generator {m[1]!r}", line=lineno, column=m.start(1) + 1)
+        fields = (2, 3)
+    elif line.startswith("arr"):
+        m = _ARR_RE.match(line)
+        if m is None:
+            raise ParseError("malformed arr line", line=lineno, column=1)
+        for k in (1, 2):
+            if m[k] not in seen:
+                raise ParseError(f"unknown generator {m[k]!r}", line=lineno, column=m.start(k) + 1)
+        fields = (3,)
+    elif line[0].isspace():
+        raise ParseError("unexpected leading whitespace", line=lineno, column=1)
+    else:
+        raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
+    for k in fields:  # all that is left to refuse: a literal past the digit limit
+        parse_int(m[k], lineno, m.start(k) + 1)
+    raise InternalInconsistency(f"line {lineno}: the split reading refuses what the regexes read")
 
 
 def deserialize(text: str) -> CfkComplex:
     """Parse the cfk v1 format; structural problems raise ParseError.
 
-    Grading violations are accepted here and left to validate(); an arrow
-    naming an unknown generator is structural and rejected.  Names map to
-    generator indices as lines are read, so each arrow line becomes one
-    index triple.  Duplicate arrow lines cancel mod 2.
+    Grading violations are left to validate().  Each line is split at
+    whitespace and read to the grammar of _GEN_RE and _ARR_RE, which place the
+    error of a line the split reading refuses, such as an arrow naming an
+    unknown generator; duplicate arrow lines cancel mod 2.
     """
-    lines = text.splitlines()
-    gens: list[Generator] = []
-    seen: dict[str, int] = {}  # name -> generator index
-    triples: list[tuple[int, int, int]] = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
-        if not line.strip():
+    lines = enumerate(text.splitlines(), start=1)
+    lineno, header = next(((k, line) for k, line in lines if line.strip()), (1, ""))
+    if header.strip() != _HEADER:  # the first nonblank line
+        raise ParseError(f"expected {_HEADER!r} header", line=lineno, column=1)
+    gens, seen, triples = [], {}, []  # generators; name -> index; (source, target, u) triples
+    for lineno, line in lines:
+        fields = line.split()
+        if not fields:
             continue
-        if not header_seen:
-            if line.strip() != _HEADER:
-                raise ParseError(f"expected {_HEADER!r} header", line=lineno, column=1)
-            header_seen = True
-            continue
-        if line.startswith("gen"):
-            m = _GEN_RE.match(line)
-            if m is None:
-                raise ParseError("malformed gen line", line=lineno, column=1)
-            name = m.group(1)
-            if name in seen:
-                message = f"duplicate generator {name!r}"
-                raise ParseError(message, line=lineno, column=m.start(1) + 1)
-            seen[name] = len(gens)
-            gens.append(Generator(name, _field(m, 2, lineno), _field(m, 3, lineno)))
-        elif line.startswith("arr"):
-            m = _ARR_RE.match(line)
-            if m is None:
-                raise ParseError("malformed arr line", line=lineno, column=1)
-            for k in (1, 2):
-                if m.group(k) not in seen:
-                    message = f"unknown generator {m.group(k)!r}"
-                    raise ParseError(message, line=lineno, column=m.start(k) + 1)
-            triples.append((seen[m[1]], seen[m[2]], _field(m, 3, lineno)))
-        else:
-            raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
-    if not header_seen:
-        raise ParseError(f"expected {_HEADER!r} header", line=1, column=1)
+        try:  # an integer is an optional '-' (not in u) and decimal digits, as -?\d+ reads
+            kind, first, second, last = fields  # the kind at column 1
+            a, m = second[2:], last[2:]
+            if kind == "arr" and line[0] == "a" and last[:2] == "u=" and m.isdecimal():
+                triples.append((seen[first], seen[second], int(m)))
+                continue
+            if (kind == "gen" and line[0] == "g" and first not in seen
+                    and second[:2] == "A=" and a.removeprefix("-").isdecimal()
+                    and last[:2] == "M=" and m.removeprefix("-").isdecimal()):
+                gens.append(_generator((first, int(a), int(m))))
+                seen[first] = len(gens) - 1
+                continue
+        except (KeyError, ValueError):  # a missing name, a literal past the digit limit
+            pass
+        _refuse(line, lineno, seen)
     return _indexed(gens, triples)

@@ -27,7 +27,9 @@ from cfkcalc import (
     Generator,
     GHook,
     HookWithTail,
+    ParseError,
     RankNotOne,
+    Row,
     TruncatedHook,
     StaircaseExponents,
     class_complex,
@@ -43,7 +45,8 @@ from cfkcalc import (
     staircase_exponents,
     unknot_complex,
 )
-from cfkcalc.cfk import _odd
+from cfkcalc.cfk import ValidationReport, Violation, _odd
+from cfkcalc.errors import parse_int
 from cfkcalc.gf2 import Gf2Space, kernel_and_image
 
 SEED = 20260823
@@ -469,6 +472,115 @@ def shift_maslov(c: CfkComplex, shift: int) -> CfkComplex:
     return CfkComplex(
         [Generator(g.name, g.alexander, g.maslov + shift) for g in c.generators], c.arrows
     )
+
+
+# ---------------------------------------------------------------------------
+# the line-regex reader and the check-by-check validation, as references
+
+
+_REFERENCE_GEN_RE = re.compile(r"^gen\s+(\S+)\s+A=(-?\d+)\s+M=(-?\d+)\s*$")
+_REFERENCE_ARR_RE = re.compile(r"^arr\s+(\S+)\s+(\S+)\s+u=(\d+)\s*$")
+
+
+def reference_deserialize(text: str) -> CfkComplex:
+    """The cfk v1 reader that matches one regex per line: every field is a
+    group of it, and each ParseError is placed at its group's column.  Its one
+    change from the first such reader is the message for a line with leading
+    whitespace, once 'unknown directive' naming its first word."""
+
+    def field(m: re.Match, k: int, lineno: int) -> int:
+        try:
+            return int(m[k])
+        except ValueError:
+            return parse_int(m[k], lineno, m.start(k) + 1)
+
+    gens: list[Generator] = []
+    arrows: list[Arrow] = []
+    seen: set[str] = set()
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
+        if not line.strip():
+            continue
+        if not header_seen:
+            if line.strip() != "cfk v1":
+                raise ParseError("expected 'cfk v1' header", line=lineno, column=1)
+            header_seen = True
+            continue
+        if line.startswith("gen"):
+            m = _REFERENCE_GEN_RE.match(line)
+            if m is None:
+                raise ParseError("malformed gen line", line=lineno, column=1)
+            if m[1] in seen:
+                message = f"duplicate generator {m[1]!r}"
+                raise ParseError(message, line=lineno, column=m.start(1) + 1)
+            seen.add(m[1])
+            gens.append(Generator(m[1], field(m, 2, lineno), field(m, 3, lineno)))
+        elif line.startswith("arr"):
+            m = _REFERENCE_ARR_RE.match(line)
+            if m is None:
+                raise ParseError("malformed arr line", line=lineno, column=1)
+            for k in (1, 2):
+                if m[k] not in seen:
+                    message = f"unknown generator {m[k]!r}"
+                    raise ParseError(message, line=lineno, column=m.start(k) + 1)
+            arrows.append(Arrow(m[1], m[2], field(m, 3, lineno)))
+        elif line[0].isspace():
+            raise ParseError("unexpected leading whitespace", line=lineno, column=1)
+        else:
+            raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
+    if not header_seen:
+        raise ParseError("expected 'cfk v1' header", line=1, column=1)
+    return CfkComplex(gens, arrows)
+
+
+def reference_validate(
+    c: CfkComplex, knot_class: bool = False
+) -> tuple[ValidationReport, int | None]:
+    """validate(c, knot_class) check by check, with the class degree it
+    records: each arrow's Alexander drop and Maslov law from its generators,
+    d^2 from every path of two arrows, the column and row ranks from the
+    reference builds, and the symmetry of the reference reduction."""
+    gens, names = c.generators, [g.name for g in c.generators]
+    bad = []
+    for s, t, u in c.triples:
+        drop = gens[s].alexander - gens[t].alexander + u
+        maslov_ok = gens[s].maslov - 1 == gens[t].maslov - 2 * u
+        if drop < 0 or not maslov_ok:
+            bad.append(((names[s], names[t], u), drop, maslov_ok))
+    errors = []
+    for (src, tgt, u), drop, maslov_ok in sorted(bad):
+        if drop < 0:
+            errors.append(Violation("j-drop", f"arrow {src}->{tgt} u={u} rises by {-drop}"))
+        if not maslov_ok:
+            message = f"arrow {src}->{tgt} u={u}: M({src})-1 != M({tgt})-2u"
+            errors.append(Violation("maslov", message))
+    out: dict[int, list[tuple[int, int]]] = {}
+    for s, t, u in c.triples:
+        out.setdefault(s, []).append((t, u))
+    paths = [(s, z, u + v) for s, t, u in c.triples for z, v in out.get(t, ())]
+    for src, tgt, power in sorted((names[s], names[z], n) for s, z, n in _odd(paths)):
+        message = f"d^2 sends {src} to U^{power} {tgt} with odd multiplicity"
+        errors.append(Violation("d-squared", message))
+    degree = None
+    if knot_class and not errors:
+        for kind, region in (("column", Column0()), ("row", Row(0))):
+            ranks = reference_homology_ranks(c, region)
+            rank = sum(ranks.values())
+            if rank != 1:
+                errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
+            elif kind == "column":
+                degree = next(k for k, n in ranks.items() if n)
+    warnings = []
+    if not errors:
+        table = reference_reduce(c).grading_table()
+        for (s, m), count in sorted(table.items()):
+            other = table.get((-s, m - 2 * s), 0)
+            if count != other:
+                message = f"{count} generators at (A, M) = ({s}, {m}) but "
+                message += f"{other} at ({-s}, {m - 2 * s})"
+                warnings.append(Violation("symmetry", message))
+    return ValidationReport(tuple(errors), tuple(warnings)), degree
 
 
 # ---------------------------------------------------------------------------

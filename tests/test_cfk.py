@@ -7,6 +7,7 @@ import hashlib
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import cfkcalc
+from cfkcalc import cfk
 from cfkcalc import (
     MAX_GENERATORS,
     Arrow,
     CfkComplex,
     Generator,
+    InternalInconsistency,
     Mirror,
     ParseError,
     Sum,
@@ -45,9 +48,11 @@ from conftest import (
     random_staircase,
     randomized_corpus,
     reference_change_basis,
+    reference_deserialize,
     reference_named_tensor,
     reference_reduce,
     reference_tensor,
+    reference_validate,
     shift_maslov,
     torus_staircase,
     trefoil_complex,
@@ -132,6 +137,39 @@ def test_validate_knot_class_flag():
     assert not report.ok
 
 
+def _validate_breakers() -> list[CfkComplex]:
+    """One complex per way validate refuses, and a class beside a row-only pair."""
+    rises = CfkComplex([Generator("a", 0, 0), Generator("b", 1, -1)], [Arrow("a", "b", 0)])
+    maslov = CfkComplex(  # the trefoil with M(x0) raised by 2
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    odd = CfkComplex(
+        [Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2)],
+        [Arrow("a", "b", 0), Arrow("b", "c", 0)],
+    )
+    rank2 = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)])
+    pair = CfkComplex([Generator("p", 1, 0), Generator("q", 0, -1)], [Arrow("p", "q", 0)])
+    return [rises, maslov, odd, rank2, square_complex(), direct_sum(trefoil_complex(), pair)]
+
+
+def test_validate_matches_the_check_by_check_reference():
+    corpus = randomized_corpus(random.Random(SEED))
+    classes = [
+        class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex for p in range(2, 7)
+    ]
+    kinds = set()
+    for c in corpus + [dual(c) for c in corpus] + classes + _validate_breakers():
+        for knot_class in (False, True):
+            fresh = CfkComplex(c.generators, c.arrows)  # no recorded class degree
+            report = validate(fresh, knot_class=knot_class)
+            expected, degree = reference_validate(fresh, knot_class=knot_class)
+            assert report == expected and str(report) == str(expected), c
+            assert fresh._class_degree == (degree if knot_class else None), c
+            kinds |= {v.kind for v in report.errors + report.warnings}
+    assert kinds == {"j-drop", "maslov", "d-squared", "column-rank", "row-rank", "symmetry"}
+
+
 def test_validate_records_the_class_degree_only_when_the_column_has_rank_one():
     c = trefoil_complex()
     assert c._class_degree is None
@@ -196,17 +234,218 @@ def test_serialize_golden_and_round_trip():
     assert deserialize(serialize(c)) == c
 
 
+_HEAD = "cfk v1\n"
+_GEN_A = "gen a A=0 M=0\n"
+_HEADER_MESSAGE = "expected 'cfk v1' header"
+
+# (text, message, line, column) of every refusal the reader makes
+DESERIALIZE_ERRORS = [
+    # a missing or wrong header
+    ("", _HEADER_MESSAGE, 1, 1),
+    ("\n \t\n", _HEADER_MESSAGE, 1, 1),
+    ("cfk v2\n", _HEADER_MESSAGE, 1, 1),
+    ("\n\ncfk\n", _HEADER_MESSAGE, 3, 1),
+    ("cfk  v1\n", _HEADER_MESSAGE, 1, 1),
+    ("CFK v1\n", _HEADER_MESSAGE, 1, 1),
+    (_GEN_A, _HEADER_MESSAGE, 1, 1),
+    # a missing or extra field
+    (_HEAD + "gen a A=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a M=0 A=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=0 M=0 x\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=0 M=0 gen b A=1 M=2\n", "malformed gen line", 2, 1),
+    (_HEAD + _GEN_A + "arr a a\n", "malformed arr line", 3, 1),
+    (_HEAD + _GEN_A + "arr a u=0\n", "malformed arr line", 3, 1),
+    (_HEAD + _GEN_A + "arr a a u=0 u=0\n", "malformed arr line", 3, 1),
+    (_HEAD + _GEN_A + "arr a a u=0 arr a a u=0\n", "malformed arr line", 3, 1),
+    # integers: an optional '-' and decimal digits, none for u
+    (_HEAD + "gen a A=x M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=+1 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=1_0 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=--1 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A= M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=0 M=-\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=1.0 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "gen a A=³ M=0\n", "malformed gen line", 2, 1),  # superscript three
+    (_HEAD + "gen a a=0 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + _GEN_A + "arr a a u=-1\n", "malformed arr line", 3, 1),
+    (_HEAD + _GEN_A + "arr a a u=-0\n", "malformed arr line", 3, 1),
+    (_HEAD + _GEN_A + "arr a a u=+0\n", "malformed arr line", 3, 1),
+    (_HEAD + _GEN_A + "arr a a U=0\n", "malformed arr line", 3, 1),
+    # a directive with more letters is malformed, not unknown
+    (_HEAD + "genx a A=0 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + "generator a A=0 M=0\n", "malformed gen line", 2, 1),
+    (_HEAD + _GEN_A + "arrow a a u=0\n", "malformed arr line", 3, 1),
+    # names: a duplicate generator, an unknown source or target, at their column
+    (_HEAD + _GEN_A + "gen a A=1 M=1\n", "duplicate generator 'a'", 3, 5),
+    (_HEAD + _GEN_A + "gen\t  a A=1 M=1\n", "duplicate generator 'a'", 3, 7),
+    (_HEAD + _GEN_A + "arr b a u=0\n", "unknown generator 'b'", 3, 5),
+    (_HEAD + _GEN_A + "arr a  b u=0\n", "unknown generator 'b'", 3, 8),
+    (_HEAD + _GEN_A + "arr\tb\tc u=0\n", "unknown generator 'b'", 3, 5),
+    (_HEAD + "arr a b u=0\n" + _GEN_A + "gen b A=1 M=0\n", "unknown generator 'a'", 2, 5),
+    # CRLF line endings count lines as LF does
+    ("cfk v1\r\n\r\ngen a A=x M=0\r\n", "malformed gen line", 3, 1),
+    # an unknown directive, and a line that does not start at column 1
+    (_HEAD + "foo\n", "unknown directive 'foo'", 2, 1),
+    (_HEAD + "Gen a A=0 M=0\n", "unknown directive 'Gen'", 2, 1),
+    (_HEAD + _GEN_A + "cfk v1\n", "unknown directive 'cfk'", 3, 1),
+    (_HEAD + "  gen a A=0 M=0\n", "unexpected leading whitespace", 2, 1),
+    (_HEAD + _GEN_A + "\tarr a a u=0\n", "unexpected leading whitespace", 3, 1),
+    (_HEAD + " foo\n", "unexpected leading whitespace", 2, 1),
+]
+
+
+def _digit_limit_errors(digits: str) -> list[tuple[str, str, int, int]]:
+    """Literals past the digit limit in A, M and u, each at its column; a
+    duplicate name is found before them, and A before M."""
+    message = digit_limit_message(len(digits))
+    return [
+        (_HEAD + f"gen a A={digits} M=0\n", message, 2, 9),
+        (_HEAD + f"gen a A=0 M=-{digits}\n", message, 2, 13),
+        (_HEAD + f"gen\ta\tA={digits}\tM={digits}\n", message, 2, 9),
+        (_HEAD + f"gen a A=1 M=0\ngen b A=0 M=-1\narr a b u={digits}\n", message, 4, 11),
+        (_HEAD + _GEN_A + f"gen a A={digits} M=0\n", "duplicate generator 'a'", 3, 5),
+    ]
+
+
+def _outcome(read, text: str):
+    """read(text), or the message, line and column of its ParseError."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
 def test_deserialize_errors():
-    with pytest.raises(ParseError, match="header"):
-        deserialize("gen a A=0 M=0\n")
-    with pytest.raises(ParseError, match="malformed gen"):
-        deserialize("cfk v1\ngen a A=x M=0\n")
-    with pytest.raises(ParseError, match="duplicate"):
-        deserialize("cfk v1\ngen a A=0 M=0\ngen a A=0 M=0\n")
-    with pytest.raises(ParseError, match="unknown generator"):
-        deserialize("cfk v1\ngen a A=0 M=0\narr a b u=0\n")
-    with pytest.raises(ParseError, match="directive"):
-        deserialize("cfk v1\nfoo\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    cases = DESERIALIZE_ERRORS + (_digit_limit_errors("1" * (limit + 1)) if limit else [])
+    for text, message, line, column in cases:
+        expected = (f"line {line}, column {column}: {message}", line, column)
+        assert _outcome(deserialize, text) == expected, text
+
+
+# (text, the complex it reads) of the grammar's freedoms
+DESERIALIZE_ACCEPTED = [
+    (TREFOIL_TEXT, trefoil_complex()),
+    ("  cfk v1 \t\n" + TREFOIL_TEXT[7:], trefoil_complex()),
+    ("\n \ncfk v1\n" + TREFOIL_TEXT[7:], trefoil_complex()),
+    (_HEAD + TREFOIL_TEXT[7:].replace(" ", "\t"), trefoil_complex()),
+    (_HEAD + TREFOIL_TEXT[7:].replace(" ", "  \t "), trefoil_complex()),
+    (_HEAD + TREFOIL_TEXT[7:].replace(" ", "\u00a0\u3000"), trefoil_complex()),
+    (TREFOIL_TEXT.replace("\n", " \t\n"), trefoil_complex()),
+    (TREFOIL_TEXT.replace("\n", "\r\n"), trefoil_complex()),
+    (TREFOIL_TEXT.replace("\n", "\r\n\r\n  \r\n"), trefoil_complex()),
+    (TREFOIL_TEXT.rstrip("\n"), trefoil_complex()),
+    (
+        "cfk v1\ngen x1 A=0 M=-1\ngen x2 A=-1 M=-2\narr x1 x2 u=0\ngen x0 A=1 M=0\narr x1 x0 u=1\n",
+        trefoil_complex(),
+    ),
+    (
+        TREFOIL_TEXT + "arr x1 x2 u=0\narr x1 x2 u=0\narr x1 x0 u=1\n",
+        CfkComplex(trefoil_complex().generators, [Arrow("x1", "x2", 0)]),
+    ),
+    (
+        "cfk v1\ngen a A=٣ M=-١٠\ngen b A=２ M=0\narr a b u=१\n",
+        CfkComplex([Generator("a", 3, -10), Generator("b", 2, 0)], [Arrow("a", "b", 1)]),
+    ),
+    ("cfk v1\ngen x|y* A=-0 M=007\n", CfkComplex([Generator("x|y*", 0, 7)])),
+    ("cfk v1\n", CfkComplex([])),
+]
+
+
+def test_deserialize_accepted_grammar():
+    for text, expected in DESERIALIZE_ACCEPTED:
+        c = deserialize(text)
+        assert c == expected and c.generators == expected.generators, text
+        assert c._class_degree is None
+        assert serialize(c) == serialize(expected)
+
+
+# the pieces a mutation puts into a line: fields, broken fields, separators
+_MUTATION_TOKENS = [
+    "gen", "arr", "genx", "cfk", "v1", "A=0", "M=-1", "u=0", "u=2", "A=", "A=+1", "A=1_0",
+    "A=--1", "M=٣", "M=-０", "u=-1", "u=٢", "A=³", "x", "-", "=",
+]
+_SEPARATORS = ["\t", "  ", " \t", " ", "　", "\x1f"]
+
+
+def _mutant(rng: random.Random, lines: list[str]) -> str:
+    """lines with one token-level or line-level edit, joined by LF or CRLF."""
+    lines = list(lines)
+    k = rng.randrange(len(lines))
+    words = lines[k].split(" ")
+    op = rng.randrange(14)
+    if op == 0 and len(words) > 1:
+        del words[rng.randrange(len(words))]
+    elif op == 1:
+        j = rng.randrange(len(words))
+        words.insert(j, words[j])
+    elif op == 2 and len(words) > 1:
+        j = rng.randrange(len(words) - 1)
+        words[j], words[j + 1] = words[j + 1], words[j]
+    elif op == 3:
+        words[rng.randrange(len(words))] = rng.choice(_MUTATION_TOKENS)
+    elif op == 4:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(_MUTATION_TOKENS))
+    elif op == 5:  # one separator, or the line's end, becomes other whitespace
+        j = rng.randrange(len(words))
+        words[j] += rng.choice(_SEPARATORS)
+    elif op == 6:
+        words[0] = rng.choice(_SEPARATORS) + words[0]
+    elif op == 7 and k + 1 < len(lines):  # two records on one line
+        words += lines.pop(k + 1).split(" ")
+    elif op == 8:
+        del lines[k]
+        return "\n".join(lines)
+    elif op == 9:
+        lines.insert(rng.randrange(len(lines) + 1), lines[k])
+    elif op == 10:  # a line moved earlier: an arrow before its generator
+        lines.insert(rng.randrange(k + 1), lines.pop(k))
+    elif op == 11:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t\t"]))
+    elif op == 12:  # a digit of a field becomes another script's digit
+        j = rng.randrange(len(words))
+        words[j] = words[j].replace("1", rng.choice("١१１")).replace("0", rng.choice("٠०０"))
+    else:
+        words[rng.randrange(len(words))] += rng.choice(["1", "x", "=", "-", "_1"])
+    lines[k] = " ".join(words)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def test_deserialize_matches_the_line_regex_reader_on_mutated_files():
+    rng = random.Random(SEED)
+    texts = [TREFOIL_TEXT] + [
+        serialize(class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex)
+        for p in range(2, 7)
+    ]
+    refused = 0
+    for k in range(504):
+        text = _mutant(rng, texts[k % len(texts)].splitlines())
+        expected, got = _outcome(reference_deserialize, text), _outcome(deserialize, text)
+        if isinstance(expected, tuple):
+            refused += 1
+            assert got == expected, f"mutant {k}"
+        else:
+            assert got == expected and got.generators == expected.generators, f"mutant {k}"
+            assert got._class_degree is None
+    assert 150 < refused < 450  # both readings meet many files
+
+
+def test_a_line_read_by_the_regexes_alone_is_never_dropped(monkeypatch):
+    # a regex wider than the split reading: the reader must not skip the line
+    wider = re.compile(r"^gen\s+(\S+)\s+A=([-+]?\d+)\s+M=(-?\d+)\s*$")
+    monkeypatch.setattr(cfk, "_GEN_RE", wider)
+    with pytest.raises(InternalInconsistency, match="^line 2: the split reading refuses"):
+        deserialize("cfk v1\ngen a A=+1 M=0\n")
+
+
+def test_deserialize_round_trips_every_golden():
+    for text in [TREFOIL_TEXT] + [
+        serialize(class_complex(parse(expr)).complex) for expr in sorted(GOLDEN_DIGESTS)
+    ]:
+        assert serialize(deserialize(text)) == text
+        assert deserialize(text) == reference_deserialize(text)
 
 
 def test_deserialize_refuses_a_literal_past_the_digit_limit_at_its_field(too_many_digits):

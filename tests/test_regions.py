@@ -517,8 +517,11 @@ def test_homology_ranks_match_the_full_build():
     for c in _ranks_cases(rng):
         low, high = c.generators[0].alexander, c.generators[-1].alexander
         levels = sorted({low - 1, low, 0, (low + high) // 2, high + 1})
-        for region in [Column0(), *map(Row, levels)]:
-            assert homology_ranks(c, region) == reference_homology_ranks(c, region), region
+        for region in [Column0(), *map(Row, levels), *map(FullHook, levels), *map(GHook, levels)]:
+            expected = reference_homology_ranks(c, region)
+            assert homology_ranks(c, region) == expected, region
+            # every arrow keeps the Maslov law, so the pass that checks it may be skipped
+            assert homology_ranks(c, region, lawful=True) == expected, region
         # column degree blocks of several elements: bits name places in a block
         largest = max(largest, max(Counter(g.maslov for g in c.generators).values()))
     assert largest >= 8
@@ -532,6 +535,7 @@ def test_homology_ranks_of_classes_have_rank_one_in_degree_0(text):
     for region in (Column0(), Row(0), Row(3), Row(-2)):
         ranks = homology_ranks(c, region)
         assert ranks == reference_homology_ranks(c, region)
+        assert ranks == homology_ranks(c, region, lawful=True)
         assert [r for r in ranks.values() if r] == [1]
     assert {k: r for k, r in homology_ranks(c, Column0()).items() if r} == {0: 1}
 
