@@ -82,8 +82,9 @@ class CfkComplex:
     The constructor checks structure only (names usable and unique, arrow
     endpoints present, U-exponents nonnegative) in the order given; _store
     sorts once and cancels duplicate triples mod 2.  validate() checks the rest.
-    _class_degree, the degree of the rank-one column homology or None, is set
-    only by validate, tensor and dual, and is not part of equality.
+    _class_degree marks a checked knot class (validate(knot_class=True) found
+    no error, or tensor, dual or reduce made it of such) by the column's
+    homology degree, and is None on any other; it is not part of equality.
     """
 
     __slots__ = ("generators", "triples", "offsets", "_hash", "_class_degree")
@@ -213,7 +214,7 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     """Report every grading or d^2 violation; never raises on bad math.
 
     With knot_class=True also requires column and row homology of rank one,
-    and when the column's is, records its degree on c for the invariants.
+    and when the report has no error, records the column's degree on c.
     A symmetry warning compares generator counts of the reduced complex at
     (s, m) and (-s, m - 2s); it is only attempted on error-free complexes.
     """
@@ -228,8 +229,10 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
             if rank != 1:
                 errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
             elif kind == "column":
-                c._class_degree = degree
+                column_degree = degree
     if not errors:
+        if knot_class:
+            c._class_degree = column_degree
         table = reduce(c).grading_table()
         for (s, m), n in sorted(table.items()):
             other = table.get((-s, m - 2 * s), 0)
@@ -321,7 +324,8 @@ def reduce(c: CfkComplex) -> CfkComplex:
     Alexander filtration (validate() checks it), a new flat w -> z needs a
     flat w -> y, so w comes after x: a source once passed never gets a flat
     arrow again, and each pair cancelled is the least flat arrow by (source,
-    target) name.  When nothing cancels, c itself is returned.
+    target) name.  When nothing cancels, c itself is returned.  The ends of
+    a flat arrow share a lattice point in every region: the class degree stays.
     """
     gens = c.generators
     alex = [g.alexander for g in gens]
@@ -348,7 +352,7 @@ def reduce(c: CfkComplex) -> CfkComplex:
     live = [k for k in range(len(gens)) if k not in dead]
     new = {k: i for i, k in enumerate(live)}
     triples = [(new[s], new[t], u) for s in live for t, u in out[s] if t not in dead]
-    return _indexed([gens[k] for k in live], triples)
+    return _indexed([gens[k] for k in live], triples, c._class_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ row j = tau and must always agree with epsilon.
 
 The class lies in one Maslov degree d (0 for every class the tool builds),
 and each test needs only cycles in degree d and boundaries from degree d + 1,
-so every region is built as its degree-d slice.  A complex that passed
-validate(knot_class=True), or a tensor product or dual of such, carries d;
-on any other the column's homology ranks per degree find d without a build
-and check on every arrow, up front, the Maslov law the slices rely on.
+so every region is built as its degree-d slice.  A checked class carries d
+(see CfkComplex); on any other, validate(knot_class=True) runs first and its
+first error is raised (RankNotOne for a rank, else InconsistentInput).
 
 The four invariants share one analysis of the most recent complex: asking
 for them in turn on one complex finds the class once, and an earlier
@@ -34,7 +33,7 @@ import itertools
 import json
 from typing import Iterator, NamedTuple
 
-from .cfk import CfkComplex, dual, reduce, tensor, validate
+from .cfk import CfkComplex, _math_errors, dual, reduce, tensor, validate
 from .errors import (
     EpsilonNotOne,
     InconsistentInput,
@@ -55,7 +54,6 @@ from .regions import (
     Row,
     TruncatedHook,
     homology_data,
-    homology_ranks,
     region_complex,
 )
 
@@ -79,21 +77,17 @@ __all__ = [
 class _Analysis:
     """What the invariants read off one complex.
 
-    The degree d (recorded on c, else ranked) and the vertical class of the
-    column are found on construction; epsilon, a1 and a2 are stored in
+    The vertical class of the column, in the degree d a checked class
+    carries, is found on construction; epsilon, a1 and a2 are stored in
     ``known`` on first use.
     """
 
     def __init__(self, c: CfkComplex):
         gens = c.generators
-        self.degree = c._class_degree  # recorded by validate, tensor or dual
-        if self.degree is None:
-            homology = homology_ranks(c, Column0())  # raises on an arrow breaking the Maslov law
-            rank = sum(homology.values())
-            if rank != 1:
-                raise RankNotOne(f"column homology rank {rank}, expected 1")
-            # with d^2 = 0 exactly one degree has homology
-            self.degree = max(homology, key=homology.__getitem__)
+        if c._class_degree is None and (errors := validate(c, knot_class=True).errors):
+            kind, message = errors[0]  # mapped as cli._load_source maps them
+            raise (RankNotOne if kind.endswith("-rank") else InconsistentInput)(message)
+        self.degree = c._class_degree
         rc = region_complex(c, Column0(), self.degree)
         data = homology_data(rc)
         space = data.boundary_space
@@ -325,8 +319,8 @@ def staircase_a_invariants(exps: StaircaseExponents) -> tuple[int, int]:
 
 def hfk_table(c: CfkComplex) -> dict[tuple[int, int], int]:
     """Generator count per (A, M) of the reduced complex; an invalid c raises InconsistentInput."""
-    if not (report := validate(c)).ok:
-        raise InconsistentInput(f"not a valid complex: {report.errors[0].message}")
+    if errors := _math_errors(c):  # validate's errors, without its reduce for the symmetry warning
+        raise InconsistentInput(f"not a valid complex: {errors[0].message}")
     return reduce(c).grading_table()
 
 

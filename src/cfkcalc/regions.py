@@ -18,8 +18,7 @@ Maslov law every boundary entry lowers it by one.  The invariants read
 homology in one degree d, so a build is one slice: the degree-d elements
 with their boundaries over degree d - 1, and the boundaries of the degree
 d + 1 elements over degree d, so every chain is a mask over one degree.
-homology_ranks ranks Column0 and Row in every degree without a build, for
-validate and for the invariants of a complex that carries no class degree.
+homology_ranks ranks Column0 and Row in every degree without a build, for validate.
 """
 
 from __future__ import annotations

@@ -63,6 +63,22 @@ def torus_staircase(p: int, q: int) -> CfkComplex:
     return staircase(staircase_exponents(torus_alexander(p, q)))
 
 
+def validate_breakers() -> list[CfkComplex]:
+    """One complex per way validate refuses, and a class beside a row-only pair."""
+    rises = CfkComplex([Generator("a", 0, 0), Generator("b", 1, -1)], [Arrow("a", "b", 0)])
+    maslov = CfkComplex(  # the trefoil with M(x0) raised by 2
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    odd = CfkComplex(
+        [Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2)],
+        [Arrow("a", "b", 0), Arrow("b", "c", 0)],
+    )
+    rank2 = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)])
+    pair = CfkComplex([Generator("p", 1, 0), Generator("q", 0, -1)], [Arrow("p", "q", 0)])
+    return [rises, maslov, odd, rank2, square_complex(), direct_sum(trefoil_complex(), pair)]
+
+
 def figure_eight_like() -> CfkComplex:
     """Genus-one model with trivial invariants: unknot summand plus one
     square."""
@@ -538,9 +554,10 @@ def reference_validate(
     c: CfkComplex, knot_class: bool = False
 ) -> tuple[ValidationReport, int | None]:
     """validate(c, knot_class) check by check, with the class degree it
-    records: each arrow's Alexander drop and Maslov law from its generators,
-    d^2 from every path of two arrows, the column and row ranks from the
-    reference builds, and the symmetry of the reference reduction."""
+    records on an error-free report: each arrow's Alexander drop and Maslov
+    law from its generators, d^2 from every path of two arrows, the column
+    and row ranks from the reference builds, and the symmetry of the
+    reference reduction."""
     gens, names = c.generators, [g.name for g in c.generators]
     bad = []
     for s, t, u in c.triples:
@@ -571,6 +588,8 @@ def reference_validate(
                 errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
             elif kind == "column":
                 degree = next(k for k, n in ranks.items() if n)
+        if errors:  # a row rank other than one: nothing is recorded
+            degree = None
     warnings = []
     if not errors:
         table = reference_reduce(c).grading_table()

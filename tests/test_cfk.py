@@ -56,6 +56,7 @@ from conftest import (
     shift_maslov,
     torus_staircase,
     trefoil_complex,
+    validate_breakers,
     with_flat_pairs,
     with_random_squares,
 )
@@ -137,29 +138,13 @@ def test_validate_knot_class_flag():
     assert not report.ok
 
 
-def _validate_breakers() -> list[CfkComplex]:
-    """One complex per way validate refuses, and a class beside a row-only pair."""
-    rises = CfkComplex([Generator("a", 0, 0), Generator("b", 1, -1)], [Arrow("a", "b", 0)])
-    maslov = CfkComplex(  # the trefoil with M(x0) raised by 2
-        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
-        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
-    )
-    odd = CfkComplex(
-        [Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2)],
-        [Arrow("a", "b", 0), Arrow("b", "c", 0)],
-    )
-    rank2 = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)])
-    pair = CfkComplex([Generator("p", 1, 0), Generator("q", 0, -1)], [Arrow("p", "q", 0)])
-    return [rises, maslov, odd, rank2, square_complex(), direct_sum(trefoil_complex(), pair)]
-
-
 def test_validate_matches_the_check_by_check_reference():
     corpus = randomized_corpus(random.Random(SEED))
     classes = [
         class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex for p in range(2, 7)
     ]
     kinds = set()
-    for c in corpus + [dual(c) for c in corpus] + classes + _validate_breakers():
+    for c in corpus + [dual(c) for c in corpus] + classes + validate_breakers():
         for knot_class in (False, True):
             fresh = CfkComplex(c.generators, c.arrows)  # no recorded class degree
             report = validate(fresh, knot_class=knot_class)
@@ -170,32 +155,39 @@ def test_validate_matches_the_check_by_check_reference():
     assert kinds == {"j-drop", "maslov", "d-squared", "column-rank", "row-rank", "symmetry"}
 
 
-def test_validate_records_the_class_degree_only_when_the_column_has_rank_one():
+def test_validate_records_the_class_degree_only_on_an_error_free_report():
     c = trefoil_complex()
     assert c._class_degree is None
     assert validate(c, knot_class=True).ok and c._class_degree == 0
-    maslov = CfkComplex(
-        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
-        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
-    )
-    gens = [Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2)]
-    d_squared = CfkComplex(gens, [Arrow("a", "b", 0), Arrow("b", "c", 0)])
-    rank_two = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)])
-    for bad, kind in ((maslov, "maslov"), (d_squared, "d-squared"), (rank_two, "column-rank")):
-        assert validate(bad, knot_class=True).errors[0].kind == kind
-        assert bad._class_degree is None
+    for bad in validate_breakers():  # the last has column rank one, row rank 3
+        assert not validate(bad, knot_class=True).ok
+        assert bad._class_degree is None, bad
 
 
-def test_only_validate_tensor_and_dual_record_a_class_degree(rng):
+def test_only_validate_tensor_dual_and_reduce_record_a_class_degree(rng):
     padded = with_flat_pairs(rng, trefoil_complex(), 2)
+    assert reduce(padded)._class_degree is None  # nothing to keep
     assert validate(padded, knot_class=True).ok and padded._class_degree == 0
     reduced = reduce(padded)
-    assert reduced == trefoil_complex() and reduced._class_degree is None
+    assert reduced == trefoil_complex() and reduced._class_degree == 0
     summed = direct_sum(padded, square_complex(prefix="s"))
     assert summed._class_degree is None
     assert deserialize(serialize(padded))._class_degree is None
     assert tensor(padded, trefoil_complex())._class_degree is None  # one factor unrecorded
     assert tensor(padded, dual(padded))._class_degree == 0
+
+
+def test_reduce_keeps_the_class_degree_that_validate_finds(rng):
+    corpus = randomized_corpus(random.Random(SEED))
+    corpus += [with_flat_pairs(rng, c, rng.randint(1, 3)) for c in corpus]
+    corpus += [shift_maslov(c, 2) for c in corpus[::7]]  # classes in degree 2
+    for c in corpus:
+        marked = CfkComplex(c.generators, c.arrows)
+        assert validate(marked, knot_class=True).ok, c
+        reduced = reduce(marked)
+        fresh = CfkComplex(reduced.generators, reduced.arrows)
+        assert validate(fresh, knot_class=True).ok, c
+        assert reduced._class_degree == fresh._class_degree == marked._class_degree, c
 
 
 def test_a_class_degree_keeps_equality_hash_and_copies():

@@ -60,7 +60,7 @@ from cfkcalc import (
     validate,
     vertical_class,
 )
-from cfkcalc import invariants
+from cfkcalc import cfk, invariants
 from cfkcalc.gf2 import Gf2Space, kernel_and_image
 from conftest import (
     SEED,
@@ -73,6 +73,7 @@ from conftest import (
     shift_maslov,
     torus_staircase,
     trefoil_complex,
+    validate_breakers,
     with_random_squares,
 )
 
@@ -297,7 +298,7 @@ def test_an_arrow_breaking_the_maslov_law_is_inconsistent_input():
         [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
         [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
     )
-    with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
+    with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1: M\(x1\)-1 != M\(x0\)-2u$"):
         tau(c)
 
 
@@ -348,23 +349,56 @@ def test_recorded_degree_is_the_ranked_degree_and_the_analysis_agrees():
 
 
 def test_a_recorded_class_is_not_ranked_again(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the column of a recorded class was ranked again")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recorded class was validated again")
 
     invariants._analysis.cache_clear()
-    monkeypatch.setattr(invariants, "homology_ranks", refuse)
+    monkeypatch.setattr(invariants, "validate", refuse)
     k, j = (class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2))
     assert dominance_evidence(k, j, 2) == (True, 2)
     c = class_complex(parse("T(2,41)")).complex
     assert (tau(c), epsilon(c), a1(c), a2(c)) == (20, 1, 1, 1)
     monkeypatch.undo()
-    # an unvalidated complex is still ranked, with the same refusals
+    # an unrecorded complex is validated first, and its first error raised
     rank_two = deserialize("cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n")
     with pytest.raises(RankNotOne, match=r"^column homology rank 2, expected 1$"):
         tau(rank_two)
     broken = deserialize(serialize(trefoil_complex()).replace("x0 A=1 M=0", "x0 A=1 M=2"))
-    with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
+    with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1: M\(x1\)-1 != M\(x0\)-2u$"):
         tau(broken)
+
+
+INVARIANT_CALLS = {
+    "tau": tau,
+    "epsilon": epsilon,
+    "vertical_class": vertical_class,
+    "f_map_trivial": lambda c: f_map_trivial(c, 0),
+    "g_map_trivial": lambda c: g_map_trivial(c, 0),
+    "epsilon_oracle": epsilon_oracle,
+    "a1": a1,
+    "a2": a2,
+}
+
+
+@pytest.mark.parametrize("validated_first", [False, True])
+@pytest.mark.parametrize("name", INVARIANT_CALLS)
+def test_no_invariant_answers_on_a_complex_that_validate_refuses(name, validated_first):
+    for breaker in validate_breakers():
+        c = CfkComplex(breaker.generators, breaker.arrows)  # no recorded class degree
+        report = validate(c, knot_class=True)
+        if not validated_first:
+            c = CfkComplex(breaker.generators, breaker.arrows)
+        kind, message = report.errors[0]
+        invariants._analysis.cache_clear()
+        with pytest.raises(RankNotOne if kind.endswith("-rank") else InconsistentInput) as info:
+            INVARIANT_CALLS[name](c)
+        assert str(info.value) == message, breaker
+        assert c._class_degree is None
+
+
+def test_model_screen_reports_a_class_beside_a_row_only_pair():
+    report = check_whitehead_model(validate_breakers()[-1])
+    assert not report.local_invariants_ok and not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +579,21 @@ def test_hfk_table_refuses_a_complex_that_validate_rejects():
     rising = CfkComplex([Generator("a", 0, 0), Generator("b", 1, -1)], [Arrow("a", "b", 0)])
     with pytest.raises(InconsistentInput, match="arrow a->b u=0 rises by 1"):
         hfk_table(rising)
+
+
+def test_hfk_table_reduces_once(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return reduce(c)
+
+    monkeypatch.setattr(cfk, "reduce", counted)  # the symmetry warning of validate
+    monkeypatch.setattr(invariants, "reduce", counted)
+    pair = CfkComplex([Generator("p", 0, 0), Generator("q", 0, -1)], [Arrow("p", "q", 0)])
+    c = direct_sum(trefoil_complex(), pair)
+    assert hfk_table(c) == {(1, 0): 1, (0, -1): 1, (-1, -2): 1}
+    assert calls == [c]
 
 
 def test_hfk_table_ignores_cancellable_pairs():
