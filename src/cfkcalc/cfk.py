@@ -18,12 +18,12 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import eq, itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInconsistency, ParseError, UnsupportedExpression, parse_int
-from .regions import Column0, Row, homology_ranks
+from .gf2 import block_ranks
 
 __all__ = [
     "Generator",
@@ -82,9 +82,10 @@ class CfkComplex:
     The constructor checks structure only (names usable and unique, arrow
     endpoints present, U-exponents nonnegative) in the order given; _store
     sorts once and cancels duplicate triples mod 2.  validate() checks the rest.
-    _class_degree marks a checked knot class (validate(knot_class=True) found
-    no error, or tensor, dual or reduce made it of such) by the column's
-    homology degree, and is None on any other; it is not part of equality.
+    _class_degree marks a checked knot class (_class_errors, the knot-class
+    check of validate, found no error, or tensor, dual or reduce made it of
+    such) by the column's homology degree, and is None on any other; it is
+    not part of equality.
     """
 
     __slots__ = ("generators", "triples", "offsets", "_hash", "_class_degree")
@@ -210,6 +211,45 @@ def _math_errors(c: CfkComplex) -> list[Violation]:
     return errors
 
 
+def _degree_ranks(c: CfkComplex, slope: int) -> dict[int, int]:
+    """Homology rank per degree of the complex with one element per generator in
+    degree M - slope * A, whose differential is the arrows lowering that degree by
+    one: by the Maslov law, those with u = 0 for slope 0 (the vertical complex) and
+    no Alexander drop for slope 2 (the horizontal one).  Bit j names the j-th
+    element of a degree, and the cost is the sum of squared degree sizes."""
+    degree = [g.maslov - slope * g.alexander for g in c.generators]
+    sizes, slot = {}, []  # elements per degree; place of each in its degree
+    for k in degree:
+        slot.append(sizes.get(k, 0))
+        sizes[k] = slot[-1] + 1
+    masks = [0] * len(degree)
+    for s, t, _ in c.triples:
+        if degree[s] - degree[t] == 1:
+            masks[s] |= 1 << slot[t]
+    ranks = block_ranks(compress(zip(degree, masks), masks))
+    return {k: n - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, n in sizes.items()}
+
+
+def _class_errors(c: CfkComplex) -> list[Violation]:
+    """The errors of validate(c, knot_class=True): _math_errors(c), else a rank
+    error for vertical or horizontal homology of rank other than one.  With no
+    error, records the vertical class degree on c."""
+    errors = _math_errors(c)
+    if errors:
+        return errors  # the ranks below need the Maslov law
+    for kind, slope in (("column", 0), ("row", 2)):
+        ranks = _degree_ranks(c, slope)
+        rank, degree = sum(ranks.values()), max(ranks, key=ranks.__getitem__, default=None)
+        del ranks  # not held while the row is ranked
+        if rank != 1:
+            errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
+        elif kind == "column":
+            column_degree = degree
+    if not errors:
+        c._class_degree = column_degree
+    return errors
+
+
 def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     """Report every grading or d^2 violation; never raises on bad math.
 
@@ -218,21 +258,9 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     A symmetry warning compares generator counts of the reduced complex at
     (s, m) and (-s, m - 2s); it is only attempted on error-free complexes.
     """
-    errors = _math_errors(c)
+    errors = _class_errors(c) if knot_class else _math_errors(c)
     warnings: list[Violation] = []
-    if knot_class and not errors:
-        # every arrow keeps the Maslov law, checked above
-        for kind, region in (("column", Column0()), ("row", Row(0))):
-            ranks = homology_ranks(c, region, lawful=True)
-            rank, degree = sum(ranks.values()), max(ranks, key=ranks.__getitem__, default=None)
-            del ranks  # not held while the row is ranked
-            if rank != 1:
-                errors.append(Violation(f"{kind}-rank", f"{kind} homology rank {rank}, expected 1"))
-            elif kind == "column":
-                column_degree = degree
     if not errors:
-        if knot_class:
-            c._class_degree = column_degree
         table = reduce(c).grading_table()
         for (s, m), n in sorted(table.items()):
             other = table.get((-s, m - 2 * s), 0)

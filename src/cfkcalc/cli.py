@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .cfk import CfkComplex, deserialize, validate
+from .cfk import CfkComplex, _class_errors, deserialize, validate
 from .concordance import (
     Certificate,
     cable_tau,
@@ -60,7 +60,7 @@ def _load_source(source: str) -> tuple[str, str, CfkComplex]:
     """An argument names either a complex file on disk or an expression."""
     if os.path.isfile(source):
         c = deserialize(_read_file(source))
-        errors = validate(c, knot_class=True).errors
+        errors = _class_errors(c)
         if errors and errors[0].kind in ("column-rank", "row-rank"):
             raise RankNotOne(errors[0].message)
         if errors:

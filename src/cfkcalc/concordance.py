@@ -14,15 +14,7 @@ import json
 import math
 from typing import NamedTuple, Sequence
 
-from .cfk import (
-    MAX_GENERATORS,
-    CfkComplex,
-    deserialize,
-    dual,
-    serialize,
-    tensor,
-    validate,
-)
+from .cfk import MAX_GENERATORS, CfkComplex, _class_errors, deserialize, dual, serialize, tensor
 from .errors import (
     CertificateError,
     InconsistentInput,
@@ -329,7 +321,7 @@ def recheck_certificate(cert: Certificate) -> bool:
             c = deserialize(entry.complex_text)
         except ParseError as exc:
             raise CertificateError(f"entry {i}: embedded complex does not parse: {exc}") from exc
-        errors = validate(c, knot_class=True).errors
+        errors = _class_errors(c)
         if errors:
             raise CertificateError(f"entry {i}: not a knot-like complex: {errors[0].message}")
         try:

@@ -18,8 +18,9 @@ row j = tau and must always agree with epsilon.
 The class lies in one Maslov degree d (0 for every class the tool builds),
 and each test needs only cycles in degree d and boundaries from degree d + 1,
 so every region is built as its degree-d slice.  A checked class carries d
-(see CfkComplex); on any other, validate(knot_class=True) runs first and its
-first error is raised (RankNotOne for a rank, else InconsistentInput).
+(see CfkComplex); on any other, the knot-class check of validate runs first,
+without the reduce behind validate's symmetry warning, and its first error is
+raised (RankNotOne for a rank, else InconsistentInput).
 
 The four invariants share one analysis of the most recent complex: asking
 for them in turn on one complex finds the class once, and an earlier
@@ -33,7 +34,7 @@ import itertools
 import json
 from typing import Iterator, NamedTuple
 
-from .cfk import CfkComplex, _math_errors, dual, reduce, tensor, validate
+from .cfk import CfkComplex, _class_errors, _math_errors, dual, reduce, tensor
 from .errors import (
     EpsilonNotOne,
     InconsistentInput,
@@ -42,6 +43,7 @@ from .errors import (
     RankNotOne,
     SearchExhausted,
     TooShort,
+    UnsupportedExpression,
 )
 from .gf2 import Gf2Space
 from .knots import Torus, class_complex
@@ -84,7 +86,7 @@ class _Analysis:
 
     def __init__(self, c: CfkComplex):
         gens = c.generators
-        if c._class_degree is None and (errors := validate(c, knot_class=True).errors):
+        if c._class_degree is None and (errors := _class_errors(c)):
             kind, message = errors[0]  # mapped as cli._load_source maps them
             raise (RankNotOne if kind.endswith("-rank") else InconsistentInput)(message)
         self.degree = c._class_degree
@@ -382,18 +384,18 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     epsilon 0, i.e. the candidate and the trefoil share a concordance class.
     A candidate that validate() rejects fails all three with an empty table.
     """
-    try:
-        table = hfk_table(c)
-    except InconsistentInput:
+    if _math_errors(c):  # as hfk_table refuses it
         return WhiteheadModelReport(False, False, False, {})
-    table_ok = table == WHITEHEAD_RANK_TABLE
     try:
         local_ok = tau(c) == 1 and epsilon(c) == 1
     except MathError:
         local_ok = False
-    try:
-        diff = reduce(tensor(dual(class_complex(Torus(2, 3)).complex), c))
+    reduced = reduce(c)  # once, for the table and the product
+    table = reduced.grading_table()
+    table_ok = table == WHITEHEAD_RANK_TABLE
+    try:  # a product of reduced complexes is reduced, so reduce c, not the larger product
+        diff = tensor(dual(class_complex(Torus(2, 3)).complex), reduced)
         class_ok = epsilon(diff) == 0
-    except MathError:
+    except (MathError, UnsupportedExpression):  # a product over MAX_GENERATORS even so
         class_ok = False
     return WhiteheadModelReport(table_ok, local_ok, class_ok, table)

@@ -18,20 +18,19 @@ Maslov law every boundary entry lowers it by one.  The invariants read
 homology in one degree d, so a build is one slice: the degree-d elements
 with their boundaries over degree d - 1, and the boundaries of the degree
 d + 1 elements over degree d, so every chain is a mask over one degree.
-homology_ranks ranks Column0 and Row in every degree without a build, for validate.
+The knot-class check of validate ranks the column and the row without a
+region, in cfk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import compress
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._value import Value
 from .errors import InconsistentInput
-from .gf2 import Gf2Space, block_ranks, kernel_and_image
+from .gf2 import Gf2Space, kernel_and_image
 
 if TYPE_CHECKING:
     from .cfk import CfkComplex
@@ -48,10 +47,9 @@ __all__ = [
     "region_complex",
     "HomologyData",
     "homology_data",
-    "homology_ranks",
 ]
 
-_INF, _ALEXANDER = float("inf"), attrgetter("alexander")
+_INF = float("inf")
 
 
 class Region(Value):
@@ -246,30 +244,3 @@ def homology_data(rc: RegionComplex) -> HomologyData:
     cycles, _ = kernel_and_image(rc.boundary)
     return HomologyData(tuple(cycles), Gf2Space(rc.above))
 
-
-def homology_ranks(c: CfkComplex, region: Region, *, lawful: bool = False) -> dict[int, int]:
-    """Homology rank per degree of a region meeting every diagonal, unbuilt.  An arrow
-    breaking the Maslov law, which is the same in every region, raises InconsistentInput
-    unless lawful=True says the caller (validate) checked it.  Under the law an arrow
-    lands one degree down exactly when it is in the region, bit j names the j-th
-    element there, and the cost is the sum of squared block sizes."""
-    gens, degree = c.generators, []  # per generator, M - 2u of its element
-    for low, high, slope, shift in region.pieces():  # ascending A, so in generator order
-        k0, k1 = bisect_left(gens, low, key=_ALEXANDER), bisect_right(gens, high, key=_ALEXANDER)
-        degree += [g.maslov - 2 * (slope * g.alexander + shift) for g in gens[k0:k1]]
-    if len(degree) != len(gens):
-        raise ValueError(f"{region} misses a diagonal of the complex")
-    for s, t, u in () if lawful else c.triples:
-        if gens[s].maslov - 1 != gens[t].maslov - 2 * u:
-            name = f"{gens[s].name}->{gens[t].name} u={u}"
-            raise InconsistentInput(f"arrow {name} breaks the Maslov law")
-    sizes, slot = {}, []  # elements per degree; place of each in its degree
-    for k in degree:
-        slot.append(sizes.get(k, 0))
-        sizes[k] = slot[-1] + 1
-    masks = [0] * len(degree)
-    for s, t, _ in c.triples:
-        if degree[s] - degree[t] == 1:  # in the region
-            masks[s] |= 1 << slot[t]
-    ranks = block_ranks(compress(zip(degree, masks), masks))
-    return {k: n - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, n in sizes.items()}

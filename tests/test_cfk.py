@@ -164,6 +164,23 @@ def test_validate_records_the_class_degree_only_on_an_error_free_report():
         assert bad._class_degree is None, bad
 
 
+def test_a_class_breaking_the_maslov_law_gets_its_error_and_no_rank():
+    # a flat arrow between two generators of one degree: ranked without the law, {0: 2}
+    flat = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)], [Arrow("a", "b", 0)])
+    # the trefoil with M(x0) raised by 2: ranked without the law, rank one in degree 2
+    raised = CfkComplex(
+        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
+        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
+    )
+    for c, src, tgt, u in ((flat, "a", "b", 0), (raised, "x1", "x0", 1)):
+        message = f"arrow {src}->{tgt} u={u}: M({src})-1 != M({tgt})-2u"
+        assert validate(c, knot_class=True).errors == (cfk.Violation("maslov", message),)
+        assert c._class_degree is None
+        with pytest.raises(cfkcalc.InconsistentInput) as info:
+            tau(c)
+        assert str(info.value) == message
+
+
 def test_only_validate_tensor_dual_and_reduce_record_a_class_degree(rng):
     padded = with_flat_pairs(rng, trefoil_complex(), 2)
     assert reduce(padded)._class_degree is None  # nothing to keep

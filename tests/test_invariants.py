@@ -20,6 +20,7 @@ import pytest
 from cfkcalc import (
     Arrow,
     CfkComplex,
+    ClassRep,
     Column0,
     EpsilonNotOne,
     FullHook,
@@ -45,8 +46,9 @@ from cfkcalc import (
     f_map_trivial,
     g_map_trivial,
     hfk_table,
-    homology_ranks,
+    independence_certificate,
     parse,
+    recheck_certificate,
     reduce,
     serialize,
     square_complex,
@@ -61,6 +63,7 @@ from cfkcalc import (
     vertical_class,
 )
 from cfkcalc import cfk, invariants
+from cfkcalc.cli import main
 from cfkcalc.gf2 import Gf2Space, kernel_and_image
 from conftest import (
     SEED,
@@ -69,6 +72,7 @@ from conftest import (
     random_staircase,
     randomized_corpus,
     reference_analysis,
+    reference_homology_ranks,
     reference_region_complex,
     shift_maslov,
     torus_staircase,
@@ -334,7 +338,7 @@ def test_recorded_degree_is_the_ranked_degree_and_the_analysis_agrees():
     corpus = recorded_corpus()
     assert corpus[-1]._class_degree == -2
     for c in corpus:
-        ranks = homology_ranks(c, Column0())
+        ranks = reference_homology_ranks(c, Column0())
         assert {k: n for k, n in ranks.items() if n} == {c._class_degree: 1}, c
         answers = []
         for complex_ in (c, deserialize(serialize(c))):  # the copy carries no record
@@ -353,7 +357,7 @@ def test_a_recorded_class_is_not_ranked_again(monkeypatch):
         raise AssertionError("a recorded class was validated again")
 
     invariants._analysis.cache_clear()
-    monkeypatch.setattr(invariants, "validate", refuse)
+    monkeypatch.setattr(invariants, "_class_errors", refuse)
     k, j = (class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2))
     assert dominance_evidence(k, j, 2) == (True, 2)
     c = class_complex(parse("T(2,41)")).complex
@@ -366,6 +370,45 @@ def test_a_recorded_class_is_not_ranked_again(monkeypatch):
     broken = deserialize(serialize(trefoil_complex()).replace("x0 A=1 M=0", "x0 A=1 M=2"))
     with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1: M\(x1\)-1 != M\(x0\)-2u$"):
         tau(broken)
+
+
+PAIRS = "".join(
+    f"gen a{i} A={i % 5 - 2} M=1\ngen b{i} A={i % 5 - 2} M=0\narr a{i} b{i} u=0\n" for i in range(9)
+)
+
+
+def test_the_knot_class_check_calls_no_reduce(monkeypatch, tmp_path, capsys):
+    """The analysis, `cfkcalc invariants FILE` and recheck_certificate read only the
+    errors of the knot-class check, so they skip the reduce behind validate's
+    symmetry warning; ClassRep still validates."""
+    cert = independence_certificate([class_complex(parse(e)) for e in ("T(3,4)", "T(2,3)")])
+    text = serialize(trefoil_complex()) + PAIRS
+    calls = []
+    monkeypatch.setattr(cfk, "reduce", lambda c: calls.append(c) or reduce(c))
+    invariants._analysis.cache_clear()
+    c = deserialize(text)
+    assert (tau(c), epsilon(c)) == (1, 1) and calls == []
+    path = tmp_path / "pairs.cfk"
+    path.write_text(text)
+    assert main(["invariants", str(path)]) == 0 and calls == []
+    assert "tau: 1" in capsys.readouterr().out.splitlines()
+    assert recheck_certificate(cert) is True and calls == []
+    ClassRep(reduce(deserialize(text)))
+    assert len(calls) == 1
+
+
+def test_model_screen_reports_a_product_over_the_limit(monkeypatch):
+    # the trefoil beside 9 pairs has 21 generators and reduces to 3: the product
+    # with the mirrored trefoil is built from the reduced candidate
+    c = deserialize(serialize(trefoil_complex()) + PAIRS)
+    monkeypatch.setattr(cfk, "MAX_GENERATORS", 30)
+    report = check_whitehead_model(c)
+    assert (report.table_ok, report.local_invariants_ok, report.class_matches_trefoil) == (
+        False, True, True
+    )
+    monkeypatch.setattr(cfk, "MAX_GENERATORS", 8)  # 3 x 3 is over even so
+    report = check_whitehead_model(deserialize(serialize(trefoil_complex()) + PAIRS))
+    assert (report.local_invariants_ok, report.class_matches_trefoil) == (True, False)
 
 
 INVARIANT_CALLS = {

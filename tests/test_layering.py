@@ -82,3 +82,8 @@ def test_module_level_imports_form_an_acyclic_graph():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_the_complex_core_imports_no_region_code():
+    # validate ranks the vertical and horizontal complexes itself, over gf2
+    assert "regions" not in _runtime_imports(MODULES["cfk"])

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from cfkcalc import cfk
 from cfkcalc import (
     Arrow,
     CfkComplex,
@@ -23,7 +24,6 @@ from cfkcalc import (
     direct_sum,
     dual,
     homology_data,
-    homology_ranks,
     parse,
     region_complex,
     square_complex,
@@ -499,7 +499,7 @@ def test_chain_raises_exactly_outside_the_shape_or_the_slice():
 
 
 # ---------------------------------------------------------------------------
-# per-degree homology ranks without a build
+# the per-degree homology ranks of validate's knot-class check, against the build
 
 
 def _ranks_cases(rng: random.Random):
@@ -512,16 +512,19 @@ def _ranks_cases(rng: random.Random):
 
 
 def test_homology_ranks_match_the_full_build():
+    """The knot-class check ranks the vertical complex (graded by M) and the
+    horizontal one (by M - 2A) unbuilt: per degree, as the reference builds
+    of Column0 and Row(0), and it records the vertical class's degree."""
     rng = random.Random(SEED)
     largest = 0
     for c in _ranks_cases(rng):
-        low, high = c.generators[0].alexander, c.generators[-1].alexander
-        levels = sorted({low - 1, low, 0, (low + high) // 2, high + 1})
-        for region in [Column0(), *map(Row, levels), *map(FullHook, levels), *map(GHook, levels)]:
-            expected = reference_homology_ranks(c, region)
-            assert homology_ranks(c, region) == expected, region
-            # every arrow keeps the Maslov law, so the pass that checks it may be skipped
-            assert homology_ranks(c, region, lawful=True) == expected, region
+        vertical, horizontal = (cfk._degree_ranks(c, slope) for slope in (0, 2))
+        assert vertical == reference_homology_ranks(c, Column0())
+        assert horizontal == reference_homology_ranks(c, Row(0))
+        fresh = CfkComplex(c.generators, c.arrows)  # no recorded class degree
+        assert cfk._class_errors(fresh) == [], c
+        assert {k: n for k, n in vertical.items() if n} == {fresh._class_degree: 1}, c
+        assert [n for n in horizontal.values() if n] == [1], c
         # column degree blocks of several elements: bits name places in a block
         largest = max(largest, max(Counter(g.maslov for g in c.generators).values()))
     assert largest >= 8
@@ -532,28 +535,14 @@ def test_homology_ranks_match_the_full_build():
 )
 def test_homology_ranks_of_classes_have_rank_one_in_degree_0(text):
     c = class_complex(parse(text)).complex
+    assert cfk._degree_ranks(c, 0) == reference_homology_ranks(c, Column0())
+    assert cfk._degree_ranks(c, 2) == reference_homology_ranks(c, Row(0))
     for region in (Column0(), Row(0), Row(3), Row(-2)):
-        ranks = homology_ranks(c, region)
-        assert ranks == reference_homology_ranks(c, region)
-        assert ranks == homology_ranks(c, region, lawful=True)
-        assert [r for r in ranks.values() if r] == [1]
-    assert {k: r for k, r in homology_ranks(c, Column0()).items() if r} == {0: 1}
-
-
-def test_homology_ranks_refuse_a_region_that_misses_a_diagonal():
-    with pytest.raises(ValueError, match="misses a diagonal"):
-        homology_ranks(trefoil_complex(), TruncatedHook(1, 0))
-
-
-def test_homology_ranks_raise_on_an_arrow_breaking_the_maslov_law():
-    # a flat arrow between two generators of one degree: column homology 0
-    flat = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)], [Arrow("a", "b", 0)])
-    # the trefoil with M(x0) raised by 2: x1 -> x0 has u = 1, no Column0 entry
-    raised = CfkComplex(
-        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
-        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
-    )
-    for c, arrow in ((flat, "a->b u=0"), (raised, "x1->x0 u=1")):
-        for region in (Column0(), Row(0)):
-            with pytest.raises(InconsistentInput, match=rf"^arrow {arrow} breaks the Maslov law$"):
-                homology_ranks(c, region)
+        ranks = reference_homology_ranks(c, region)
+        (degree,) = [k for k, r in ranks.items() if r]
+        assert ranks[degree] == 1
+        # the slice in that degree has the same homology as the full build
+        data = homology_data(region_complex(c, region, degree))
+        assert len(data.cycle_basis) - data.boundary_space.dim == 1
+    assert {k: r for k, r in reference_homology_ranks(c, Column0()).items() if r} == {0: 1}
+    assert c._class_degree == 0
