@@ -10,7 +10,7 @@ knot-like complex (column homology of rank one):
   the column); exactly one of four outcomes survives.
 * a1 is the least hook width that kills the class, a2 the least tail depth
   that revives it; both require epsilon = +1 and are read off regions of
-  doubling size (_least_killing_width, _least_reviving_depth).
+  doubling size.
 
 epsilon_oracle recomputes epsilon by an independent second route inside the
 row j = tau and must always agree with epsilon.
@@ -22,9 +22,10 @@ so every region is built as its degree-d slice.  A checked class carries d
 without the reduce behind validate's symmetry warning, and its first error is
 raised (RankNotOne for a rank, else InconsistentInput).
 
-The four invariants share one analysis of the most recent complex: asking
-for them in turn on one complex finds the class once, and an earlier
-complex is dropped as soon as another one is analysed.
+The four invariants share one analysis of the most recent complex
+(_Analysis): it builds every region slice they read and finds the class,
+epsilon, a1 and a2 once each.  An earlier complex is dropped as soon as
+another one is analysed.
 """
 
 from __future__ import annotations
@@ -77,34 +78,116 @@ __all__ = [
 
 
 class _Analysis:
-    """What the invariants read off one complex.
+    """What the invariants read off one complex c.
 
     The vertical class of the column, in the degree d a checked class
-    carries, is found on construction; epsilon, a1 and a2 are stored in
-    ``known`` on first use.
+    carries, is found on construction; build is the module's one region
+    build, and epsilon, a1 and a2 are computed on first use.
     """
 
     def __init__(self, c: CfkComplex):
-        gens = c.generators
         if c._class_degree is None and (errors := _class_errors(c)):
             kind, message = errors[0]  # mapped as cli._load_source maps them
             raise (RankNotOne if kind.endswith("-rank") else InconsistentInput)(message)
-        self.degree = c._class_degree
-        rc = region_complex(c, Column0(), self.degree)
-        data = homology_data(rc)
-        space = data.boundary_space
-        z0 = next(k for k in data.cycle_basis if k not in space)
+        self.c, self.degree = c, c._class_degree
+        rc = self.build(Column0())
+        cycles, space = homology_data(rc)
+        z0 = next(k for k in cycles if k not in space)
         # reducing against the boundary space minimizes the top element, and
         # elements are sorted by Alexander grading, so the top bit realizes tau
         zmin = space.reduce(z0)
-        assert zmin != 0
+        self.column, self.boundary_space, self.vclass_mask = rc, space, zmin
         self.class_gens = rc.chain_elements(zmin)  # generator indices
-        self.column = rc
-        self.boundary_space = space
-        self.vclass_mask = zmin
+        gens = c.generators
         self.tau = gens[self.class_gens[-1]].alexander
         self.search_bound = gens[-1].alexander - gens[0].alexander
-        self.known: dict[str, int | None] = {}
+
+    def build(self, region):
+        """The degree-d slice of region."""
+        return region_complex(self.c, region, self.degree)
+
+    def image(self, rc, level: int) -> int:
+        """The class with j < level dropped, as a chain of rc (i = 0 part)."""
+        gens = self.c.generators
+        return rc.chain(k for k in self.class_gens if gens[k].alexander >= level)
+
+    def dies(self, region, level: int) -> bool:
+        """Whether the class, j < level dropped, is a boundary in region."""
+        rc = self.build(region)
+        return self.image(rc, level) in Gf2Space(rc.above)
+
+    def g_trivial(self, s: int) -> bool:
+        """Whether no cycle of GHook(s) projects onto a non-boundary of the column."""
+        gh = self.build(GHook(s))
+        # The G-hook elements on the column (A <= s) come first and are the
+        # column's first elements, in generator order, so bit k names the same
+        # generator in both: dropping i < 0 from a G-hook chain is a mask.
+        on_column = (1 << gh.u_power.count(0)) - 1
+        for cyc in homology_data(gh).cycle_basis:
+            mask = cyc & on_column
+            assert self.column.differential(mask) == 0
+            if mask not in self.boundary_space:
+                return False
+        return True
+
+    @functools.cached_property
+    def epsilon(self) -> int:
+        f, g = self.dies(FullHook(self.tau), self.tau), self.g_trivial(self.tau)
+        if f and g:
+            raise InternalInconsistency("F and G both trivial at tau")
+        return 1 if f else -1 if g else 0
+
+    @functools.cached_property
+    def a1(self) -> int:
+        """a1 by regions of doubling width.
+
+        Arrows never raise i, so the elements of width <= s in
+        TruncatedHook(t, w) are the subcomplex TruncatedHook(t, s): the class
+        dies at width s exactly when it lies in the span of their boundary
+        columns.  One region answers every width up to its own, one layer
+        (``-above_u_power``) at a time.
+        """
+        t = self.tau
+        # layer 0 of every region below is this ray, so no width found is 0
+        if self.dies(TruncatedHook(t, 0), t):
+            raise InternalInconsistency("class already dies in the bare column ray")
+        for size in _region_sizes(self.search_bound):
+            rc = self.build(TruncatedHook(t, size))
+            point = self.image(rc, t)
+            layers: dict[int, list[int]] = {}
+            for u, column in zip(rc.above_u_power, rc.above):
+                layers.setdefault(-u, []).append(column)
+            boundaries = Gf2Space()
+            for width in sorted(layers):
+                for column in layers[width]:
+                    boundaries.add(column)
+                if point in boundaries:
+                    return width
+        raise SearchExhausted("no hook width killed the class despite epsilon = +1")
+
+    @functools.cached_property
+    def a2(self) -> int | None:
+        """a2 by regions of doubling tail depth.
+
+        The tail points deeper than e form a subcomplex of HookWithTail(t, a1,
+        d), and the quotient by it is HookWithTail(t, a1, e): the class is
+        alive at depth e exactly when it is not in B + span(tail points deeper
+        than e).  Those points have the lowest Alexander gradings, hence the
+        lowest bits, and reducing against B minimizes the top bit, so the top
+        element of the residual is the shallowest tail point the class cannot
+        shed: its depth is a2.
+        """
+        t, width = self.tau, self.a1
+        for size in _region_sizes(self.search_bound):
+            rc = self.build(HookWithTail(t, width, size))
+            residual = Gf2Space(rc.above).reduce(self.image(rc, t))
+            if residual:
+                top = rc.gen_index[residual.bit_length() - 1]
+                depth = t - width - self.c.generators[top].alexander
+                if depth < 1:
+                    raise InternalInconsistency("class survives in the hook of width a1")
+                return depth
+        return None
 
 
 @functools.lru_cache(maxsize=1)
@@ -126,38 +209,16 @@ def vertical_class(c: CfkComplex) -> tuple[str, ...]:
     return tuple(c.generators[k].name for k in _analysis(c).class_gens)
 
 
-def _class_image(c: CfkComplex, rc, level: int) -> int:
-    """The class with j < level dropped, as a chain of rc (i = 0 part)."""
-    return rc.chain(k for k in _analysis(c).class_gens if c.generators[k].alexander >= level)
-
-
-def _class_image_is_boundary(c: CfkComplex, region, level: int) -> bool:
-    """Push the class through (drop j < level, include into region)."""
-    rc = region_complex(c, region, _analysis(c).degree)
-    return _class_image(c, rc, level) in homology_data(rc).boundary_space
-
-
 def f_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether the class dies in the full hook at level s (quotient the
     column by j < s, then include)."""
-    return _class_image_is_boundary(c, FullHook(s), s)
+    return _analysis(c).dies(FullHook(s), s)
 
 
 def g_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether no cycle of the G-hook at level s projects onto a
     non-boundary of the column (drop elements with i < 0)."""
-    col = _analysis(c)
-    gh = region_complex(c, GHook(s), col.degree)
-    # The G-hook elements on the column (A <= s) come first and are the
-    # column's first elements, in generator order, so bit k names the same
-    # generator in both: dropping i < 0 from a G-hook chain is a mask.
-    on_column = (1 << gh.u_power.count(0)) - 1
-    for cyc in homology_data(gh).cycle_basis:
-        mask = cyc & on_column
-        assert col.column.differential(mask) == 0
-        if mask not in col.boundary_space:
-            return False
-    return True
+    return _analysis(c).g_trivial(s)
 
 
 def epsilon(c: CfkComplex) -> int:
@@ -166,15 +227,8 @@ def epsilon(c: CfkComplex) -> int:
     Both trivial is impossible for consistent inputs and raises
     InternalInconsistency.
     """
-    t = tau(c)
-    known = _analysis(c).known
-    if "epsilon" not in known:
-        f = f_map_trivial(c, t)
-        g = g_map_trivial(c, t)
-        if f and g:
-            raise InternalInconsistency("F and G both trivial at tau")
-        known["epsilon"] = 1 if f else -1 if g else 0
-    return known["epsilon"]
+    tau(c)  # the class at tau comes first, and its cost is tau's
+    return _analysis(c).epsilon
 
 
 def epsilon_oracle(c: CfkComplex) -> int:
@@ -193,14 +247,12 @@ def epsilon_oracle(c: CfkComplex) -> int:
     """
     col = _analysis(c)
     t = col.tau
-    row = region_complex(c, Row(t), col.degree)
+    row = col.build(Row(t))
     column, gens = col.column, c.generators
 
     # column elements are in generator order, hence sorted by A
     cutoff = sum(1 for k in column.gen_index if gens[k].alexander <= t)
-    low_boundaries = [
-        v for v in col.boundary_space.pivot_vectors() if v.bit_length() - 1 < cutoff
-    ]
+    low_boundaries = [v for v in col.boundary_space.pivot_vectors() if v.bit_length() <= cutoff]
 
     def phi(mask: int) -> int:
         return row.chain(k for k in column.chain_elements(mask) if gens[k].alexander == t)
@@ -227,85 +279,25 @@ def _region_sizes(bound: int) -> Iterator[int]:
     small regions, where one region at the bound holds the whole slice.
     """
     size = 1
-    while True:
-        yield min(size, bound)
-        if size >= bound:
-            return
+    while size < bound:
+        yield size
         size *= 2
-
-
-def _least_killing_width(c: CfkComplex) -> int:
-    """a1 by regions of doubling width.
-
-    Arrows never raise i, so the elements of width <= s in TruncatedHook(t, w)
-    are the subcomplex TruncatedHook(t, s): the class dies at width s exactly
-    when it lies in the span of their boundary columns.  One region answers
-    every width up to its own, one layer (``-above_u_power``) at a time.
-    """
-    col = _analysis(c)
-    t = col.tau
-    # layer 0 of every region below is this ray, so no width found is 0
-    if _class_image_is_boundary(c, TruncatedHook(t, 0), t):
-        raise InternalInconsistency("class already dies in the bare column ray")
-    for size in _region_sizes(col.search_bound):
-        rc = region_complex(c, TruncatedHook(t, size), col.degree)
-        point = _class_image(c, rc, t)
-        layers: dict[int, list[int]] = {}
-        for u, column in zip(rc.above_u_power, rc.above):
-            layers.setdefault(-u, []).append(column)
-        boundaries = Gf2Space()
-        for width in sorted(layers):
-            for column in layers[width]:
-                boundaries.add(column)
-            if point in boundaries:
-                return width
-    raise SearchExhausted("no hook width killed the class despite epsilon = +1")
-
-
-def _least_reviving_depth(c: CfkComplex, width: int) -> int | None:
-    """a2 by regions of doubling tail depth.
-
-    The tail points deeper than e form a subcomplex of HookWithTail(t, a1, d),
-    and the quotient by it is HookWithTail(t, a1, e): the class is alive at
-    depth e exactly when it is not in B + span(tail points deeper than e).
-    Those points have the lowest Alexander gradings, hence the lowest bits,
-    and reducing against B minimizes the top bit, so the top element of the
-    residual is the shallowest tail point the class cannot shed: its depth
-    is a2.
-    """
-    col = _analysis(c)
-    t = col.tau
-    for size in _region_sizes(col.search_bound):
-        rc = region_complex(c, HookWithTail(t, width, size), col.degree)
-        residual = Gf2Space(rc.above).reduce(_class_image(c, rc, t))
-        if residual:
-            top = rc.gen_index[residual.bit_length() - 1]
-            depth = t - width - c.generators[top].alexander
-            if depth < 1:
-                raise InternalInconsistency("class survives in the hook of width a1")
-            return depth
-    return None
+    yield bound
 
 
 def a1(c: CfkComplex) -> int:
     """Least hook width s >= 1 at which the class dies in the truncated
     hook; defined only when epsilon(c) = +1."""
-    if epsilon(c) != 1:
-        raise EpsilonNotOne(f"epsilon is {epsilon(c)}, not +1")
-    col = _analysis(c)
-    if "a1" not in col.known:
-        col.known["a1"] = _least_killing_width(c)
-    return col.known["a1"]
+    if (e := epsilon(c)) != 1:
+        raise EpsilonNotOne(f"epsilon is {e}, not +1")
+    return _analysis(c).a1
 
 
 def a2(c: CfkComplex) -> int | None:
     """Least tail depth s >= 1 at which the class comes back to life in the
     hook-with-tail; None when no depth up to the search bound does."""
-    width = a1(c)
-    col = _analysis(c)
-    if "a2" not in col.known:
-        col.known["a2"] = _least_reviving_depth(c, width)
-    return col.known["a2"]
+    a1(c)  # raises EpsilonNotOne unless epsilon(c) = +1
+    return _analysis(c).a2
 
 
 def staircase_a_invariants(exps: StaircaseExponents) -> tuple[int, int]:

@@ -22,12 +22,11 @@ import math
 from typing import Iterator, NamedTuple, Union
 
 from ._value import Value
-from .cfk import MAX_GENERATORS, CfkComplex, Generator, _indexed, dual, tensor, validate
+from .cfk import MAX_GENERATORS, CfkComplex, Generator, _indexed, dual, reduce, tensor, validate
 from .errors import (
     ExpressionError,
     InconsistentInput,
     NotCoprime,
-    NotStaircaseForm,
     ParseError,
     UnsupportedExpression,
     parse_int,
@@ -390,15 +389,13 @@ def _check(value: int, limit: int, what: str) -> None:
 
 
 def _staircases(e: KnotExpr) -> list[StaircaseExponents]:
-    """The staircase of every leaf of e (mirrors dropped), left to right."""
+    """The staircase of every leaf of e (mirrors dropped), left to right;
+    each leaf is an L-space knot, so its polynomial has staircase form."""
     if isinstance(e, Mirror):
         return _staircases(e.inner)
     if isinstance(e, Sum):
         return _staircases(e.left) + _staircases(e.right)
-    try:
-        return [staircase_exponents(_lspace_polynomial(e))]
-    except NotStaircaseForm as exc:
-        raise UnsupportedExpression(f"polynomial of {e} is not in staircase form: {exc}") from exc
+    return [staircase_exponents(_lspace_polynomial(e))]
 
 
 def _class_of(e: KnotExpr, leaves: Iterator[StaircaseExponents]) -> CfkComplex:
@@ -420,14 +417,8 @@ class ClassRep(Value):
         if not report.ok:
             first = report.errors[0]
             raise InconsistentInput(f"not a knot-like complex: {first.message}")
-        c = self.complex
-        g = c.generators
-        flat = next(
-            ((s, t) for s, t, u in c.triples if u == 0 and g[s].alexander == g[t].alexander), None
-        )
-        if flat is not None:
-            x, y = (g[k].name for k in flat)
-            raise InconsistentInput(f"not reduced: arrow {x} -> {y} drops no grading")
+        if reduce(self.complex) is not self.complex:  # reduce returns a reduced input itself
+            raise InconsistentInput("not reduced: an arrow drops no grading")
 
     def __str__(self) -> str:
         if self.provenance is not None:

@@ -62,7 +62,7 @@ from cfkcalc import (
     validate,
     vertical_class,
 )
-from cfkcalc import cfk, invariants
+from cfkcalc import cfk, invariants, regions
 from cfkcalc.cli import main
 from cfkcalc.gf2 import Gf2Space, kernel_and_image
 from conftest import (
@@ -186,6 +186,27 @@ def test_invariants_in_turn_build_each_region_once(monkeypatch):
         (HookWithTail(6, 1, 2), 0),
         (HookWithTail(6, 1, 4), 0),
     ]
+
+
+def test_invariants_in_turn_eliminate_only_the_column_and_the_g_hook(monkeypatch):
+    # the other slices test a class image against their boundaries alone
+    c = torus_staircase(4, 5)
+    tau(unknot_complex())
+    built, eliminated = {}, []
+    real_build, real_eliminate = invariants.region_complex, regions.kernel_and_image
+
+    def build(c, region, degree):
+        built[region] = real_build(c, region, degree)
+        return built[region]
+
+    def eliminate(columns):
+        eliminated.append(next(r for r, rc in built.items() if rc.boundary is columns))
+        return real_eliminate(columns)
+
+    monkeypatch.setattr(invariants, "region_complex", build)
+    monkeypatch.setattr(regions, "kernel_and_image", eliminate)
+    assert (tau(c), epsilon(c), a1(c), a2(c)) == (6, 1, 1, 3)
+    assert eliminated == [Column0(), GHook(6)]
 
 
 def test_analysis_of_an_earlier_complex_is_released():

@@ -343,6 +343,31 @@ def test_unsupported_cables():
         class_complex(Cable(Cable(T23, 2, 3), 2, -1))
 
 
+# one-level cables (p <= 4, q < 40) of U, D and small torus knots, and
+# two-level cable nests on the trefoil
+CABLES = [(p, q) for p in range(1, 5) for q in range(1, 40) if math.gcd(p, q) == 1]
+LEAF_GRID = [
+    f"C({k};{p},{q})"
+    for k in ("U", "D", "T(2,3)", "T(2,5)", "T(2,7)", "T(3,4)", "T(3,5)")
+    for p, q in CABLES
+] + [f"C(C(T(2,3);{p},{q});{r},{s})" for p, q in CABLES if p > 1 for r, s in CABLES if r > 1]
+
+
+def test_every_leaf_the_lspace_walk_accepts_has_a_staircase():
+    # the walk accepts only L-space knots (Hedden, Hom), whose polynomials
+    # are in staircase form, so class_complex builds each one
+    built = 0
+    for text in LEAF_GRID:
+        e = parse(text)
+        try:
+            knots._lspace_polynomial(e)
+        except UnsupportedExpression:
+            continue
+        class_complex(e)  # NotStaircaseForm, were a leaf without a staircase accepted
+        built += 1
+    assert built == 772
+
+
 @pytest.mark.parametrize(
     "text, size",
     [(" + ".join(["T(2,5)"] * 12), "244,140,625"), ("-T(2,200001)", "200,001")],
