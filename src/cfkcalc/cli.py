@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .cfk import CfkComplex, _class_errors, deserialize, validate
+from .cfk import CfkComplex, deserialize, validate
 from .concordance import (
     Certificate,
     cable_tau,
@@ -28,7 +28,7 @@ from .concordance import (
     independence_certificate,
     recheck_certificate,
 )
-from .errors import InconsistentInput, InputError, MathError, RankNotOne
+from .errors import InconsistentInput, InputError, MathError
 from .invariants import a1, a2, epsilon, tau
 from .knots import alexander, class_complex, parse
 
@@ -56,20 +56,6 @@ def _write_file(path: str, text: str) -> None:
         raise InconsistentInput(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _load_source(source: str) -> tuple[str, str, CfkComplex]:
-    """An argument names either a complex file on disk or an expression."""
-    if os.path.isfile(source):
-        c = deserialize(_read_file(source))
-        errors = _class_errors(c)
-        if errors and errors[0].kind in ("column-rank", "row-rank"):
-            raise RankNotOne(errors[0].message)
-        if errors:
-            raise InconsistentInput(f"{source}: {errors[0].message}")
-        return ("file", source, c)
-    expr = parse(source)
-    return ("expression", str(expr), class_complex(expr).complex)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 #
@@ -80,9 +66,16 @@ _Output = tuple[int, dict[str, object] | str | None, list[str]]
 
 
 def _cmd_invariants(args: argparse.Namespace) -> _Output:
-    kind, label, c = _load_source(args.source)
+    if os.path.isfile(args.source):  # a complex file on disk, else an expression
+        kind, label, c = "file", args.source, deserialize(_read_file(args.source))
+    else:
+        expr = parse(args.source)
+        kind, label, c = "expression", str(expr), class_complex(expr).complex
     generators = len(c.generators)
-    t = tau(c)  # first: it rejects the empty complex, which has no max_alex
+    try:  # first: it checks a file's class, and rejects the empty complex, which has no max_alex
+        t = tau(c)
+    except InconsistentInput as exc:
+        raise InconsistentInput(f"{label}: {exc}") from exc
     max_alex = max(g.alexander for g in c.generators)
     e = epsilon(c)
     a1_value = a2_value = None
@@ -270,11 +263,8 @@ def _ascii_diagram(dots, hsegs, vsegs) -> str:
     grid = [[" "] * width for _ in range(height)]
 
     def put(row: int, col: int, ch: str) -> None:
-        old = grid[row][col]
-        if ch in "-|" and old in "-|" and old != ch:
+        if grid[row][col] not in (" ", ch):  # a crossing, new or already drawn
             ch = "+"
-        if old == "o":
-            return
         grid[row][col] = ch
 
     for i1, i2, j in hsegs:

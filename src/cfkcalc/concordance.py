@@ -14,13 +14,15 @@ import json
 import math
 from typing import NamedTuple, Sequence
 
-from .cfk import MAX_GENERATORS, CfkComplex, _class_errors, deserialize, dual, serialize, tensor
+from .cfk import MAX_GENERATORS, CfkComplex, deserialize, dual, serialize, tensor
 from .errors import (
     CertificateError,
     InconsistentInput,
+    MathError,
     NotAChain,
     NotCoprime,
     ParseError,
+    RankNotOne,
     UnsupportedExpression,
     parse_int,
 )
@@ -321,12 +323,11 @@ def recheck_certificate(cert: Certificate) -> bool:
             c = deserialize(entry.complex_text)
         except ParseError as exc:
             raise CertificateError(f"entry {i}: embedded complex does not parse: {exc}") from exc
-        errors = _class_errors(c)
-        if errors:
-            raise CertificateError(f"entry {i}: not a knot-like complex: {errors[0].message}")
-        try:
+        try:  # the analysis checks the class first
             summary = _summarize(c)
-        except Exception as exc:
+        except (RankNotOne, InconsistentInput) as exc:
+            raise CertificateError(f"entry {i}: not a knot-like complex: {exc}") from exc
+        except MathError as exc:
             raise CertificateError(f"entry {i}: invariants failed: {exc}") from exc
         if summary.epsilon != entry.epsilon:
             raise CertificateError(

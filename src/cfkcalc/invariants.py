@@ -20,7 +20,8 @@ and each test needs only cycles in degree d and boundaries from degree d + 1,
 so every region is built as its degree-d slice.  A checked class carries d
 (see CfkComplex); on any other, the knot-class check of validate runs first,
 without the reduce behind validate's symmetry warning, and its first error is
-raised (RankNotOne for a rank, else InconsistentInput).
+raised (RankNotOne for a rank, else InconsistentInput).  The command line's
+complex files, certificate recheck and the doubled trefoil screen rely on it.
 
 The four invariants share one analysis of the most recent complex
 (_Analysis): it builds every region slice they read and finds the class,
@@ -87,7 +88,7 @@ class _Analysis:
 
     def __init__(self, c: CfkComplex):
         if c._class_degree is None and (errors := _class_errors(c)):
-            kind, message = errors[0]  # mapped as cli._load_source maps them
+            kind, message = errors[0]
             raise (RankNotOne if kind.endswith("-rank") else InconsistentInput)(message)
         self.c, self.degree = c, c._class_degree
         rc = self.build(Column0())
@@ -376,10 +377,10 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     epsilon 0, i.e. the candidate and the trefoil share a concordance class.
     A candidate that validate() rejects fails all three with an empty table.
     """
-    if _math_errors(c):  # as hfk_table refuses it
-        return WhiteheadModelReport(False, False, False, {})
     try:
         local_ok = tau(c) == 1 and epsilon(c) == 1
+    except InconsistentInput:  # the analysis's grading or d^2 error, as hfk_table refuses it
+        return WhiteheadModelReport(False, False, False, {})
     except MathError:
         local_ok = False
     reduced = reduce(c)  # once, for the table and the product

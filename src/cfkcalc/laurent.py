@@ -35,11 +35,10 @@ class LaurentPoly:
     '1 + t^-1'
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] = ()):
         self._coeffs = {e: c for e, c in dict(coeffs).items() if c != 0}
-        self._hash: int | None = None
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -58,9 +57,7 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._coeffs.items())))
-        return self._hash
+        return hash(tuple(sorted(self._coeffs.items())))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._coeffs.items()))

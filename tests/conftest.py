@@ -27,11 +27,13 @@ from cfkcalc import (
     Generator,
     GHook,
     HookWithTail,
+    Ordering,
     ParseError,
     RankNotOne,
     Row,
     TruncatedHook,
     StaircaseExponents,
+    class_cmp,
     class_complex,
     direct_sum,
     dual,
@@ -40,6 +42,7 @@ from cfkcalc import (
     reduce,
     square_complex,
     staircase,
+    tau,
     tensor,
     torus_alexander,
     staircase_exponents,
@@ -213,6 +216,65 @@ def tampered_certificate() -> str:
         flags=re.M,
     )
     return json.dumps(payload, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# oracles independent of the staircase, tensor and region code
+
+# The genus of each leaf from closed forms: (p-1)(q-1)/2 for T(p,q), and
+# p g(K) + (p-1)(q-1)/2 for the (p, q) cable of K; D, the doubled trefoil, has
+# genus 1.  tau = g on every leaf: on the L-space knots, on D (tau(D) = 1), and
+# on C(D;2,3), since epsilon(D) = +1 gives tau of a cable of D by the same form.
+ORACLE_LEAVES = {
+    "U": 0,
+    "D": 1,
+    "T(2,3)": 1,
+    "T(2,5)": 2,
+    "T(3,4)": 3,
+    "T(3,5)": 4,
+    "T(2,7)": 3,
+    "C(T(2,3);2,5)": 4,
+    "C(D;2,3)": 3,
+}
+
+FLIP = {Ordering.GT: Ordering.LT, Ordering.LT: Ordering.GT, Ordering.EQ: Ordering.EQ}
+
+
+def signed_leaf_sums(rng: random.Random, count: int, most: int) -> list[tuple[str, str, int]]:
+    """count seeded sums of 1..most signed ORACLE_LEAVES, about a quarter of
+    them mirrored whole: (text, the same sum with its terms reversed, the
+    signed sum of the leaves' genera)."""
+    out, leaves = [], list(ORACLE_LEAVES)
+    for _ in range(count):
+        terms = [(rng.choice((1, -1)), rng.choice(leaves)) for _ in range(rng.randint(1, most))]
+        texts = [
+            " + ".join(("-" if s < 0 else "") + leaf for s, leaf in order)
+            for order in (terms, terms[::-1])
+        ]
+        genus = sum(s * ORACLE_LEAVES[leaf] for s, leaf in terms)
+        if rng.random() < 0.25:
+            texts, genus = [f"-({text})" for text in texts], -genus
+        out.append((texts[0], texts[1], genus))
+    return out
+
+
+def tau_additivity_failures(sums: list[tuple[str, str, int]]) -> list[tuple[str, int, int]]:
+    """(text, tau, genus sum) of each sum whose tau is not the signed sum of
+    its leaves' genera: tau is additive, and tau = g on every leaf."""
+    taus = [(text, tau(class_complex(parse(text)).complex), genus) for text, _, genus in sums]
+    return [row for row in taus if row[1] != row[2]]
+
+
+def antisymmetric_orders(pairs: list[tuple[str, str]]) -> list[Ordering]:
+    """class_cmp(k, j) for each pair of expression texts, each checked against
+    the flip of class_cmp(j, k)."""
+    orders = []
+    for left, right in pairs:
+        k, j = class_complex(parse(left)), class_complex(parse(right))
+        order = class_cmp(k, j)
+        assert class_cmp(j, k) == FLIP[order], (left, right)
+        orders.append(order)
+    return orders
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,14 @@ def test_dual_involution_random(rng):
         assert validate(dual(c)).ok
 
 
+def test_dual_refuses_names_that_collide_or_vanish():
+    # 'a' and 'a**' both dualize to 'a*'; '*' dualizes to the empty name
+    with pytest.raises(ValueError, match="^generator names collide under dualization$"):
+        dual(CfkComplex([Generator("a", 0, 0), Generator("a**", 1, 0)]))
+    with pytest.raises(ValueError, match="^unusable generator name ''$"):
+        dual(CfkComplex([Generator("*", 0, 0)]))
+
+
 def test_reduce_cancels_synthetic_pair():
     gens = [
         Generator("a", 1, 0),

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cfkcalc import Ordering, class_complex, parse, serialize
-from cfkcalc.cli import _diagram_geometry, _layout_offsets, main
+from cfkcalc.cli import _ascii_diagram, _diagram_geometry, _layout_offsets, main
 from conftest import digit_limit_message, tampered_certificate, trefoil_complex
 
 T45_INVARIANTS = (
@@ -51,6 +51,27 @@ T34_ASCII = (
     "    o-------o\n"
     "            |\n"
     "            o\n"
+)
+
+# two vertical segments overlap where line 11 crosses them: the + stays
+SUM_ASCII = (
+    "o---o\n"
+    "|   |\n"
+    "o---o---o---o---o\n"
+    "    |   |   |   |\n"
+    "    o---o---+---o---o\n"
+    "        |   |   |   |\n"
+    "        o---o---o---o---o\n"
+    "                |   |   |\n"
+    "                o---o---o---o\n"
+    "                    |   |   |\n"
+    "                    o---+---o\n"
+    "                    |   |   |\n"
+    "                    o---o---o\n"
+    "                        |   |\n"
+    "                        o---o---o\n"
+    "                            |   |\n"
+    "                            o---o\n"
 )
 
 TREFOIL_SVG = (
@@ -578,6 +599,11 @@ def test_show_ascii_two_step_staircase(capsys):
     assert capsys.readouterr().out == T34_ASCII
 
 
+def test_show_ascii_keeps_a_crossing_under_overlapping_segments(capsys):
+    assert main(["show", "T(2,5) + -T(4,5)"]) == 0
+    assert capsys.readouterr().out == SUM_ASCII
+
+
 def test_show_svg_trefoil(capsys):
     assert main(["show", "T(2,3)", "--format", "svg"]) == 0
     assert capsys.readouterr().out == TREFOIL_SVG
@@ -630,6 +656,21 @@ def test_every_arrow_of_a_class_is_drawn_as_a_segment(text):
     offsets = _layout_offsets(c)
     assert all(offsets[t] == offsets[s] + u for s, t, u in c.triples)
     _diagram_geometry(c)  # asserts that every arrow is horizontal or vertical
+
+
+def test_every_crossing_without_a_dot_is_drawn_as_a_plus():
+    crossed = 0
+    for text in LAYOUT_CORPUS + ["T(2,5) + -T(4,5)"]:
+        dots, hsegs, vsegs = _diagram_geometry(class_complex(parse(text)).complex)
+        rows = _ascii_diagram(dots, hsegs, vsegs).split("\n")
+        top = max(j for _, j in dots)
+        inside = {
+            (i, j) for i1, i2, j in hsegs for i, j1, j2 in vsegs if i1 < i < i2 and j1 < j < j2
+        }
+        for i, j in inside - set(dots):  # 4 columns by 2 rows per lattice unit
+            assert rows[(top - j) * 2][i * 4] == "+", (text, i, j)
+            crossed += 1
+    assert crossed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ recheck to notice every edit.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from cfkcalc import (
     NotAChain,
     NotCoprime,
     Ordering,
+    SearchExhausted,
     StaircaseExponents,
     abs_class,
     cable_tau,
@@ -42,9 +44,17 @@ from cfkcalc import (
     tensor,
     unknot_complex,
 )
+from cfkcalc import invariants
 from cfkcalc.cli import main
 from cfkcalc.concordance import LARGER_A2, SMALLER_A1, _Summary, _compare_summaries
-from conftest import digit_limit_message, torus_staircase, trefoil_complex
+from conftest import (
+    SEED,
+    antisymmetric_orders,
+    digit_limit_message,
+    signed_leaf_sums,
+    torus_staircase,
+    trefoil_complex,
+)
 
 T23 = ClassRep(trefoil_complex())
 T34 = ClassRep(torus_staircase(3, 4))
@@ -107,6 +117,15 @@ def test_order_is_antisymmetric_on_sampled_pairs():
     for k in catalog:
         for j in catalog:
             assert class_cmp(j, k) == flip[class_cmp(k, j)]
+
+
+def test_order_is_antisymmetric_on_seeded_leaf_sums():
+    sums = signed_leaf_sums(random.Random(SEED), 30, 2)
+    pairs = [(k[0], j[0]) for k, j in zip(sums, sums[1:])]
+    pairs += [(text, reversed_text) for text, reversed_text, _ in sums]
+    orders = antisymmetric_orders(pairs)
+    assert orders[len(sums) - 1 :] == [Ordering.EQ] * len(sums)  # the same class twice
+    assert {Ordering.GT, Ordering.LT} <= set(orders)
 
 
 def test_order_is_translation_invariant_on_a_sample():
@@ -282,6 +301,43 @@ def tampered(cert: Certificate, mutate) -> Certificate:
 def test_recheck_notices_an_edited_invariant():
     cert = tampered(chain_certificate(), lambda p: p["chain"][0].update(a1=7))
     with pytest.raises(CertificateError, match="certificate says"):
+        recheck_certificate(cert)
+
+
+def test_recheck_notices_an_edited_epsilon():
+    cert = tampered(chain_certificate(), lambda p: p["chain"][0].update(epsilon=0))
+    with pytest.raises(CertificateError, match=r"^entry 0: epsilon is 1, certificate says 0$"):
+        recheck_certificate(cert)
+
+
+def test_recheck_refuses_a_certificate_without_entries():
+    with pytest.raises(CertificateError, match=r"^certificate has no chain entries$"):
+        recheck_certificate(Certificate((), ()))
+
+
+def test_recheck_refuses_an_entry_of_column_rank_two():
+    rank_two = "cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n"
+    cert = tampered(chain_certificate(), lambda p: p["chain"][1].update(complex=rank_two))
+    message = r"^entry 1: not a knot-like complex: column homology rank 2, expected 1$"
+    with pytest.raises(CertificateError, match=message):
+        recheck_certificate(cert)
+
+
+def test_recheck_states_a_math_error_of_the_analysis_and_passes_on_any_other(monkeypatch):
+    cert = chain_certificate()
+
+    def fail(error):
+        def raise_it(self):
+            raise error
+
+        monkeypatch.setattr(invariants._Analysis, "a1", property(raise_it))
+
+    fail(SearchExhausted("no hook width killed the class"))
+    with pytest.raises(CertificateError) as info:
+        recheck_certificate(cert)
+    assert str(info.value) == "entry 0: invariants failed: no hook width killed the class"
+    fail(RuntimeError("a fault in the library"))  # not a bad certificate
+    with pytest.raises(RuntimeError, match="^a fault in the library$"):
         recheck_certificate(cert)
 
 

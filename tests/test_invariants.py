@@ -75,6 +75,8 @@ from conftest import (
     reference_homology_ranks,
     reference_region_complex,
     shift_maslov,
+    signed_leaf_sums,
+    tau_additivity_failures,
     torus_staircase,
     trefoil_complex,
     validate_breakers,
@@ -144,6 +146,10 @@ def test_tau_adds_under_tensor_for_staircases():
     double = reduce(tensor(c, c))
     assert tau(double) == 2
     assert epsilon(double) == 1
+
+
+def test_tau_of_a_sum_is_the_signed_sum_of_its_leaves_genera():
+    assert tau_additivity_failures(signed_leaf_sums(random.Random(SEED), 60, 4)) == []
 
 
 def test_square_summands_do_not_move_invariants():

@@ -72,6 +72,12 @@ def test_ring_identities(a, b, c):
     assert a * LaurentPoly.one() == a
 
 
+def test_equal_polynomials_hash_equal():
+    p = P("t^2 - 2t + 1")
+    same = [LaurentPoly({5: 0, 0: 1, 1: -2, 2: 1}), P("t - 1") * P("t - 1"), p + p - p]
+    assert {hash(q) for q in same} == {hash(p)} and len({p, *same}) == 1
+
+
 def test_normalized_moves_valuation_to_zero():
     p = P("t^3 - t^5")
     n = p.normalized()

@@ -87,3 +87,17 @@ def test_module_level_imports_form_an_acyclic_graph():
 def test_the_complex_core_imports_no_region_code():
     # validate ranks the vertical and horizontal complexes itself, over gf2
     assert "regions" not in _runtime_imports(MODULES["cfk"])
+
+
+
+def test_the_knot_class_check_has_two_callers():
+    # validate reports its errors; the analysis raises the first, for every
+    # complex from outside the library
+    callers = {
+        f"{name}.{scope.name}"
+        for name, tree in MODULES.items()
+        for scope in tree.body  # module-level functions and classes
+        for call in ast.walk(scope)
+        if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("_class_errors")
+    }
+    assert callers == {"cfk.validate", "invariants._Analysis"}
