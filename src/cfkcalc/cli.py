@@ -141,8 +141,7 @@ def _cmd_dominates(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_independence(args: argparse.Namespace) -> _Output:
-    from_file = isinstance(args.recheck, str)
-    if from_file:
+    if isinstance(args.recheck, str):
         if args.exprs:
             raise InconsistentInput(
                 "give either expressions to certify or --recheck FILE, not both"
@@ -156,7 +155,7 @@ def _cmd_independence(args: argparse.Namespace) -> _Output:
     if args.recheck:  # before str(cert), which indexes the entries by the links
         recheck_certificate(Certificate.from_json(doc))
     lines = [str(cert)] + (["recheck: ok"] if args.recheck else [])
-    if args.out is not None and not from_file:
+    if args.out is not None:
         _write_file(args.out, doc + "\n")
         lines.append(f"saved: {args.out}")
     return 0, doc, lines

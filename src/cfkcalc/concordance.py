@@ -27,13 +27,11 @@ from .errors import (
     parse_int,
 )
 from .invariants import a1, a2, epsilon
-from .knots import ClassRep, Mirror
+from .knots import ClassRep
 
 __all__ = [
     "Ordering",
     "class_cmp",
-    "class_sign",
-    "abs_class",
     "DominationResult",
     "dominates_by_invariants",
     "DominanceEvidence",
@@ -44,7 +42,6 @@ __all__ = [
     "independence_certificate",
     "recheck_certificate",
     "cable_tau",
-    "epsilon_from_cable_taus",
 ]
 
 
@@ -59,19 +56,6 @@ def class_cmp(k: ClassRep, j: ClassRep) -> Ordering:
     the difference class."""
     e = epsilon(tensor(k.complex, dual(j.complex)))
     return {1: Ordering.GT, 0: Ordering.EQ, -1: Ordering.LT}[e]
-
-
-def class_sign(k: ClassRep) -> int:
-    """Sign of the class against zero; equals epsilon of its complex."""
-    return epsilon(k.complex)
-
-
-def abs_class(k: ClassRep) -> ClassRep:
-    """k itself when its sign is nonnegative, otherwise the mirror class."""
-    if class_sign(k) >= 0:
-        return k
-    provenance = None if k.provenance is None else Mirror(k.provenance)
-    return ClassRep(dual(k.complex), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +338,7 @@ def recheck_certificate(cert: Certificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cable rules
+# cable rule
 
 
 def cable_tau(tau_value: int, eps: int, p: int, q: int) -> int:
@@ -374,18 +358,3 @@ def cable_tau(tau_value: int, eps: int, p: int, q: int) -> int:
             return (p - 1) * (q + 1) // 2
         return (p - 1) * (q - 1) // 2
     raise InconsistentInput(f"epsilon must be -1, 0, or +1, got {eps}")
-
-
-def epsilon_from_cable_taus(tau_2_1: int, tau_2_minus1: int) -> int | None:
-    """Read epsilon off the tau values of the (2, 1) and (2, -1) cables.
-
-    An odd (2, 1) value forces epsilon -1, an odd (2, -1) value forces +1,
-    two zeros force 0; anything else is indeterminate (None).
-    """
-    if tau_2_1 % 2 != 0:
-        return -1
-    if tau_2_minus1 % 2 != 0:
-        return 1
-    if tau_2_1 == 0 and tau_2_minus1 == 0:
-        return 0
-    return None

@@ -36,7 +36,7 @@ import itertools
 import json
 from typing import Iterator, NamedTuple
 
-from .cfk import CfkComplex, _class_errors, _math_errors, dual, reduce, tensor
+from .cfk import CfkComplex, _class_errors, dual, reduce, tensor
 from .errors import (
     EpsilonNotOne,
     InconsistentInput,
@@ -63,7 +63,6 @@ from .regions import (
 
 __all__ = [
     "tau",
-    "vertical_class",
     "f_map_trivial",
     "g_map_trivial",
     "epsilon",
@@ -71,7 +70,6 @@ __all__ = [
     "a1",
     "a2",
     "staircase_a_invariants",
-    "hfk_table",
     "WhiteheadModelReport",
     "check_whitehead_model",
     "WHITEHEAD_RANK_TABLE",
@@ -204,12 +202,6 @@ def tau(c: CfkComplex) -> int:
     return _analysis(c).tau
 
 
-def vertical_class(c: CfkComplex) -> tuple[str, ...]:
-    """Canonical representative of the vertical homology generator, as
-    generator names; it is supported in j <= tau(c)."""
-    return tuple(c.generators[k].name for k in _analysis(c).class_gens)
-
-
 def f_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether the class dies in the full hook at level s (quotient the
     column by j < s, then include)."""
@@ -312,13 +304,6 @@ def staircase_a_invariants(exps: StaircaseExponents) -> tuple[int, int]:
     return (n[0] - n[1], n[1] - n[2])
 
 
-def hfk_table(c: CfkComplex) -> dict[tuple[int, int], int]:
-    """Generator count per (A, M) of the reduced complex; an invalid c raises InconsistentInput."""
-    if errors := _math_errors(c):  # validate's errors, without its reduce for the symmetry warning
-        raise InconsistentInput(f"not a valid complex: {errors[0].message}")
-    return reduce(c).grading_table()
-
-
 # ---------------------------------------------------------------------------
 # doubled trefoil model check
 
@@ -379,7 +364,7 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     """
     try:
         local_ok = tau(c) == 1 and epsilon(c) == 1
-    except InconsistentInput:  # the analysis's grading or d^2 error, as hfk_table refuses it
+    except InconsistentInput:  # the analysis's grading or d^2 error, as validate refuses it
         return WhiteheadModelReport(False, False, False, {})
     except MathError:
         local_ok = False

@@ -522,6 +522,18 @@ def test_independence_recheck_file_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == json.loads(path.read_text(encoding="utf-8"))
 
 
+def test_independence_recheck_file_saves_a_copy(tmp_path, capsys):
+    path, copy = tmp_path / "chain.json", tmp_path / "copy.json"
+    assert main(["independence", "T(2,3)", "T(3,4)", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["independence", "--recheck", str(path), "--out", str(copy)]) == 0
+    assert capsys.readouterr().out.endswith(f"recheck: ok\nsaved: {copy}\n")
+    assert main(["independence", "--recheck", str(copy)]) == 0
+    assert capsys.readouterr().out.endswith("recheck: ok\n")
+    assert main(["independence", "--recheck", str(path), "--json"]) == 0
+    assert copy.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 def test_independence_json_with_out_prints_the_saved_file(tmp_path, capsys):
     path = tmp_path / "chain.json"
     assert main(["independence", "T(2,3)", "T(3,4)", "--json", "--out", str(path)]) == 0

@@ -26,21 +26,16 @@ from cfkcalc import (
     Ordering,
     SearchExhausted,
     StaircaseExponents,
-    abs_class,
     cable_tau,
     class_cmp,
-    class_sign,
     direct_sum,
     dominance_evidence,
     dominates_by_invariants,
     dual,
-    epsilon,
-    epsilon_from_cable_taus,
     independence_certificate,
     recheck_certificate,
     reduce,
     staircase,
-    tau,
     tensor,
     unknot_complex,
 )
@@ -134,23 +129,6 @@ def test_order_is_translation_invariant_on_a_sample():
     shifted_t23 = ClassRep(reduce(tensor(T23.complex, shift)))
     assert class_cmp(shifted_t34, shifted_t23) == class_cmp(T34, T23)
     assert class_cmp(shifted_t23, shifted_t34) == Ordering.LT
-
-
-def test_class_sign_matches_epsilon():
-    assert class_sign(T23) == 1
-    assert class_sign(MIRROR_T23) == -1
-    assert class_sign(UNKNOT) == 0
-
-
-def test_abs_class_flips_negative_classes():
-    flipped = abs_class(MIRROR_T23)
-    assert class_sign(flipped) == 1
-    assert class_cmp(flipped, T23) == Ordering.EQ
-
-
-def test_abs_class_keeps_nonnegative_classes():
-    assert abs_class(T23) is T23
-    assert abs_class(UNKNOT) is UNKNOT
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +426,3 @@ def test_cable_tau_input_errors():
         cable_tau(1, 5, 2, 3)
     with pytest.raises(NotCoprime):
         cable_tau(1, 1, 2, 4)
-
-
-def test_epsilon_recovered_from_two_cable_taus():
-    assert epsilon_from_cable_taus(1, 0) == -1
-    assert epsilon_from_cable_taus(0, 1) == 1
-    assert epsilon_from_cable_taus(0, 0) == 0
-    assert epsilon_from_cable_taus(2, 0) is None
-    assert epsilon_from_cable_taus(1, 1) == -1
-
-
-def test_epsilon_round_trips_through_the_cable_rules():
-    for t, e in [(1, 1), (3, 1), (0, 0), (-1, -1), (-6, -1)]:
-        t21 = cable_tau(t, e, 2, 1)
-        t2m1 = cable_tau(t, e, 2, -1)
-        assert epsilon_from_cable_taus(t21, t2m1) == e
-
-
-def test_cable_tau_agrees_with_epsilon_of_catalog_complexes():
-    for rep in [T23, T34, UNKNOT, MIRROR_T23]:
-        c = rep.complex
-        e = epsilon(c)
-        t = tau(c)
-        assert epsilon_from_cable_taus(cable_tau(t, e, 2, 1), cable_tau(t, e, 2, -1)) == e

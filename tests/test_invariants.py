@@ -45,7 +45,6 @@ from cfkcalc import (
     epsilon_oracle,
     f_map_trivial,
     g_map_trivial,
-    hfk_table,
     independence_certificate,
     parse,
     recheck_certificate,
@@ -60,7 +59,6 @@ from cfkcalc import (
     torus_alexander,
     unknot_complex,
     validate,
-    vertical_class,
 )
 from cfkcalc import cfk, invariants, regions
 from cfkcalc.cli import main
@@ -225,23 +223,7 @@ def test_analysis_of_an_earlier_complex_is_released():
 
 
 # ---------------------------------------------------------------------------
-# vertical class and the F/G threshold behavior
-
-
-def test_vertical_class_of_staircases_is_the_top_generator():
-    assert vertical_class(trefoil_complex()) == ("x0",)
-    assert vertical_class(torus_staircase(4, 5)) == ("x0",)
-
-
-def test_vertical_class_of_mirrored_trefoil():
-    assert vertical_class(dual(trefoil_complex())) == ("x0*",)
-
-
-def test_vertical_class_is_supported_at_or_below_tau():
-    for c in [trefoil_complex(), torus_staircase(3, 5), trefoil_connect_inverse()]:
-        t = tau(c)
-        alexander = {g.name: g.alexander for g in c.generators}
-        assert all(alexander[name] <= t for name in vertical_class(c))
+# the F/G threshold behavior
 
 
 def test_f_map_threshold_on_trefoil():
@@ -441,7 +423,6 @@ def test_model_screen_reports_a_product_over_the_limit(monkeypatch):
 INVARIANT_CALLS = {
     "tau": tau,
     "epsilon": epsilon,
-    "vertical_class": vertical_class,
     "f_map_trivial": lambda c: f_map_trivial(c, 0),
     "g_map_trivial": lambda c: g_map_trivial(c, 0),
     "epsilon_oracle": epsilon_oracle,
@@ -552,8 +533,7 @@ def class_dies_in(c: CfkComplex, region) -> bool:
     reference build of region."""
     t = tau(c)
     rc = reference_region_complex(c, region)
-    gens = [g.name for g in c.generators]
-    indices = [gens.index(x) for x in vertical_class(c)]
+    indices = invariants._analysis(c).class_gens
     point = rc.chain(k for k in indices if c.generators[k].alexander >= t)
     return point in Gf2Space(kernel_and_image(rc.boundary)[1])
 
@@ -635,40 +615,6 @@ def test_a1_requires_epsilon_plus_one():
 def test_a2_requires_epsilon_plus_one():
     with pytest.raises(EpsilonNotOne):
         a2(dual(torus_staircase(3, 4)))
-
-
-# ---------------------------------------------------------------------------
-# rank tables
-
-
-def test_hfk_table_of_trefoil():
-    assert hfk_table(trefoil_complex()) == {(1, 0): 1, (0, -1): 1, (-1, -2): 1}
-
-
-def test_hfk_table_refuses_a_complex_that_validate_rejects():
-    rising = CfkComplex([Generator("a", 0, 0), Generator("b", 1, -1)], [Arrow("a", "b", 0)])
-    with pytest.raises(InconsistentInput, match="arrow a->b u=0 rises by 1"):
-        hfk_table(rising)
-
-
-def test_hfk_table_reduces_once(monkeypatch):
-    calls = []
-
-    def counted(c):
-        calls.append(c)
-        return reduce(c)
-
-    monkeypatch.setattr(cfk, "reduce", counted)  # the symmetry warning of validate
-    monkeypatch.setattr(invariants, "reduce", counted)
-    pair = CfkComplex([Generator("p", 0, 0), Generator("q", 0, -1)], [Arrow("p", "q", 0)])
-    c = direct_sum(trefoil_complex(), pair)
-    assert hfk_table(c) == {(1, 0): 1, (0, -1): 1, (-1, -2): 1}
-    assert calls == [c]
-
-
-def test_hfk_table_ignores_cancellable_pairs():
-    c = trefoil_complex()
-    assert hfk_table(tensor(c, unknot_complex("pt"))) == hfk_table(c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Expression parsing, staircase construction, and class representatives.
 
 The parser tests pin exact error columns; the class tests cross-check tau
-of cable classes against the cable rule and Alexander polynomials against
-the Euler characteristic of the reduced rank table.
+and epsilon of cable classes against the cable rule and Alexander
+polynomials against the Euler characteristic of the reduced rank table.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from cfkcalc import (
     class_complex,
     dual,
     epsilon,
-    hfk_table,
     parse,
+    reduce,
     serialize,
     staircase,
     staircase_exponents,
@@ -329,6 +329,36 @@ def test_cable_class_tau_matches_the_cable_rule(inner, p, q):
     assert tau(rep.complex) == want
 
 
+CABLE_COMPANIONS = ["U", "D", "T(2,3)", "T(2,5)", "T(3,4)", "T(2,7)", "T(3,5)", "C(T(2,3);2,5)"]
+
+
+def test_cable_rule_holds_on_every_accepted_cable():
+    # Hom's cable formula (arXiv:1202.1463): tau of C(K;p,q) from tau(K) and
+    # epsilon(K), and epsilon(C(K;p,q)) = epsilon(K) whenever epsilon(K) != 0
+    accepted, signed, wrong = 0, 0, []
+    for inner in CABLE_COMPANIONS:
+        expr = parse(inner)
+        companion = class_complex(expr).complex
+        t, e = tau(companion), epsilon(companion)
+        for p in range(2, 5):
+            for q in range(-30, 40):
+                if math.gcd(p, abs(q)) != 1:
+                    continue
+                try:
+                    c = class_complex(Cable(expr, p, q)).complex
+                except UnsupportedExpression:
+                    continue
+                accepted += 1
+                if tau(c) != cable_tau(t, e, p, q):
+                    wrong.append(("tau", inner, p, q))
+                if e != 0:
+                    signed += 1
+                    if epsilon(c) != e:
+                        wrong.append(("epsilon", inner, p, q))
+    assert wrong == []
+    assert (accepted, signed) == (383, 317)
+
+
 def test_unsupported_cables():
     with pytest.raises(UnsupportedExpression):
         class_complex(Cable(T23, 2, -3))
@@ -583,5 +613,5 @@ def test_alexander_equals_euler_characteristic_of_the_rank_table(text):
     # the rank table is centered while alexander uses lowest exponent 0,
     # so compare after shifting both to the same normal form
     e = parse(text)
-    table = hfk_table(class_complex(e).complex)
+    table = reduce(class_complex(e).complex).grading_table()
     assert euler_poly(table).normalized() == alexander(e).normalized()

@@ -3,18 +3,21 @@
 Each module of cfkcalc is read with ast, not imported.  No import statement
 sits inside a function or method, and the imports between the package's
 modules at module level (skipping ``if TYPE_CHECKING:`` bodies, which never
-run) form an acyclic graph.
+run) form an acyclic graph.  Every module-level import is used, and every
+public name has a use outside its own definition.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import cfkcalc
 
 PACKAGE = Path(cfkcalc.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _local_imports(tree: ast.AST) -> list[tuple[str, int]]:
@@ -101,3 +104,74 @@ def test_the_knot_class_check_has_two_callers():
         if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("_class_errors")
     }
     assert callers == {"cfk.validate", "invariants._Analysis"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Names node reads or binds, including module.name attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if sub.value.id in MODULES:
+                out.add(sub.attr)
+    return out
+
+
+def _owner(statement: ast.stmt) -> str | None:
+    """The name a module-level statement defines, if it defines one."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return statement.name
+    if isinstance(statement, ast.Assign) and len(statement.targets) == 1:
+        target = statement.targets[0]
+    elif isinstance(statement, ast.AnnAssign):
+        target = statement.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def test_every_public_name_has_a_use():
+    # a use is a reference from a module-level statement that is not the
+    # name's own definition (and that is private or itself used), a mention
+    # in the README, or a use in the acceptance suite
+    public = set(cfkcalc.__all__) - {"__version__"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = {name for name in public if re.search(rf"\b{re.escape(name)}\b", readme)}
+    used |= public & {node.id for node in ast.walk(acceptance) if isinstance(node, ast.Name)}
+    statements = [
+        (_owner(statement), _names(statement))
+        for tree in MODULES.values()
+        for statement in tree.body
+        if not isinstance(statement, (ast.Import, ast.ImportFrom))
+        and _owner(statement) != "__all__"
+    ]
+    grown = True
+    while grown:
+        before = len(used)
+        for owner, names in statements:
+            if owner not in public or owner in used:
+                used |= (names & public) - {owner}
+        grown = len(used) > before
+    assert sorted(public - used) == []
+
+
+def test_every_module_level_import_is_used():
+    unused = {}
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        statements = [*tree.body]  # with the bodies of module-level ifs
+        statements += [s for node in tree.body if isinstance(node, ast.If) for s in node.body]
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in statements
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if bound - read:
+            unused[name] = sorted(bound - read)
+    assert unused == {}
