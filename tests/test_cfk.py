@@ -350,6 +350,12 @@ DESERIALIZE_ACCEPTED = [
         "cfk v1\ngen x1 A=0 M=-1\ngen x2 A=-1 M=-2\narr x1 x2 u=0\ngen x0 A=1 M=0\narr x1 x0 u=1\n",
         trefoil_complex(),
     ),
+    (  # all of the above at once: tabs, runs of spaces, trailing whitespace,
+        # CRLF, a blank line, and gen and arr lines interleaved
+        "cfk v1\r\ngen x1\tA=0   M=-1\r\n\r\ngen x2 A=-1 M=-2 \t\r\narr x1 x2 u=0\r\n"
+        "gen x0\tA=1\tM=0\r\narr x1 x0 u=1\r\n",
+        trefoil_complex(),
+    ),
     (
         TREFOIL_TEXT + "arr x1 x2 u=0\narr x1 x2 u=0\narr x1 x0 u=1\n",
         CfkComplex(trefoil_complex().generators, [Arrow("x1", "x2", 0)]),

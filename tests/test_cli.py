@@ -11,6 +11,7 @@ import ast
 import json
 import re
 import shlex
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -94,6 +95,24 @@ CHAIN_TEXT = (
     "  T(3,4) dominates T(2,3) (larger-a2)\n"
 )
 
+# C(D;p,p+1) - T(p,p+1) for p = 3 and 2: 45 and 15 generators
+FAMILY = ["C(D;3,4) + -T(3,4)", "C(D;2,3) + -T(2,3)"]
+
+# the trefoil beside 4,000 cancellable pairs: reduce, behind validate's
+# symmetry warning, is linear in the pairs
+TREFOIL_BESIDE_PAIRS = (
+    "cfk v1\ngen x0 A=1 M=0\ngen x1 A=0 M=-1\ngen x2 A=-1 M=-2\narr x1 x0 u=1\narr x1 x2 u=0\n"
+) + "".join(
+    f"gen a{i} A={i % 5 - 2} M=1\ngen b{i} A={i % 5 - 2} M=0\narr a{i} b{i} u=0\n"
+    for i in range(4000)
+)
+
+
+def family_certificate(capsys) -> str:
+    """What `independence FAMILY --json --recheck` prints."""
+    assert main(["independence", *FAMILY, "--json", "--recheck"]) == 0
+    return capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # invariants
@@ -140,11 +159,14 @@ def test_invariants_json_carries_reasons_when_undefined(capsys):
 
 def test_invariants_from_a_complex_file(tmp_path, capsys):
     path = tmp_path / "trefoil.cfk"
-    path.write_text(serialize(trefoil_complex()), encoding="utf-8")
-    assert main(["invariants", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(f"file: {path}\n")
-    assert "tau: 1\n" in out and "a2: 1\n" in out
+    for text in (serialize(trefoil_complex()), TREFOIL_BESIDE_PAIRS):
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["invariants", str(path)]) == 0
+        assert time.perf_counter() - start < 5.0
+        out = capsys.readouterr().out
+        assert out.startswith(f"file: {path}\n")
+        assert "tau: 1\n" in out and "a2: 1\n" in out
 
 
 def test_invariants_rejects_an_invalid_complex_file(tmp_path, capsys):
@@ -175,6 +197,14 @@ def test_invariants_of_an_empty_complex_file_is_a_math_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: column homology rank 0, expected 1\n"
 
 
+def test_invariants_of_a_file_whose_column_has_rank_two_is_a_math_error(tmp_path, capsys):
+    # a file carries no class degree, so its column is ranked
+    path = tmp_path / "rank2.cfk"
+    path.write_text("cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n", encoding="utf-8")
+    assert main(["invariants", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: column homology rank 2, expected 1\n")
+
+
 def test_invariants_of_a_file_that_is_not_knot_like_is_a_math_error(tmp_path, capsys):
     # column homology has rank one, row homology rank three
     path = tmp_path / "row-rank.cfk"
@@ -193,6 +223,10 @@ def test_invariants_rejects_a_bad_expression(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "column 5" in err
+    # a superscript digit is a character the parser does not know, not an
+    # integer literal past the digit limit
+    assert main(["invariants", "T(2,³)"]) == 2
+    assert capsys.readouterr() == ("", "error: line 1, column 5: unexpected character '³'\n")
 
 
 def test_invariants_rejects_non_coprime_parameters(capsys):
@@ -291,12 +325,14 @@ def test_dominates_with_evidence(capsys):
 
 def test_dominates_refuses_evidence_over_the_generator_limit(capsys):
     # multiple 4 would need 45 * 15^4 = 2,278,125 generators
+    start = time.perf_counter()
     tracemalloc.start()
     try:
-        code = main(["dominates", "C(D;3,4) + -T(3,4)", "C(D;2,3) + -T(2,3)", "--evidence", "4"])
+        code = main(["dominates", *FAMILY, "--evidence", "4"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -322,6 +358,24 @@ def test_polynomial_products_over_the_limit_exit_2_at_once(capsys, argv, message
     assert captured.err == (
         f"error: building the {message} coefficient products is over the limit of 20,000,000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("T(2,1000001)", "a leaf polynomial of degree 1,000,000 is over the limit of 500,000"),
+        (
+            " + ".join(["T(2,5)"] * 12),
+            "a class of 244,140,625 generators is over the limit of 200,000",
+        ),
+    ],
+    ids=["leaf-degree", "class-size"],
+)
+def test_classes_over_the_limit_exit_2_at_once(capsys, text, message):
+    start = time.perf_counter()
+    assert main(["invariants", text]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_literals_past_the_digit_limit_exit_2_without_a_traceback(capsys, tmp_path, too_many_digits):
@@ -351,12 +405,34 @@ def test_literals_past_the_digit_limit_exit_2_without_a_traceback(capsys, tmp_pa
         assert captured.err.count("\n") == 1, argv[0]
 
 
+def test_a_5000_digit_literal_exits_2_with_one_line(tmp_path, capsys):
+    # the interpreter's default limit on int(str) is 4,300 digits
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        pytest.skip("this interpreter reads an integer of 5,000 digits")
+    digits = "1" * 5000
+    path = tmp_path / "long.cfk"
+    path.write_text(f"cfk v1\ngen x0 A={digits} M=0\n", encoding="utf-8")
+    cert = tmp_path / "long.json"
+    text = re.sub(r'"a1": \d+', f'"a1": {digits}', family_certificate(capsys), count=1)
+    cert.write_text(text, encoding="utf-8")
+    for argv, place in (
+        (["invariants", f"T(2,{digits})"], "line 1, column 5: "),
+        (["validate", str(path)], "line 2, column 10: "),
+        (["independence", "--recheck", str(cert)], ""),  # counts the digits, not Python's hint
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == ("", f"error: {place}{digit_limit_message(5000)}\n"), argv[0]
+
+
 def test_dominates_json(capsys):
     assert main(["dominates", "T(3,4)", "T(2,3)", "--evidence", "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["proved"] is True
     assert payload["criterion"] == "larger-a2"
     assert payload["evidence"] == {"consistent": True, "checked": 1}
+    # the difference class at multiple 2 has 10,125 generators
+    assert main(["dominates", *FAMILY, "--evidence", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["evidence"] == {"consistent": True, "checked": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +582,34 @@ def test_independence_json_output(capsys):
 
 
 def test_independence_json_with_recheck_pipes_into_a_recheck(tmp_path, capsys):
-    family = ["C(D;3,4) + -T(3,4)", "C(D;2,3) + -T(2,3)"]
-    assert main(["independence", *family, "--json", "--recheck"]) == 0
-    path = tmp_path / "cert.json"
-    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    path, copy = tmp_path / "cert.json", tmp_path / "copy.json"
+    path.write_text(family_certificate(capsys), encoding="utf-8")
     assert main(["independence", "--recheck", str(path)]) == 0
     assert capsys.readouterr().out.endswith("recheck: ok\n")
+    assert main(["independence", "--recheck", str(path), "--out", str(copy)]) == 0
+    assert capsys.readouterr().out.endswith(f"recheck: ok\nsaved: {copy}\n")
+    assert main(["independence", "--recheck", str(copy)]) == 0
+    assert capsys.readouterr().out.endswith("recheck: ok\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["links"][0].update(above=99),
+            "links [(99, 1)] do not chain the entries in order",
+        ),
+        (lambda d: d["chain"][0].update(epsilon=0), "entry 0: epsilon is 1, certificate says 0"),
+    ],
+    ids=["link-outside-the-chain", "epsilon-edited"],
+)
+def test_recheck_refuses_an_edited_difference_class_certificate(tmp_path, capsys, edit, message):
+    payload = json.loads(family_certificate(capsys))
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["independence", "--recheck", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_independence_recheck_file_json(tmp_path, capsys):
@@ -582,12 +680,14 @@ def test_alexander_json(capsys):
 
 
 def test_alexander_refuses_a_polynomial_over_the_degree_limit(capsys):
+    start = time.perf_counter()
     tracemalloc.start()
     try:
         code = main(["alexander", "T(2,1000001)"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -691,11 +791,12 @@ def test_every_crossing_without_a_dot_is_drawn_as_a_plus():
 
 def test_validate_ok_file(tmp_path, capsys):
     path = tmp_path / "trefoil.cfk"
-    path.write_text(serialize(trefoil_complex()), encoding="utf-8")
-    assert main(["validate", str(path)]) == 0
-    assert capsys.readouterr().out == "ok\n"
-    assert main(["validate", str(path), "--knot-class"]) == 0
-    assert capsys.readouterr().out == "ok\n"
+    for text in (serialize(trefoil_complex()), TREFOIL_BESIDE_PAIRS):
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert main(["validate", str(path), "--knot-class"]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
 
 def test_validate_flags_a_broken_differential(tmp_path, capsys):

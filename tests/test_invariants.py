@@ -11,9 +11,13 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -445,6 +449,40 @@ def test_no_invariant_answers_on_a_complex_that_validate_refuses(name, validated
             INVARIANT_CALLS[name](c)
         assert str(info.value) == message, breaker
         assert c._class_degree is None
+
+
+# python -O strips every assert. Epsilon of a complex with an arrow raising A,
+# and tau of the trefoil beside a row-only pair, must still raise validate's
+# own first error, and the invariants of two classes must not move.
+UNDER_O = """
+import cfkcalc as k
+G, A = k.Generator, k.Arrow
+rises = k.CfkComplex([G("a", 0, 0), G("b", 1, -1), G("c", 0, 0)], [A("a", "b", 0)])
+trefoil = k.CfkComplex(
+    [G("x0", 1, 0), G("x1", 0, -1), G("x2", -1, -2)], [A("x1", "x0", 1), A("x1", "x2", 0)]
+)
+beside = k.direct_sum(trefoil, k.CfkComplex([G("p", 1, 0), G("q", 0, -1)], [A("p", "q", 0)]))
+print(__debug__)
+for f, c in ((k.epsilon, rises), (k.tau, beside)):
+    print(k.validate(c, knot_class=True).errors[0].message)
+    try:
+        print(f"{f.__name__} answers {f(c)}")
+    except (k.InconsistentInput, k.RankNotOne) as exc:
+        print(exc)
+for text in ("C(D;3,4) + -T(3,4)", "T(4,5)"):
+    c = k.class_complex(k.parse(text)).complex
+    print(k.tau(c), k.epsilon(c), k.a1(c), k.a2(c))
+"""
+
+
+def test_under_python_O_the_refusals_and_the_answers_hold():
+    src = str(Path(invariants.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-O", "-c", UNDER_O]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    rises, row = "arrow a->b u=0 rises by 1", "row homology rank 3, expected 1"
+    assert out.stdout.splitlines() == ["False", rises, rises, row, row, "3 1 1 3", "6 1 1 3"]
 
 
 def test_model_screen_reports_a_class_beside_a_row_only_pair():
