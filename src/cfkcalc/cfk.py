@@ -14,6 +14,7 @@ is exact and deterministic.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_left
 from collections import Counter
@@ -69,7 +70,7 @@ _NAME = re.compile(r"\S+")
 _GEN_KEY = itemgetter(1, 2, 0)  # a generator's (alexander, maslov, name)
 _generator = partial(tuple.__new__, Generator)  # Generator((name, A, M)) in C, for bulk builds
 
-MAX_GENERATORS = 200_000  # the largest tensor product built
+MAX_GENERATORS = 200_000  # the largest tensor product built or indexed
 
 
 class CfkComplex:
@@ -284,6 +285,14 @@ def _indexed(gens: list[Generator], triples: Iterable, degree: int | None = None
     return c
 
 
+def _product_size(factors: tuple[CfkComplex, ...]) -> int:
+    """The size of the factors' tensor product, refused over MAX_GENERATORS."""
+    if (size := math.prod(map(len, factors))) > MAX_GENERATORS:
+        limit = f"is over the limit of {MAX_GENERATORS:,}"
+        raise UnsupportedExpression(f"a tensor product of {size:,} generators {limit}")
+    return size
+
+
 def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Tensor product; gradings add and the differential obeys the
     Leibniz rule, so every arrow acts on one factor and fixes the other,
@@ -295,11 +304,7 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     pair took that name.  A product of more than MAX_GENERATORS generators
     raises UnsupportedExpression before anything is built.
     """
-    size = len(c1) * len(c2)
-    if size > MAX_GENERATORS:
-        raise UnsupportedExpression(
-            f"a tensor product of {size:,} generators is over the limit of {MAX_GENERATORS:,}"
-        )
+    size = _product_size((c1, c2))
     gens: list[Generator] = []
     used: set[str] = set()
     for g1 in c1.generators:

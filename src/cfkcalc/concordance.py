@@ -14,7 +14,7 @@ import json
 import math
 from typing import NamedTuple, Sequence
 
-from .cfk import MAX_GENERATORS, CfkComplex, deserialize, dual, serialize, tensor
+from .cfk import MAX_GENERATORS, CfkComplex, deserialize, dual, serialize
 from .errors import (
     CertificateError,
     InconsistentInput,
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .invariants import a1, a2, epsilon
 from .knots import ClassRep
+from .regions import _Product
 
 __all__ = [
     "Ordering",
@@ -53,8 +54,8 @@ class Ordering(enum.Enum):
 
 def class_cmp(k: ClassRep, j: ClassRep) -> Ordering:
     """Position of k against j in the total order: the sign of epsilon on
-    the difference class."""
-    e = epsilon(tensor(k.complex, dual(j.complex)))
+    the difference class, read by slices of k and -j, never built."""
+    e = epsilon(_Product((k.complex, dual(j.complex))))
     return {1: Ordering.GT, 0: Ordering.EQ, -1: Ordering.LT}[e]
 
 
@@ -135,8 +136,8 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
     """Check k > n*j for n = 1 .. max_multiple by forming difference classes.
 
     This is evidence, not proof: domination quantifies over every n.  A
-    base class j that is not positive refutes immediately (checked = 0).
-    A class over MAX_GENERATORS generators is refused before any is built.
+    base class j that is not positive refutes at once (checked = 0).  Each
+    k - n*j is read by slices, never built, and refused over MAX_GENERATORS.
     """
     if max_multiple < 1:
         raise InconsistentInput("max_multiple must be at least 1")
@@ -149,10 +150,8 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
             f"multiple {n} needs {size:,} generators, over the limit of {MAX_GENERATORS:,}"
         )
     minus_j = dual(j.complex)
-    acc = k.complex
     for n in range(1, max_multiple + 1):
-        acc = tensor(acc, minus_j)
-        if epsilon(acc) != 1:
+        if epsilon(_Product((k.complex, *[minus_j] * n))) != 1:
             return DominanceEvidence(False, n)
     return DominanceEvidence(True, max_multiple)
 

@@ -17,11 +17,13 @@ row j = tau and must always agree with epsilon.
 
 The class lies in one Maslov degree d (0 for every class the tool builds),
 and each test needs only cycles in degree d and boundaries from degree d + 1,
-so every region is built as its degree-d slice.  A checked class carries d
-(see CfkComplex); on any other, the knot-class check of validate runs first,
-without the reduce behind validate's symmetry warning, and its first error is
-raised (RankNotOne for a rank, else InconsistentInput).  The command line's
-complex files, certificate recheck and the doubled trefoil screen rely on it.
+so every region is built as its degree-d slice.  The analysis reads a checked
+class, which carries d (see CfkComplex), or a product view of checked classes
+(regions._Product), which carries the sum of theirs.  On any other complex the
+knot-class check of validate runs first, without the reduce behind validate's
+symmetry warning, and its first error is raised (RankNotOne for a rank, else
+InconsistentInput).  The command line's complex files, certificate recheck and
+the doubled trefoil screen rely on it.
 
 The four invariants share one analysis of the most recent complex
 (_Analysis): it builds every region slice they read and finds the class,
@@ -57,6 +59,7 @@ from .regions import (
     HookWithTail,
     Row,
     TruncatedHook,
+    _index,
     homology_data,
     region_complex,
 )
@@ -96,10 +99,9 @@ class _Analysis:
         # elements are sorted by Alexander grading, so the top bit realizes tau
         zmin = space.reduce(z0)
         self.column, self.boundary_space, self.vclass_mask = rc, space, zmin
-        self.class_gens = rc.chain_elements(zmin)  # generator indices
-        gens = c.generators
-        self.tau = gens[self.class_gens[-1]].alexander
-        self.search_bound = gens[-1].alexander - gens[0].alexander
+        self.class_gens = rc.chain_elements(zmin)  # generator indices, or a view's keys
+        self.alexander, self.search_bound = _index(c).alexander, _index(c).span
+        self.tau = self.alexander[self.class_gens[-1]]
 
     def build(self, region):
         """The degree-d slice of region."""
@@ -107,8 +109,7 @@ class _Analysis:
 
     def image(self, rc, level: int) -> int:
         """The class with j < level dropped, as a chain of rc (i = 0 part)."""
-        gens = self.c.generators
-        return rc.chain(k for k in self.class_gens if gens[k].alexander >= level)
+        return rc.chain(k for k in self.class_gens if self.alexander[k] >= level)
 
     def dies(self, region, level: int) -> bool:
         """Whether the class, j < level dropped, is a boundary in region."""
@@ -182,7 +183,7 @@ class _Analysis:
             residual = Gf2Space(rc.above).reduce(self.image(rc, t))
             if residual:
                 top = rc.gen_index[residual.bit_length() - 1]
-                depth = t - width - self.c.generators[top].alexander
+                depth = t - width - self.alexander[top]
                 if depth < 1:
                     raise InternalInconsistency("class survives in the hook of width a1")
                 return depth
@@ -241,14 +242,14 @@ def epsilon_oracle(c: CfkComplex) -> int:
     col = _analysis(c)
     t = col.tau
     row = col.build(Row(t))
-    column, gens = col.column, c.generators
+    column, alexander = col.column, col.alexander
 
     # column elements are in generator order, hence sorted by A
-    cutoff = sum(1 for k in column.gen_index if gens[k].alexander <= t)
+    cutoff = sum(1 for k in column.gen_index if alexander[k] <= t)
     low_boundaries = [v for v in col.boundary_space.pivot_vectors() if v.bit_length() <= cutoff]
 
     def phi(mask: int) -> int:
-        return row.chain(k for k in column.chain_elements(mask) if gens[k].alexander == t)
+        return row.chain(k for k in column.chain_elements(mask) if alexander[k] == t)
 
     data = homology_data(row)
     # the ambiguity of the class, and the row elements left of the column

@@ -22,7 +22,7 @@ import math
 from typing import Iterator, NamedTuple, Union
 
 from ._value import Value
-from .cfk import MAX_GENERATORS, CfkComplex, Generator, _indexed, dual, reduce, tensor, validate
+from .cfk import MAX_GENERATORS, CfkComplex, _generator, _indexed, dual, reduce, tensor, validate
 from .errors import (
     ExpressionError,
     InconsistentInput,
@@ -293,17 +293,14 @@ def staircase(exps: StaircaseExponents) -> CfkComplex:
     generator emits one horizontal arrow (to the previous generator, U
     power equal to the exponent drop) and one vertical arrow (to the next).
     """
-    n = exps.exponents
-    g = exps.genus
-    maslov = [0] * len(n)
+    n, g, last = exps.exponents, exps.genus, len(exps.exponents) - 1
+    maslov = [0]
     for i in range(1, len(n)):
-        if i % 2 == 1:
-            maslov[i] = maslov[i - 1] + 1 - 2 * (n[i - 1] - n[i])
-        else:
-            maslov[i] = maslov[i - 1] - 1
-    gens = [Generator(f"x{i}", n[i] - g, maslov[i]) for i in range(len(n))]
-    odd = range(1, len(n), 2)
-    return _indexed(gens, [(i, i - 1, n[i - 1] - n[i]) for i in odd] + [(i, i + 1, 0) for i in odd])
+        maslov.append(maslov[-1] + (1 - 2 * (n[i - 1] - n[i]) if i % 2 else -1))
+    # x_i sits at index last - i: A ascends, so _store permutes nothing
+    gens = [_generator((f"x{i}", n[i] - g, maslov[i])) for i in range(last, -1, -1)]
+    steps = ((last - i, n[i - 1] - n[i]) for i in range(last - 1, 0, -2))  # odd i; k ascends
+    return _indexed(gens, [a for k, u in steps for a in ((k, k - 1, 0), (k, k + 1, u))])
 
 
 def alexander(e: KnotExpr) -> LaurentPoly:

@@ -4,9 +4,10 @@ The U-orbit of a generator x is the diagonal j - i = A(x); the element
 U^k x sits at (-k, A(x) - k).  A region picks out, for each diagonal, the
 lattice point it contains, if any, as its U power; the region complex keeps
 one element per such point, so each generator has at most one element and
-the region layer names elements by generator index.  A boundary entry
-connects U^k1 x to U^k2 y when some arrow x -> y with power n satisfies
-k2 = k1 + n and both endpoints lie inside the region.
+the region layer names elements by generator index (a product view, which
+reads a tensor product without building it, by element key).  A boundary
+entry connects U^k1 x to U^k2 y when some arrow x -> y with power n
+satisfies k2 = k1 + n and both endpoints lie inside the region.
 
 All regions here are order-convex (p <= q <= r coordinatewise with p, r in
 the region forces q in), which makes every intermediate element of every
@@ -29,6 +30,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._value import Value
+from .cfk import _product_size
 from .errors import InconsistentInput
 from .gf2 import Gf2Space, kernel_and_image
 
@@ -137,49 +139,113 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _Sorted:
+    """A complex's slice index: A and M per generator, its triples and
+    offsets, and per slope s the generator indices sorted by (M - 2sA, index),
+    so that the generators of one key and one A range are one run."""
+
+    def __init__(self, c: CfkComplex):
+        self.triples, self.offsets, gens = c.triples, c.offsets, c.generators
+        ks = list(range(len(gens)))  # both orders share these ints
+        self.alexander, self.maslov = [g.alexander for g in gens], [g.maslov for g in gens]
+        self.span, self.orders = gens[-1].alexander - gens[0].alexander if gens else 0, []
+        for key in (self.maslov, [m - 2 * a for a, m in zip(self.alexander, self.maslov)]):
+            order = sorted(ks, key=key.__getitem__)
+            self.orders.append(([key[k] for k in order], order))
+
+    def runs(self, slope: int, key: int, low: float, high: float) -> tuple[list[int], ...]:
+        """The runs of keys key, key + 1 and key + 2 and of low <= A <= high."""
+        keys, order = self.orders[slope]
+        k0, k1 = bisect_left(self.alexander, low), bisect_right(self.alexander, high)
+        r0, r1 = bisect_left(keys, key), bisect_left(keys, key + 1)
+        r2, r3 = bisect_left(keys, key + 2, r1), bisect_left(keys, key + 3, r1)
+        return (order[bisect_left(order, k0, r0, r1) : bisect_left(order, k1, r0, r1)],
+                order[bisect_left(order, k0, r1, r2) : bisect_left(order, k1, r1, r2)],
+                order[bisect_left(order, k0, r2, r3) : bisect_left(order, k1, r2, r3)])
+
+
+class _Digit:
+    """A grading read off a product element's key: key // div % radix + low."""
+
+    def __init__(self, div: int, radix: int, low: int):
+        self.div, self.radix, self.low = div, radix, low
+
+    def __getitem__(self, key: int) -> int:
+        return key // self.div % self.radix + self.low
+
+
+class _Product:
+    """The tensor product of checked classes, read by slices and never built.
+
+    An element is one generator k_i per factor, with code sum k_i * stride_i;
+    A and M add, and the key ((A - a0) * w + M - m0) * size + code orders the
+    elements A-major.  Runs bisect the first factor's, once per element of the
+    others.  An arrow acts on one factor (Leibniz) and moves the key by a step
+    of its own: triples[k : k + 1] gives k's arrows, offsets being the identity
+    on keys, as a complex's are read.  The class degree is the sum (Kuenneth)."""
+
+    def __init__(self, factors: tuple[CfkComplex, ...]):
+        self.size = size = _product_size(factors)  # tensor's refusal, before any index
+        if any(c._class_degree is None for c in factors):
+            raise InconsistentInput("a product view takes checked classes only")
+        self._class_degree = sum(c._class_degree for c in factors)
+        a0, a1 = (sum(c.generators[i].alexander for c in factors) for i in (0, -1))
+        m0, m1 = (sum(f(g.maslov for g in c.generators) for c in factors) for f in (min, max))
+        self.span, w = a1 - a0, m1 - m0 + 1
+        self.alexander, self.maslov = _Digit(w * size, self.span + 1, a0), _Digit(size, w, m0)
+        self.heads, self.steps, stride = [(0, 0, -(a0 * w + m0) * size)], [], 1
+        for i, c in enumerate(factors):  # heads: (A, M, key) summed over all but the first
+            gens, tr, off = c.generators, c.triples, c.offsets
+            key = [(g.alexander * w + g.maslov) * size + k * stride for k, g in enumerate(gens)]
+            moves = [[(key[t] - key[s], u) for s, t, u in tr[o:p]] for o, p in zip(off, off[1:])]
+            self.steps.append((stride, len(gens), moves, key))  # arrows as key steps
+            if i:
+                part = [(g.alexander, g.maslov, x) for g, x in zip(gens, key)]
+                self.heads = [(a + b, m + n, v + x) for a, m, v in self.heads for b, n, x in part]
+            stride *= len(gens)
+        self.first, self.triples = _Sorted(factors[0]), self
+        self.offsets = range(w * size * (self.span + 1) + 1)  # every key, and one past the last
+
+    def runs(self, slope: int, key: int, low: float, high: float) -> list[list[int]]:
+        out, keys, first = ([], [], []), self.steps[0][3], self.first.runs
+        for a, m, v in self.heads:
+            for block, run in zip(out, first(slope, key - m + 2 * slope * a, low - a, high - a)):
+                block += (v + keys[k] for k in run)
+        return [sorted(block) for block in out]
+
+    def __getitem__(self, keys: slice) -> list[tuple]:
+        k, code = keys.start, keys.start % self.size
+        return [(k, k + step, u) for s, n, ms, _ in self.steps for step, u in ms[code // s % n]]
+
+
 @lru_cache(maxsize=1)
-def _index(c: CfkComplex) -> tuple[list[int], list[int], tuple]:
-    """A and M per generator, and per slope s the generator indices sorted by
-    (M - 2sA, index) beside their sorted M - 2sA; for the last complex only.
-    A piece of slope s and shift b holds the degree-D elements with M - 2sA =
-    D + 2b, so those with k0 <= k < k1 are one run of the order for s."""
-    alexander = [g.alexander for g in c.generators]
-    maslov = [g.maslov for g in c.generators]
-    gens, orders = list(range(len(maslov))), []
-    for key in (maslov, [m - 2 * a for a, m in zip(alexander, maslov)]):
-        order = sorted(gens, key=key.__getitem__)
-        orders.append(([key[k] for k in order], order))
-    return alexander, maslov, tuple(orders)
+def _index(source: CfkComplex | _Product) -> _Sorted | _Product:
+    """The slice index of the last source; a product view is its own."""
+    return source if isinstance(source, _Product) else _Sorted(source)
 
 
 class RegionComplex:
     """One Maslov-degree slice of a region complex.
 
-    Position p holds U^u_power[p] of generator gen_index[p], the degree-d
-    elements in generator order (a generator has at most one element in a
-    region, so gen_index is sorted).  boundary[p] is the boundary of element
-    p as a mask over the degree d - 1 elements (bit j = j-th in generator
-    order), and above[q] that of the q-th degree d + 1 element,
-    U^above_u_power[q], as a mask over positions.  A boundary entry that
-    does not land one degree down raises InconsistentInput.  A slice costs its
-    own elements and arrows: each degree is cut from the complex's _index.
+    Position p holds U^u_power[p] of generator gen_index[p] (an element key
+    in a product view), the degree-d elements in that A-major order: a
+    generator has at most one element in a region, so gen_index is sorted.
+    boundary[p] is the boundary of element p as a mask over the degree d - 1
+    elements (bit j = j-th in order), and above[q] that of the q-th degree
+    d + 1 element, U^above_u_power[q], as a mask over positions.  A boundary
+    entry that does not land one degree down raises InconsistentInput.  A
+    slice costs its own elements and arrows: each is cut from the _index.
     """
 
     __slots__ = ("gen_index", "u_power", "boundary", "above", "above_u_power")
 
-    def __init__(self, source: CfkComplex, region: Region, degree: int):
-        alexander, maslov, orders = _index(source)
-        below, members, above = [], [], []  # the degree d - 1, d, d + 1 elements
-        for low, high, slope, shift in region.pieces():
-            k0, k1 = bisect_left(alexander, low), bisect_right(alexander, high)
-            if k0 < k1:  # the runs of M - 2sA = d - 1 + 2b, d + 2b, d + 1 + 2b
-                (key, order), m = orders[slope], degree - 1 + 2 * shift
-                r0, r1 = bisect_left(key, m), bisect_left(key, m + 1)
-                r2, r3 = bisect_left(key, m + 2, r1), bisect_left(key, m + 3, r1)
-                below += order[bisect_left(order, k0, r0, r1) : bisect_left(order, k1, r0, r1)]
-                members += order[bisect_left(order, k0, r1, r2) : bisect_left(order, k1, r1, r2)]
-                above += order[bisect_left(order, k0, r2, r3) : bisect_left(order, k1, r2, r3)]
-        gens, tr, off = source.generators, source.triples, source.offsets
+    def __init__(self, source: CfkComplex | _Product, region: Region, degree: int):
+        index = _index(source)
+        alexander, maslov, tr, off = index.alexander, index.maslov, index.triples, index.offsets
+        blocks = below, members, above = [], [], []  # the degree d - 1, d, d + 1 elements
+        for low, high, slope, shift in region.pieces():  # of M - 2sA = d - 1 + 2b, ...
+            for block, run in zip(blocks, index.runs(slope, degree - 1 + 2 * shift, low, high)):
+                block += run
         parts = []  # boundaries and U powers of the degree d, then d + 1, elements
         for d, lower, block in ((degree, below, members), (degree + 1, members, above)):
             out, power, place = [], [], {k: p for p, k in enumerate(lower)}
@@ -189,8 +255,8 @@ class RegionComplex:
                     if maslov[t] - 2 * u == target:  # the law holds: in the region iff in lower
                         if t in place:
                             mask |= 1 << place[t]
-                    elif region.u_power(alexander[t]) == pk + u:
-                        name = f"{gens[k].name}->{gens[t].name} u={u}"
+                    elif region.u_power(alexander[t]) == pk + u:  # never in a view
+                        name = f"{source.generators[k].name}->{source.generators[t].name} u={u}"
                         raise InconsistentInput(f"arrow {name} breaks the Maslov law")
                 out.append(mask)
                 power.append(pk)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from cfkcalc import Ordering, class_complex, parse, serialize
+from cfkcalc import Ordering, class_complex, invariants, parse, regions, serialize
 from cfkcalc.cli import _ascii_diagram, _diagram_geometry, _layout_offsets, main
 from conftest import digit_limit_message, tampered_certificate, trefoil_complex
 
@@ -340,6 +340,25 @@ def test_dominates_refuses_evidence_over_the_generator_limit(capsys):
         "error: multiple 4 needs 2,278,125 generators, over the limit of 200,000\n"
     )
     assert peak < 20 * 2**20
+
+
+def test_cmp_refuses_a_difference_over_the_generator_limit(monkeypatch, capsys):
+    # T(2,501) against T(2,401) reads a product of 501 * 401 = 200,901 generators
+    def built(*args):
+        raise AssertionError("a slice or an index was built")
+
+    monkeypatch.setattr(invariants, "region_complex", built)
+    monkeypatch.setattr(regions, "region_complex", built)
+    monkeypatch.setattr(regions, "_index", built)
+    start = time.perf_counter()
+    code = main(["cmp", "T(2,501)", "T(2,401)"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a tensor product of 200,901 generators is over the limit of 200,000\n"
+    )
 
 
 @pytest.mark.parametrize(

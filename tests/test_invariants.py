@@ -32,6 +32,7 @@ from cfkcalc import (
     Generator,
     HookWithTail,
     InconsistentInput,
+    Ordering,
     RankNotOne,
     StaircaseExponents,
     TooShort,
@@ -40,6 +41,7 @@ from cfkcalc import (
     a1,
     a2,
     check_whitehead_model,
+    class_cmp,
     class_complex,
     direct_sum,
     deserialize,
@@ -373,6 +375,9 @@ def test_a_recorded_class_is_not_ranked_again(monkeypatch):
     monkeypatch.setattr(invariants, "_class_errors", refuse)
     k, j = (class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2))
     assert dominance_evidence(k, j, 2) == (True, 2)
+    assert dominance_evidence(k, j, 3) == (True, 3)
+    orders = (class_cmp(k, j), class_cmp(j, k), class_cmp(k, k))
+    assert orders == (Ordering.GT, Ordering.LT, Ordering.EQ)
     c = class_complex(parse("T(2,41)")).complex
     assert (tau(c), epsilon(c), a1(c), a2(c)) == (20, 1, 1, 1)
     monkeypatch.undo()
@@ -383,6 +388,19 @@ def test_a_recorded_class_is_not_ranked_again(monkeypatch):
     broken = deserialize(serialize(trefoil_complex()).replace("x0 A=1 M=0", "x0 A=1 M=2"))
     with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1: M\(x1\)-1 != M\(x0\)-2u$"):
         tau(broken)
+
+
+def test_a_product_view_refuses_a_factor_without_a_class_mark(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the view's product was analysed")
+
+    marked = class_complex(parse("T(2,3)")).complex
+    unmarked = deserialize(serialize(marked))  # equal, but carries no record
+    monkeypatch.setattr(invariants, "_class_errors", refuse)
+    monkeypatch.setattr(invariants, "region_complex", refuse)
+    for factors in ((unmarked,), (marked, unmarked), (unmarked, dual(marked))):
+        with pytest.raises(InconsistentInput, match=r"^a product view takes checked classes only$"):
+            epsilon(regions._Product(factors))
 
 
 PAIRS = "".join(
@@ -729,3 +747,71 @@ def test_model_report_json():
     assert payload["table_ok"] is True
     assert payload["table"]["0,-2"] == 4
     assert len(payload["table"]) == len(WHITEHEAD_RANK_TABLE)
+
+
+# ---------------------------------------------------------------------------
+# product views answer as the built tensor product
+
+
+@functools.cache
+def view_classes() -> list[CfkComplex]:
+    """Every criterion 10 complex that validates as a class, then the unknot's
+    one generator and C(D;p,p+1) - T(p,p+1) for p = 2..6."""
+    corpus = [c for c in randomized_corpus(random.Random(SEED)) if validate(c, knot_class=True).ok]
+    exprs = ["U", *(f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 7))]
+    return corpus + [class_complex(parse(e)).complex for e in exprs]
+
+
+def answers(c) -> tuple:
+    """tau and epsilon of c, then a1 and a2 where epsilon = +1."""
+    e = epsilon(c)
+    return (tau(c), e) + ((a1(c), a2(c)) if e == 1 else ())
+
+
+def slice_invariants(source, region, degree: int) -> tuple:
+    """The sorted (A, M, u) of a slice's members, its columns from above as
+    (u, the sorted (A, M, u) they hit), and the ranks of both maps."""
+    rc = regions.region_complex(source, region, degree)
+    index = regions._index(source)
+    members = [(index.alexander[k], index.maslov[k], u) for k, u in zip(rc.gen_index, rc.u_power)]
+    above = sorted(
+        (u, sorted(members[p] for p in range(len(rc)) if column >> p & 1))
+        for u, column in zip(rc.above_u_power, rc.above)
+    )
+    ranks = (Gf2Space(rc.boundary).dim, Gf2Space(rc.above).dim)
+    return sorted(members), above, ranks
+
+
+def assert_view_matches_the_product(factors: tuple[CfkComplex, ...]) -> None:
+    built = factors[0]
+    for factor in factors[1:]:
+        built = tensor(built, factor)
+    view = regions._Product(factors)
+    assert view._class_degree == built._class_degree
+    assert answers(view) == answers(built), factors
+    t, d = tau(built), built._class_degree
+    for region in (Column0(), FullHook(t), GHook(t)):
+        assert slice_invariants(view, region, d) == slice_invariants(built, region, d), region
+
+
+@pytest.mark.parametrize("n, stride", [(1, 15), (2, 60)])
+def test_product_views_answer_as_the_built_product(n, stride):
+    """k against n copies of -j, against the built tensor product: every class
+    meets about 106 / stride others on each side, over products of at most
+    2,000 generators, so that the test stays in seconds."""
+    checked = 0
+    for i, k in enumerate(view_classes()):
+        for m, j in enumerate(view_classes()):
+            if (i + m) % stride == 0 and len(k) * len(j) ** n <= 2_000:
+                assert_view_matches_the_product((k, *[dual(j)] * n))
+                checked += 1
+    assert checked >= 2_000 // stride
+
+
+def test_class_cmp_is_epsilon_of_the_built_difference():
+    reps = [ClassRep(reduce(c)) for c in view_classes()]
+    order = {1: ">", 0: "=", -1: "<"}
+    for i, k in enumerate(reps):
+        for j in reps[i % 30 :: 30]:
+            expected = order[epsilon(tensor(k.complex, dual(j.complex)))]
+            assert class_cmp(k, j).value == expected, (k, j)

@@ -44,7 +44,7 @@ from cfkcalc import (
     unknot_complex,
     validate,
 )
-from cfkcalc import knots
+from cfkcalc import cfk, knots
 from cfkcalc.knots import MAX_ALEXANDER_DEGREE, MAX_DEPTH
 from conftest import (
     SEED,
@@ -396,6 +396,32 @@ def test_every_leaf_the_lspace_walk_accepts_has_a_staircase():
         class_complex(e)  # NotStaircaseForm, were a leaf without a staircase accepted
         built += 1
     assert built == 772
+
+
+def test_staircases_come_sorted_and_equal_the_named_build(monkeypatch):
+    # x_i is emitted at index k - i, in ascending A with its arrows sorted, so
+    # _store permutes nothing; the complex and its offsets are the named build's
+    emitted = []
+
+    def indexed(gens, triples, degree=None):
+        emitted.append((gens, triples))
+        return cfk._indexed(gens, triples, degree)
+
+    monkeypatch.setattr(knots, "_indexed", indexed)
+    checked = 0
+    for text in [*LEAF_GRID, "T(400,401)", "T(2,4001)"]:
+        try:
+            exps = staircase_exponents(knots._lspace_polynomial(parse(text)))
+        except UnsupportedExpression:
+            continue
+        built, reference = staircase(exps), reference_staircase(exps)
+        gens, triples = emitted.pop()
+        assert [g.name for g in gens] == [f"x{i}" for i in reversed(range(len(exps)))]
+        assert gens == sorted(gens, key=lambda g: (g.alexander, g.maslov, g.name)), text
+        assert triples == sorted(triples), text
+        assert built == reference and built.offsets == reference.offsets, text
+        checked += 1
+    assert checked == 774
 
 
 @pytest.mark.parametrize(
