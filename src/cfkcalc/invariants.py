@@ -23,7 +23,7 @@ class, which carries d (see CfkComplex), or a product view of checked classes
 knot-class check of validate runs first, without the reduce behind validate's
 symmetry warning, and its first error is raised (RankNotOne for a rank, else
 InconsistentInput).  The command line's complex files, certificate recheck and
-the doubled trefoil screen rely on it.
+the doubled trefoil screen rely on it, as the region slices rely on its laws.
 
 The four invariants share one analysis of the most recent complex
 (_Analysis): it builds every region slice they read and finds the class,
@@ -38,7 +38,7 @@ import itertools
 import json
 from typing import Iterator, NamedTuple
 
-from .cfk import CfkComplex, _class_errors, dual, reduce, tensor
+from .cfk import CfkComplex, _class_errors, dual, reduce
 from .errors import (
     EpsilonNotOne,
     InconsistentInput,
@@ -60,6 +60,7 @@ from .regions import (
     Row,
     TruncatedHook,
     _index,
+    _Product,
     homology_data,
     region_complex,
 )
@@ -372,9 +373,8 @@ def check_whitehead_model(c: CfkComplex) -> WhiteheadModelReport:
     reduced = reduce(c)  # once, for the table and the product
     table = reduced.grading_table()
     table_ok = table == WHITEHEAD_RANK_TABLE
-    try:  # a product of reduced complexes is reduced, so reduce c, not the larger product
-        diff = tensor(dual(class_complex(Torus(2, 3)).complex), reduced)
-        class_ok = epsilon(diff) == 0
-    except (MathError, UnsupportedExpression):  # a product over MAX_GENERATORS even so
+    try:  # a view of the reduced candidate: sized as tensor sizes it, refused unmarked
+        class_ok = epsilon(_Product((dual(class_complex(Torus(2, 3)).complex), reduced))) == 0
+    except (MathError, InconsistentInput, UnsupportedExpression):  # or over MAX_GENERATORS
         class_ok = False
     return WhiteheadModelReport(table_ok, local_ok, class_ok, table)

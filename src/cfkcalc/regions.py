@@ -19,8 +19,8 @@ Maslov law every boundary entry lowers it by one.  The invariants read
 homology in one degree d, so a build is one slice: the degree-d elements
 with their boundaries over degree d - 1, and the boundaries of the degree
 d + 1 elements over degree d, so every chain is a mask over one degree.
-The knot-class check of validate ranks the column and the row without a
-region, in cfk.
+The slices trust the grading laws and d^2 = 0: _index checks them once, by
+cfk._math_errors, on an unmarked complex.  validate ranks column and row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._value import Value
-from .cfk import _product_size
+from .cfk import _math_errors, _product_size
 from .errors import InconsistentInput
 from .gf2 import Gf2Space, kernel_and_image
 
@@ -220,7 +220,10 @@ class _Product:
 
 @lru_cache(maxsize=1)
 def _index(source: CfkComplex | _Product) -> _Sorted | _Product:
-    """The slice index of the last source; a product view is its own."""
+    """The slice index of the last source; a product view is its own.  An
+    unmarked complex that _math_errors refuses raises InconsistentInput."""
+    if source._class_degree is None and (errors := _math_errors(source)):
+        raise InconsistentInput(errors[0].message)  # equal complexes, equal errors
     return source if isinstance(source, _Product) else _Sorted(source)
 
 
@@ -232,16 +235,16 @@ class RegionComplex:
     generator has at most one element in a region, so gen_index is sorted.
     boundary[p] is the boundary of element p as a mask over the degree d - 1
     elements (bit j = j-th in order), and above[q] that of the q-th degree
-    d + 1 element, U^above_u_power[q], as a mask over positions.  A boundary
-    entry that does not land one degree down raises InconsistentInput.  A
-    slice costs its own elements and arrows: each is cut from the _index.
+    d + 1 element, U^above_u_power[q], as a mask over positions.  The _index
+    vouches for the Maslov law.  A slice costs its own elements and arrows:
+    each is cut from the _index.
     """
 
     __slots__ = ("gen_index", "u_power", "boundary", "above", "above_u_power")
 
     def __init__(self, source: CfkComplex | _Product, region: Region, degree: int):
         index = _index(source)
-        alexander, maslov, tr, off = index.alexander, index.maslov, index.triples, index.offsets
+        maslov, tr, off = index.maslov, index.triples, index.offsets
         blocks = below, members, above = [], [], []  # the degree d - 1, d, d + 1 elements
         for low, high, slope, shift in region.pieces():  # of M - 2sA = d - 1 + 2b, ...
             for block, run in zip(blocks, index.runs(slope, degree - 1 + 2 * shift, low, high)):
@@ -250,16 +253,12 @@ class RegionComplex:
         for d, lower, block in ((degree, below, members), (degree + 1, members, above)):
             out, power, place = [], [], {k: p for p, k in enumerate(lower)}
             for k in block:  # its boundary over the degree d - 1 elements, lower
-                mask, target, pk = 0, maslov[k] - 1, (maslov[k] - d) >> 1  # M - 2u is the degree
-                for _, t, u in tr[off[k] : off[k + 1]]:
-                    if maslov[t] - 2 * u == target:  # the law holds: in the region iff in lower
-                        if t in place:
-                            mask |= 1 << place[t]
-                    elif region.u_power(alexander[t]) == pk + u:  # never in a view
-                        name = f"{source.generators[k].name}->{source.generators[t].name} u={u}"
-                        raise InconsistentInput(f"arrow {name} breaks the Maslov law")
+                mask = 0  # by the Maslov law an arrow's target lies one degree down,
+                for _, t, _ in tr[off[k] : off[k + 1]]:  # so it is in the region iff in lower
+                    if t in place:
+                        mask |= 1 << place[t]
                 out.append(mask)
-                power.append(pk)
+                power.append((maslov[k] - d) >> 1)  # M - 2u is the degree
             parts += tuple(out), tuple(power)
         self.gen_index = tuple(members)
         self.boundary, self.u_power, self.above, self.above_u_power = parts
@@ -292,8 +291,8 @@ class RegionComplex:
 
 def region_complex(c: CfkComplex, region: Region, degree: int) -> RegionComplex:
     """The Maslov-degree slice of c's region complex at degree.  The degree is
-    required: no build holds every degree.  A boundary entry that does not
-    land one degree down raises InconsistentInput."""
+    required: no build holds every degree.  A complex that validate refuses
+    for its gradings or d^2 raises InconsistentInput with the first message."""
     return RegionComplex(c, region, degree)
 
 

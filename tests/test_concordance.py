@@ -7,8 +7,10 @@ recheck to notice every edit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,18 +30,21 @@ from cfkcalc import (
     StaircaseExponents,
     cable_tau,
     class_cmp,
+    class_complex,
     direct_sum,
     dominance_evidence,
     dominates_by_invariants,
     dual,
+    epsilon,
     independence_certificate,
+    parse,
     recheck_certificate,
     reduce,
     staircase,
     tensor,
     unknot_complex,
 )
-from cfkcalc import invariants
+from cfkcalc import invariants, regions
 from cfkcalc.cli import main
 from cfkcalc.concordance import LARGER_A2, SMALLER_A1, _Summary, _compare_summaries
 from conftest import (
@@ -121,6 +126,48 @@ def test_order_is_antisymmetric_on_seeded_leaf_sums():
     orders = antisymmetric_orders(pairs)
     assert orders[len(sums) - 1 :] == [Ordering.EQ] * len(sums)  # the same class twice
     assert {Ordering.GT, Ordering.LT} <= set(orders)
+
+
+def _order_axiom_classes(count: int, most: int) -> list[tuple[str, ClassRep]]:
+    """(text, class) of count seeded sums of 1..most signed leaves."""
+    sums = signed_leaf_sums(random.Random(SEED + most), count, most)
+    return [(text, class_complex(parse(text))) for text, _, _ in sums]
+
+
+def test_epsilon_of_a_sum_follows_the_signs_of_its_summands():
+    """epsilon is the sign of a class in a totally ordered group: equal
+    nonzero signs add to that sign, and a zero class adds nothing.  The sum
+    K # J is read through a product view of K and J."""
+    classes = _order_axiom_classes(40, 2)
+    checked = Counter()
+    for (a, k), (b, j) in zip(classes, classes[1:]):
+        ek, ej = epsilon(k.complex), epsilon(j.complex)
+        esum = epsilon(regions._Product((k.complex, j.complex)))
+        if ek == ej != 0:
+            assert esum == ek, (a, b)
+            checked["same sign"] += 1
+        for zero, other in ((ek, ej), (ej, ek)):
+            if zero == 0:
+                assert esum == other, (a, b)
+                checked["zero"] += 1
+    assert min(checked["same sign"], checked["zero"]) >= 3, checked
+
+
+def test_order_is_transitive_and_translation_invariant_on_seeded_leaf_sums():
+    sign = {Ordering.GT: 1, Ordering.EQ: 0, Ordering.LT: -1}
+    classes = _order_axiom_classes(14, 2)
+    order = {}  # i < j: the sign of class i against class j
+    for (i, (_, k)), (j, (_, m)) in itertools.combinations(enumerate(classes), 2):
+        order[i, j], order[j, i] = sign[class_cmp(k, m)], sign[class_cmp(m, k)]
+    for i, j, m in itertools.permutations(range(len(classes)), 3):
+        ij, jm, im = order[i, j], order[j, m], order[i, m]
+        if ij >= 0 and jm >= 0:  # K >= J >= M: K >= M, equal only when both are
+            assert im == max(ij, jm), (classes[i][0], classes[j][0], classes[m][0])
+    assert {-1, 0, 1} <= set(order.values())
+    shifts = _order_axiom_classes(12, 1)
+    for ((a, k), (b, j)), (text, _) in zip(zip(classes, classes[1:]), shifts):
+        k_plus, j_plus = (class_complex(parse(f"({x}) + ({text})")) for x in (a, b))
+        assert class_cmp(k_plus, j_plus) == class_cmp(k, j), (a, b, text)
 
 
 def test_order_is_translation_invariant_on_a_sample():

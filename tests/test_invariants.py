@@ -712,6 +712,7 @@ def test_model_screen_never_raises_on_rank_two_input():
     c = CfkComplex([Generator("a", 0, 0), Generator("b", 0, 0)], [])
     report = check_whitehead_model(c)
     assert not report.local_invariants_ok
+    assert not report.class_matches_trefoil  # the product view refuses the unmarked candidate
     assert not report.passed
 
 

@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from cfkcalc import cfk
+from cfkcalc import cfk, regions
 from cfkcalc import (
-    Arrow,
     CfkComplex,
     Column0,
     FullHook,
     GHook,
-    Generator,
     HookWithTail,
     InconsistentInput,
     Region,
@@ -39,6 +38,7 @@ from conftest import (
     reference_region_complex,
     torus_staircase,
     trefoil_complex,
+    validate_breakers,
     with_flat_pairs,
     with_random_squares,
 )
@@ -453,24 +453,45 @@ def test_a_slice_queries_its_region_in_proportion_to_its_own_elements():
     c = class_complex(parse("T(2,4001)")).complex
     region = Counted(TruncatedHook(tau(c), 1), [])
     rc = region_complex(c, region, 0)
-    arrows = sum(c.offsets[k + 1] - c.offsets[k] for k in rc.gen_index)
     assert 0 < len(rc) + len(rc.above) < 10
-    assert len(region.queries) <= len(rc) + arrows + len(rc.above) + 3, region.queries[:10]
+    assert region.queries == ["pieces"]  # the arrows' targets need no query
     assert rc.gen_index == region_complex(c, region.inner, 0).gen_index
 
 
-def test_a_boundary_entry_off_the_next_degree_is_inconsistent_input():
-    # the trefoil with M(x0) raised by 2: in the row j = 1, x1 -> x0 leaves
-    # U^-1 x1 in degree 1 for x0 in degree 2, not 0
-    c = CfkComplex(
-        [Generator("x0", 1, 2), Generator("x1", 0, -1), Generator("x2", -1, -2)],
-        [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)],
-    )
-    for degree in (1, 0):  # x1 in the slice, or among its degree + 1 elements
-        with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1 breaks the Maslov law$"):
-            region_complex(c, Row(1), degree)
-    # a slice that builds no column of the arrow is built
-    assert named(c, region_complex(c, Row(1), 2)) == [("x2", -2), ("x0", 0)]
+def test_a_product_view_slice_reads_each_maslov_grading_once(monkeypatch):
+    # the family's --evidence 2 product, never built: M is read once per
+    # element, for its U power, and never per arrow
+    k = class_complex(parse("C(D;3,4) + -T(3,4)")).complex
+    minus_j = dual(class_complex(parse("C(D;2,3) + -T(2,3)")).complex)
+    reads, read = [], regions._Digit.__getitem__
+
+    def counted(self, key):
+        reads.append(key)
+        return read(self, key)
+
+    monkeypatch.setattr(regions._Digit, "__getitem__", counted)
+    rc = region_complex(regions._Product((k, minus_j, minus_j)), Column0(), 0)
+    assert len(rc) > 600 and len(rc.above) > 600
+    assert len(reads) == len(rc) + len(rc.above)
+
+
+def test_a_slice_is_refused_exactly_when_the_grading_check_refuses():
+    # the grading laws and d^2 = 0 are checked once, by cfk._math_errors, when
+    # an unmarked complex is indexed: the A-raising, Maslov-break and odd-d^2
+    # complexes are refused at every degree with validate's first message
+    refused = []
+    for c in validate_breakers():
+        errors = cfk._math_errors(c)
+        for region in (Column0(), Row(1), FullHook(0)):
+            if not errors:  # rank 2, the square, the trefoil beside a pair
+                _assert_slices_match_reference(c, region)
+                continue
+            degrees = reference_region_complex(c, region).degree
+            for d in range(min(degrees) - 1, max(degrees) + 2):
+                with pytest.raises(InconsistentInput, match=f"^{re.escape(errors[0].message)}$"):
+                    region_complex(c, region, d)
+        refused += [errors[0].kind] if errors else []
+    assert refused == ["j-drop", "maslov", "d-squared"]
 
 
 def test_chain_raises_exactly_outside_the_shape_or_the_slice():
