@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, itemgetter, ne
 from typing import Iterable, NamedTuple
 
@@ -83,10 +82,10 @@ class CfkComplex:
     The constructor checks structure only (names usable and unique, arrow
     endpoints present, U-exponents nonnegative) in the order given; _store
     sorts once and cancels duplicate triples mod 2.  validate() checks the rest.
-    _class_degree marks a checked knot class (_class_errors, the knot-class
-    check of validate, found no error, or tensor, dual or reduce made it of
-    such) by the column's homology degree, and is None on any other; it is
-    not part of equality.
+    _class_degree marks a knot class by the column's homology degree: one
+    that _class_errors, the knot-class check of validate, passed, a staircase,
+    or one that tensor, dual or reduce made of such.  It is None on any other
+    complex, and it is not part of equality.
     """
 
     __slots__ = ("generators", "triples", "offsets", "_hash", "_class_degree")
@@ -121,8 +120,9 @@ class CfkComplex:
             triples = sorted(_odd(triples))
         self.generators = tuple(gens)
         self.triples = tuple(triples)
-        # the arrows leaving k start at the first triple not below (k,)
-        self.offsets = tuple(map(bisect_left, repeat(triples), zip(range(len(order) + 1))))
+        # the arrows leaving k start after those leaving 0 .. k - 1
+        leaving = Counter(map(itemgetter(0), triples))
+        self.offsets = tuple(accumulate(map(leaving.get, range(len(order)), repeat(0)), initial=0))
         self._hash = self._class_degree = None
 
     @property
@@ -255,11 +255,13 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     """Report every grading or d^2 violation; never raises on bad math.
 
     With knot_class=True also requires column and row homology of rank one,
-    and when the report has no error, records the column's degree on c.
+    and when the report has no error, records the column's degree on c.  A
+    complex with that mark is trusted: it has no error, and none is sought.
     A symmetry warning compares generator counts of the reduced complex at
     (s, m) and (-s, m - 2s); it is only attempted on error-free complexes.
     """
-    errors = _class_errors(c) if knot_class else _math_errors(c)
+    marked = c._class_degree is not None
+    errors = [] if marked else _class_errors(c) if knot_class else _math_errors(c)
     warnings: list[Violation] = []
     if not errors:
         table = reduce(c).grading_table()

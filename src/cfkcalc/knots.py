@@ -292,6 +292,8 @@ def staircase(exps: StaircaseExponents) -> CfkComplex:
     Generators x0 .. xk at Alexander gradings n_i - g; each odd-index
     generator emits one horizontal arrow (to the previous generator, U
     power equal to the exponent drop) and one vertical arrow (to the next).
+    Valid exponents make it a reduced knot class whose column keeps x0 at
+    M = 0, so it carries class degree 0.
     """
     n, g, last = exps.exponents, exps.genus, len(exps.exponents) - 1
     maslov = [0]
@@ -300,7 +302,7 @@ def staircase(exps: StaircaseExponents) -> CfkComplex:
     # x_i sits at index last - i: A ascends, so _store permutes nothing
     gens = [_generator((f"x{i}", n[i] - g, maslov[i])) for i in range(last, -1, -1)]
     steps = ((last - i, n[i - 1] - n[i]) for i in range(last - 1, 0, -2))  # odd i; k ascends
-    return _indexed(gens, [a for k, u in steps for a in ((k, k - 1, 0), (k, k + 1, u))])
+    return _indexed(gens, [a for k, u in steps for a in ((k, k - 1, 0), (k, k + 1, u))], 0)
 
 
 def alexander(e: KnotExpr) -> LaurentPoly:

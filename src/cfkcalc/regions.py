@@ -56,21 +56,13 @@ _INF = float("inf")
 
 class Region(Value):
     """A subset of the lattice queried along diagonals: every shape meets
-    each diagonal j - i = a at most once, at (-u, a - u) for u = u_power(a).
+    each diagonal j - i = a at most once, at (-u, a - u) for its U power u.
     pieces() gives the shape as at most three disjoint pieces (low, high, slope,
     shift) in ascending A, meeting the diagonals low <= a <= high at u = slope *
     a + shift: a column piece (slope 0, u constant) or a row piece (u = a - level)."""
 
     def pieces(self) -> tuple[tuple[float, float, int, int], ...]:
         raise NotImplementedError
-
-    def u_power(self, a: int) -> int | None:
-        """The U power of the region's point on the diagonal j - i = a, or
-        None when the region misses that diagonal."""
-        for low, high, slope, shift in self.pieces():
-            if low <= a <= high:
-                return slope * a + shift
-        return None
 
 
 class Column0(Region):

@@ -450,6 +450,15 @@ class ReferenceRegionComplex:
         return dict(ranks)
 
 
+def u_power(region, a: int) -> int | None:
+    """The U power of the region's point on the diagonal j - i = a, read from
+    its pieces(), or None when the region misses that diagonal."""
+    for low, high, slope, shift in region.pieces():
+        if low <= a <= high:
+            return slope * a + shift
+    return None
+
+
 def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
     """Region complex over every degree, built element by element: one per
     generator whose diagonal meets the region, in degree M - 2u, with
@@ -457,7 +466,7 @@ def reference_region_complex(c: CfkComplex, region) -> ReferenceRegionComplex:
     arrows, as masks over all its elements."""
     index: dict[tuple[int, int], int] = {}
     for k, g in enumerate(c.generators):
-        u = region.u_power(g.alexander)
+        u = u_power(region, g.alexander)
         if u is not None:
             index[(k, u)] = len(index)
     number = {g.name: k for k, g in enumerate(c.generators)}
@@ -542,6 +551,12 @@ def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
             None,
         )
     return ReferenceAnalysis(t, eps, width, depth, f, g)
+
+
+def unmarked(c: CfkComplex) -> CfkComplex:
+    """An equal copy of c without the class mark, which validate trusts: a
+    check of the copy runs every grading, d^2 and rank test."""
+    return CfkComplex(c.generators, c.arrows)
 
 
 def shift_maslov(c: CfkComplex, shift: int) -> CfkComplex:

@@ -23,6 +23,7 @@ import pytest
 
 from cfkcalc import (
     Arrow,
+    Certificate,
     CfkComplex,
     ClassRep,
     Column0,
@@ -83,6 +84,7 @@ from conftest import (
     tau_additivity_failures,
     torus_staircase,
     trefoil_complex,
+    unmarked,
     validate_breakers,
     with_random_squares,
 )
@@ -330,13 +332,26 @@ def validated(c: CfkComplex) -> CfkComplex:
     return c
 
 
+def classes_of(cases: list[CfkComplex]) -> list[CfkComplex]:
+    """The cases whose unmarked copy passes validate(knot_class=True), the
+    whole check, each carrying a class degree: an unmarked case gives way to
+    its checked copy, and a marked one must carry the degree the check found."""
+    out = []
+    for c in cases:
+        fresh = unmarked(c)
+        if validate(fresh, knot_class=True).ok:
+            assert c._class_degree in (None, fresh._class_degree), c
+            out.append(fresh if c._class_degree is None else c)
+    return out
+
+
 def recorded_corpus() -> list[CfkComplex]:
     """Every criterion 10 complex that validates as a class, C(D;p,p+1) -
     T(p,p+1) for p = 2..6, the duals of all of them, pairwise tensor products
     of a few, the difference of p = 3 and p = 2, and one whose class sits in
-    degree 2 - 4 = -2: each carries its degree from validate, or from tensor
-    and dual of validated factors."""
-    corpus = [c for c in randomized_corpus(random.Random(SEED)) if validate(c, knot_class=True).ok]
+    degree 2 - 4 = -2: each carries its degree from validate, from staircase,
+    or from tensor and dual of marked factors."""
+    corpus = classes_of(randomized_corpus(random.Random(SEED)))
     exprs = (f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 7))
     classes = [class_complex(parse(e)).complex for e in exprs]
     corpus += classes
@@ -388,6 +403,78 @@ def test_a_recorded_class_is_not_ranked_again(monkeypatch):
     broken = deserialize(serialize(trefoil_complex()).replace("x0 A=1 M=0", "x0 A=1 M=2"))
     with pytest.raises(InconsistentInput, match=r"^arrow x1->x0 u=1: M\(x1\)-1 != M\(x0\)-2u$"):
         tau(broken)
+
+
+def test_classes_built_from_expressions_are_never_checked_again(monkeypatch):
+    # staircase, tensor and dual mark what they build, so neither ClassRep's
+    # validate nor the analysis nor a slice runs a grading, d^2 or rank check
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class the library built was checked again")
+
+    for module in (cfk, invariants):
+        monkeypatch.setattr(module, "_class_errors", refuse)
+    for module in (cfk, regions):
+        monkeypatch.setattr(module, "_math_errors", refuse)
+    invariants._analysis.cache_clear()
+    family = [f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 13)]
+    reps = [class_complex(parse(e)) for e in ["T(2,4001)", "T(400,401)", *family]]
+    assert [len(r.complex) for r in reps[:2]] == [4001, 799]
+    c = reps[0].complex
+    assert (tau(c), epsilon(c), a1(c), a2(c)) == (2000, 1, 1, 1)
+
+
+def test_the_boundaries_check_each_complex_read_from_text_once(tmp_path, capsys, monkeypatch):
+    # a complex read from a certificate or a file carries no mark, so it gets
+    # the whole knot-class check, and only once: the slices behind the
+    # recheck trust the mark that the check records
+    reps = [class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (4, 3, 2)]
+    cert = Certificate.from_json(independence_certificate(reps).to_json())
+    calls = []
+
+    def counted(kind, real):
+        return lambda c: calls.append((kind, serialize(c))) or real(c)
+
+    class_errors, math_errors = counted("class", cfk._class_errors), counted("math", cfk._math_errors)
+    for module in (cfk, invariants):
+        monkeypatch.setattr(module, "_class_errors", class_errors)
+    for module in (cfk, regions):
+        monkeypatch.setattr(module, "_math_errors", math_errors)
+    invariants._analysis.cache_clear()
+    assert recheck_certificate(cert) is True
+    assert calls == [(kind, e.complex_text) for e in cert.entries for kind in ("class", "math")]
+    calls.clear()
+    path, text = tmp_path / "trefoil.cfk", serialize(trefoil_complex())
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path), "--knot-class"]) == 0
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\nok\n"
+    assert calls == [("class", text), ("math", text), ("math", text)]
+
+
+def test_validate_reports_a_marked_class_as_the_full_check_of_its_copy(monkeypatch):
+    # validate trusts the class mark and checks nothing, yet its report,
+    # symmetry warnings included, is what the whole check gives an unmarked
+    # copy.  On the criterion 10 corpus the library marks what it builds: the
+    # staircases and their duals with no square beside them, and the reduced
+    # products (cases 60-74)
+    cases = randomized_corpus(random.Random(SEED))
+    squared = [any(g.name.startswith("q") for g in c.generators) for c in cases]
+    built = [i for i in range(75) if i >= 60 or i < 45 and not squared[i]]
+    assert [i for i, c in enumerate(cases) if c._class_degree is not None] == built
+    marked = recorded_corpus() + [cases[i] for i in built]
+    assert all(c._class_degree is not None for c in marked)
+    pairs = [(c, knot_class) for c in marked for knot_class in (False, True)]
+    expected = [validate(unmarked(c), knot_class=knot_class) for c, knot_class in pairs]
+    assert all(report.ok for report in expected) and any(r.warnings for r in expected)
+
+    def refuse(c):
+        raise AssertionError("validate checked a marked class")
+
+    monkeypatch.setattr(cfk, "_class_errors", refuse)
+    monkeypatch.setattr(cfk, "_math_errors", refuse)
+    for (c, knot_class), full in zip(pairs, expected):
+        report = validate(c, knot_class=knot_class)
+        assert report == full and str(report) == str(full), c
 
 
 def test_a_product_view_refuses_a_factor_without_a_class_mark(monkeypatch):
@@ -758,7 +845,7 @@ def test_model_report_json():
 def view_classes() -> list[CfkComplex]:
     """Every criterion 10 complex that validates as a class, then the unknot's
     one generator and C(D;p,p+1) - T(p,p+1) for p = 2..6."""
-    corpus = [c for c in randomized_corpus(random.Random(SEED)) if validate(c, knot_class=True).ok]
+    corpus = classes_of(randomized_corpus(random.Random(SEED)))
     exprs = ["U", *(f"C(D;{p},{p + 1}) + -T({p},{p + 1})" for p in range(2, 7))]
     return corpus + [class_complex(parse(e)).complex for e in exprs]
 

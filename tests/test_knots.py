@@ -52,6 +52,7 @@ from conftest import (
     random_exponents,
     reference_staircase,
     trefoil_complex,
+    unmarked,
 )
 
 T23 = Torus(2, 3)
@@ -244,7 +245,7 @@ def test_staircase_on_index_triples_matches_the_named_build():
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 7), (3, 4), (3, 5), (4, 5), (5, 7)])
 def test_torus_staircases_are_knot_like(p, q):
     c = staircase(staircase_exponents(torus_alexander(p, q)))
-    assert validate(c, knot_class=True).ok
+    assert validate(unmarked(c), knot_class=True).ok
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,24 @@ LEAF_GRID = [
     for k in ("U", "D", "T(2,3)", "T(2,5)", "T(2,7)", "T(3,4)", "T(3,5)")
     for p, q in CABLES
 ] + [f"C(C(T(2,3);{p},{q});{r},{s})" for p, q in CABLES if p > 1 for r, s in CABLES if r > 1]
+
+
+def test_staircases_carry_the_class_degree_that_validate_finds():
+    # staircase marks its class in degree 0, so validate trusts it: the whole
+    # check of an unmarked copy must pass and record that same degree
+    rng = random.Random(SEED)
+    cases = [random_exponents(rng, 4, 5) for _ in range(50)]
+    for text in [*LEAF_GRID, "T(400,401)", "T(2,4001)"]:
+        try:
+            cases.append(staircase_exponents(knots._lspace_polynomial(parse(text))))
+        except UnsupportedExpression:
+            continue
+    assert len(cases) == 50 + 774
+    for exps in cases:
+        built = staircase(exps)
+        fresh = unmarked(built)
+        assert validate(fresh, knot_class=True).ok, exps
+        assert built._class_degree == fresh._class_degree == 0, exps
 
 
 def test_every_leaf_the_lspace_walk_accepts_has_a_staircase():

@@ -38,6 +38,7 @@ from conftest import (
     reference_region_complex,
     torus_staircase,
     trefoil_complex,
+    u_power,
     validate_breakers,
     with_flat_pairs,
     with_random_squares,
@@ -105,7 +106,7 @@ def reference_contains(region, i: int, j: int) -> bool:
 def contains(region, i: int, j: int) -> bool:
     """Membership read from u_power: the region's point on the diagonal
     j - i is U^u at (-u, j - i - u)."""
-    return region.u_power(j - i) == -i
+    return u_power(region, j - i) == -i
 
 
 def named(c, rc) -> list[tuple[str, int]]:
@@ -196,8 +197,9 @@ def test_row_shape():
 
 @pytest.mark.parametrize("region", SHAPES, ids=repr)
 def test_diagonal_hits_match_brute_force(region):
-    """u_power names the one point of the region on each diagonal, or None,
-    and so do the pieces: at most three, disjoint and in ascending A."""
+    """The pieces name the one point of the region on each diagonal, or None,
+    as u_power reads them and as each piece covering the diagonal does: at
+    most three pieces, disjoint and in ascending A."""
     pieces = region.pieces()
     assert len(pieces) <= 3 and all(slope in (0, 1) for _, _, slope, _ in pieces)
     assert all(p[1] < q[0] for p, q in zip(pieces, pieces[1:]))
@@ -207,7 +209,7 @@ def test_diagonal_hits_match_brute_force(region):
     reach = abs(level) + getattr(region, "width", 0) + getattr(region, "depth", 0) + 2
     for a in range(-6 - reach, 7 + reach):
         hits = brute_diagonal(region, a, window=12 + 2 * reach)
-        u = region.u_power(a)
+        u = u_power(region, a)
         assert hits == (set() if u is None else {(-u, a - u)})
         on = [slope * a + shift for low, high, slope, shift in pieces if low <= a <= high]
         assert hits == {(-u, a - u) for u in on}
@@ -235,7 +237,7 @@ def test_regions_are_order_convex(region):
 def slices(c, region) -> dict:
     """The region's slice at every degree of its elements, and one beyond
     each end."""
-    powers = [(g, region.u_power(g.alexander)) for g in c.generators]
+    powers = [(g, u_power(region, g.alexander)) for g in c.generators]
     degrees = [g.maslov - 2 * u for g, u in powers if u is not None]
     if not degrees:
         return {}
@@ -441,10 +443,6 @@ class Counted(Region):
     def pieces(self):
         self.queries.append("pieces")
         return self.inner.pieces()
-
-    def u_power(self, a: int) -> int | None:
-        self.queries.append(a)
-        return self.inner.u_power(a)
 
 
 def test_a_slice_queries_its_region_in_proportion_to_its_own_elements():
