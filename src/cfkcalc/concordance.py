@@ -4,7 +4,7 @@ A class is represented by a reduced knot-like complex.  Comparison of two
 classes is the epsilon of the difference class; domination (K exceeds every
 multiple of J) is proved from the pair (a1, a2) and packaged, chain by
 chain, into certificates that can be rechecked from their own serialized
-complexes alone.
+complexes alone: the factors of each class, the signed leaves of its expression.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import json
 import math
 from typing import NamedTuple, Sequence
 
-from .cfk import MAX_GENERATORS, CfkComplex, deserialize, dual, serialize
+from .cfk import MAX_GENERATORS, CfkComplex, _product_size, deserialize, dual, serialize
 from .errors import (
     CertificateError,
     InconsistentInput,
+    InputError,
     MathError,
     NotAChain,
     NotCoprime,
@@ -26,8 +27,8 @@ from .errors import (
     UnsupportedExpression,
     parse_int,
 )
-from .invariants import a1, a2, epsilon
-from .knots import ClassRep
+from .invariants import a1, a2, epsilon, tau
+from .knots import ClassRep, _signed_leaves, parse
 from .regions import _Product
 
 __all__ = [
@@ -85,7 +86,7 @@ class _Summary(NamedTuple):
     a2: int | None
 
 
-def _summarize(c: CfkComplex) -> _Summary:
+def _summarize(c: CfkComplex | _Product) -> _Summary:
     e = epsilon(c)
     if e != 1:
         return _Summary(e, None, None)
@@ -160,12 +161,13 @@ def dominance_evidence(k: ClassRep, j: ClassRep, max_multiple: int = 3) -> Domin
 # independence certificates
 
 
-CERTIFICATE_FORMAT = "cfk-independence-certificate v1"
+CERTIFICATE_FORMAT = "cfk-independence-certificate v2"
+_VERSIONS = {"cfk-independence-certificate v1": 1, CERTIFICATE_FORMAT: 2}
 
 
 class ChainEntry(NamedTuple):
     expression: str | None
-    complex_text: str
+    factors: tuple[str, ...]  # cfk v1 texts: the class is their tensor product
     a1: int
     a2: int | None
     epsilon: int
@@ -181,14 +183,16 @@ class ChainLink(NamedTuple):
 
 
 # JSON keys and types of the certificate fields, in constructor order; to_json
-# writes and from_json reads each record in this layout
+# writes and from_json reads each record in this layout (v1: one complex)
 _ENTRY_FIELDS = {
     "expression": (str, type(None)),
-    "complex": (str,),
+    "factors": (list,),
     "a1": (int,),
     "a2": (int, type(None)),
     "epsilon": (int,),
 }
+_V1_FIELDS = {"complex" if k == "factors" else k: v for k, v in _ENTRY_FIELDS.items()}
+_V1_FIELDS["complex"] = (str,)
 _LINK_FIELDS = {"above": (int,), "below": (int,), "criterion": (str,)}
 
 
@@ -200,17 +204,28 @@ def _fields(record: dict, types: dict[str, tuple[type, ...]]) -> list:
     return [record[key] for key in types]
 
 
+def _entry(record: dict, version: int) -> ChainEntry:
+    if version == 1:  # a one-factor entry
+        record = {**record, "factors": _fields(record, _V1_FIELDS)[1:2]}
+    expression, factors, *rest = _fields(record, _ENTRY_FIELDS)
+    if not factors or any(type(f) is not str for f in factors):
+        raise CertificateError("malformed certificate body: 'factors' must list one text or more")
+    return ChainEntry(expression, tuple(factors), *rest)
+
+
 class Certificate(NamedTuple):
     """Dominance chain witnessing linear independence of its classes."""
 
     entries: tuple[ChainEntry, ...]
     links: tuple[ChainLink, ...]
+    version: int = 2  # 1 read from v1: expressions are unchecked labels, which to_json drops
 
     def to_json(self) -> str:
+        entries = (e if self.version == 2 else e._replace(expression=None) for e in self.entries)
         return json.dumps(
             {
                 "format": CERTIFICATE_FORMAT,
-                "chain": [dict(zip(_ENTRY_FIELDS, e)) for e in self.entries],
+                "chain": [dict(zip(_ENTRY_FIELDS, e)) for e in entries],
                 "links": [dict(zip(_LINK_FIELDS, l)) for l in self.links],
             },
             indent=2,
@@ -224,14 +239,14 @@ class Certificate(NamedTuple):
             raise CertificateError(str(exc)) from exc
         except (ValueError, RecursionError) as exc:  # bad JSON or too deep
             raise CertificateError(f"not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or raw.get("format") != CERTIFICATE_FORMAT:
+        if not (version := isinstance(raw, dict) and _VERSIONS.get(str(raw.get("format")))):
             raise CertificateError(f"missing format tag {CERTIFICATE_FORMAT!r}")
         try:
-            entries = tuple(ChainEntry(*_fields(e, _ENTRY_FIELDS)) for e in raw["chain"])
+            entries = tuple(_entry(e, version) for e in raw["chain"])
             links = tuple(ChainLink(*_fields(l, _LINK_FIELDS)) for l in raw["links"])
         except (KeyError, TypeError) as exc:
             raise CertificateError(f"malformed certificate body: {exc}") from exc
-        return cls(entries, links)
+        return cls(entries, links, version)
 
     def __str__(self) -> str:
         lines = [f"independence certificate on {len(self.entries)} classes"]
@@ -260,7 +275,7 @@ def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
 
     The classes must all have epsilon +1 and pairwise distinct (a1, a2);
     otherwise some adjacent pair fails the domination test and NotAChain
-    reports it.
+    reports it.  Each entry carries the factors of its class.
     """
     if not reps:
         raise InconsistentInput("certificate needs at least one class")
@@ -274,15 +289,8 @@ def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
         summary = summaries[i]
         expression = str(reps[i].provenance) if reps[i].provenance is not None else None
         assert summary.a1 is not None
-        entries.append(
-            ChainEntry(
-                expression,
-                serialize(reps[i].complex),
-                summary.a1,
-                summary.a2,
-                summary.epsilon,
-            )
-        )
+        factors = tuple(map(serialize, reps[i].factors))
+        entries.append(ChainEntry(expression, factors, summary.a1, summary.a2, summary.epsilon))
     links = []
     for pos in range(len(order) - 1):
         above, below = summaries[order[pos]], summaries[order[pos + 1]]
@@ -295,21 +303,40 @@ def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
     return Certificate(tuple(entries), tuple(links))
 
 
+def _entry_class(i: int, entry: ChainEntry, version: int) -> CfkComplex | _Product:
+    """Entry i's class: its one factor or a view of their product, by Kuenneth a knot
+    class when each factor is one; on v2 an expression's factors must be its leaves."""
+    try:
+        factors = [deserialize(text) for text in entry.factors]
+    except ParseError as exc:
+        raise CertificateError(f"entry {i}: embedded complex does not parse: {exc}") from exc
+    _product_size(factors)  # the view's refusal, before any factor is checked
+    for c in factors:
+        tau(c)  # the analysis checks the class first, and marks it
+    if version == 2 and entry.expression is not None:
+        refusal = f"entry {i}: factors are not the leaves of {entry.expression}"
+        try:
+            leaves = _signed_leaves(parse(entry.expression))
+        except InputError as exc:  # no class the tool builds
+            raise CertificateError(f"{refusal}: {exc}") from exc
+        if tuple(factors) != leaves:
+            raise CertificateError(refusal)
+    return factors[0] if len(factors) == 1 else _Product(tuple(factors))
+
+
 def recheck_certificate(cert: Certificate) -> bool:
-    """Check each embedded complex is knot-like and recompute every stated
-    invariant and link from them; raises CertificateError on the first defect."""
+    """Check each entry's factors are knot-like (on v2, the leaves of its expression
+    if any) and recompute every stated invariant and link; raises CertificateError."""
     if not cert.entries:
         raise CertificateError("certificate has no chain entries")
     summaries = []
     for i, entry in enumerate(cert.entries):
-        try:
-            c = deserialize(entry.complex_text)
-        except ParseError as exc:
-            raise CertificateError(f"entry {i}: embedded complex does not parse: {exc}") from exc
-        try:  # the analysis checks the class first
-            summary = _summarize(c)
+        try:  # the analysis checks the class of each factor first
+            summary = _summarize(_entry_class(i, entry, cert.version))
         except (RankNotOne, InconsistentInput) as exc:
             raise CertificateError(f"entry {i}: not a knot-like complex: {exc}") from exc
+        except UnsupportedExpression as exc:  # a product over MAX_GENERATORS
+            raise CertificateError(f"entry {i}: {exc}") from exc
         except MathError as exc:
             raise CertificateError(f"entry {i}: invariants failed: {exc}") from exc
         if summary.epsilon != entry.epsilon:

@@ -13,7 +13,7 @@ expression to a reduced representative of its concordance class: the
 unknot, torus knots and supported cables become staircases, sums become
 tensor products, mirrors become duals (both keep a complex reduced), and D
 is carried by the trefoil staircase (its class, not its full complex, which
-no small model determines).
+no small model determines).  A class keeps its signed leaves as factors.
 """
 
 from __future__ import annotations
@@ -387,22 +387,44 @@ def _check(value: int, limit: int, what: str) -> None:
         raise UnsupportedExpression(f"{what.format(value)} is over the limit of {limit:,}")
 
 
-def _staircases(e: KnotExpr) -> list[StaircaseExponents]:
-    """The staircase of every leaf of e (mirrors dropped), left to right;
-    each leaf is an L-space knot, so its polynomial has staircase form."""
+def _staircases(e: KnotExpr, mirrored: bool = False) -> list[tuple[StaircaseExponents, bool]]:
+    """The staircase of every leaf of e, left to right, and whether an odd number
+    of mirrors covers it; each leaf is an L-space knot, so it has a staircase."""
     if isinstance(e, Mirror):
-        return _staircases(e.inner)
+        return _staircases(e.inner, not mirrored)
     if isinstance(e, Sum):
-        return _staircases(e.left) + _staircases(e.right)
-    return [staircase_exponents(_lspace_polynomial(e))]
+        return _staircases(e.left, mirrored) + _staircases(e.right, mirrored)
+    return [(staircase_exponents(_lspace_polynomial(e)), mirrored)]
 
 
-def _class_of(e: KnotExpr, leaves: Iterator[StaircaseExponents]) -> CfkComplex:
+def _signed_leaves(e: KnotExpr) -> tuple[CfkComplex, ...]:
+    """The signed leaves of e, left to right: each leaf's staircase, dualized
+    under an odd number of mirrors.
+
+    UnsupportedExpression is raised before any polynomial is built for a leaf
+    of degree over MAX_ALEXANDER_DEGREE or leaves over MAX_PRODUCTS coefficient
+    products, and before any staircase for a class over MAX_GENERATORS
+    generators (the product of the leaves' staircase sizes).
+    """
+    _, _, degree, products = _work(e)
+    _check(degree, MAX_ALEXANDER_DEGREE, "a leaf polynomial of degree {:,}")
+    _check(products, MAX_PRODUCTS, "building the leaf polynomials with {:,} coefficient products")
+    leaves = _staircases(e)
+    size = math.prod(len(exps.exponents) for exps, _ in leaves)
+    _check(size, MAX_GENERATORS, "a class of {:,} generators")
+    return tuple(dual(staircase(x)) if mirrored else staircase(x) for x, mirrored in leaves)
+
+
+def _class_of(e: KnotExpr, leaves: Iterator[CfkComplex], outer: bool = False) -> CfkComplex:
+    """e's complex by its tree from its signed leaves, outer saying that an odd
+    number of mirrors covers e: a mirrored leaf is its signed leaf."""
     if isinstance(e, Mirror):
-        return dual(_class_of(e.inner, leaves))
+        if not outer and not isinstance(e.inner, (Sum, Mirror)):
+            return next(leaves)
+        return dual(_class_of(e.inner, leaves, not outer))
     if isinstance(e, Sum):
-        return tensor(_class_of(e.left, leaves), _class_of(e.right, leaves))
-    return staircase(next(leaves))
+        return tensor(_class_of(e.left, leaves, outer), _class_of(e.right, leaves, outer))
+    return dual(next(leaves)) if outer else next(leaves)
 
 
 class ClassRep(Value):
@@ -410,8 +432,10 @@ class ClassRep(Value):
 
     complex: CfkComplex
     provenance: KnotExpr | None = None
+    factors: tuple[CfkComplex, ...] = ()  # complex is their tensor product; () is (complex,)
 
     def __post_init__(self) -> None:
+        self.__dict__["factors"] = self.factors or (self.complex,)
         report = validate(self.complex, knot_class=True)
         if not report.ok:
             first = report.errors[0]
@@ -426,17 +450,6 @@ class ClassRep(Value):
 
 
 def class_complex(e: KnotExpr) -> ClassRep:
-    """Reduced representative complex of the concordance class of e.
-
-    UnsupportedExpression is raised before any polynomial is built for a leaf
-    of degree over MAX_ALEXANDER_DEGREE or leaves over MAX_PRODUCTS coefficient
-    products, and before any staircase for a class over MAX_GENERATORS
-    generators (the product of the leaves' staircase sizes).
-    """
-    _, _, degree, products = _work(e)
-    _check(degree, MAX_ALEXANDER_DEGREE, "a leaf polynomial of degree {:,}")
-    _check(products, MAX_PRODUCTS, "building the leaf polynomials with {:,} coefficient products")
-    leaves = _staircases(e)
-    size = math.prod(len(exps.exponents) for exps in leaves)
-    _check(size, MAX_GENERATORS, "a class of {:,} generators")
-    return ClassRep(_class_of(e, iter(leaves)), e)
+    """The class of e, its signed leaves kept as factors; _signed_leaves' limits apply."""
+    factors = _signed_leaves(e)
+    return ClassRep(_class_of(e, iter(factors)), e, factors)

@@ -9,6 +9,7 @@ run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 import re
@@ -35,11 +36,13 @@ from cfkcalc import (
     StaircaseExponents,
     class_cmp,
     class_complex,
+    deserialize,
     direct_sum,
     dual,
     independence_certificate,
     parse,
     reduce,
+    serialize,
     square_complex,
     staircase,
     tau,
@@ -198,15 +201,32 @@ def randomized_corpus(rng: random.Random) -> list[CfkComplex]:
     return cases
 
 
+def v1_certificate(doc: str) -> str:
+    """The format v1 form of a certificate JSON document: each entry's factors
+    give way to the serialized tensor product of them, under the key complex."""
+    payload = json.loads(doc)
+    payload["format"] = "cfk-independence-certificate v1"
+    payload["chain"] = [
+        {
+            "complex" if k == "factors" else k: (
+                serialize(functools.reduce(tensor, map(deserialize, v))) if k == "factors" else v
+            )
+            for k, v in entry.items()
+        }
+        for entry in payload["chain"]
+    ]
+    return json.dumps(payload, indent=2)
+
+
 def tampered_certificate() -> str:
-    """Certificate JSON for C(D;3,4) - T(3,4) > C(D;2,3) - T(2,3) whose first
-    embedded complex has one Maslov grading raised by 7.
+    """Format v1 certificate JSON for C(D;3,4) - T(3,4) > C(D;2,3) - T(2,3)
+    whose first embedded complex has one Maslov grading raised by 7.
 
     The invariants it states still recompute, so only validating the
     embedded complex notices the edit.
     """
     reps = [class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2)]
-    payload = json.loads(independence_certificate(reps).to_json())
+    payload = json.loads(v1_certificate(independence_certificate(reps).to_json()))
     entry = payload["chain"][0]
     entry["complex"] = re.sub(
         r"^(gen \S+ A=-?\d+ M=)(-?\d+)",

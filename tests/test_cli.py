@@ -20,7 +20,9 @@ import pytest
 
 from cfkcalc import Ordering, class_complex, invariants, parse, regions, serialize
 from cfkcalc.cli import _ascii_diagram, _diagram_geometry, _layout_offsets, main
-from conftest import digit_limit_message, tampered_certificate, trefoil_complex
+from conftest import digit_limit_message, tampered_certificate, trefoil_complex, v1_certificate
+
+DATA = Path(__file__).resolve().parent / "data"
 
 T45_INVARIANTS = (
     "expression: T(4,5)\n"
@@ -112,6 +114,11 @@ def family_certificate(capsys) -> str:
     """What `independence FAMILY --json --recheck` prints."""
     assert main(["independence", *FAMILY, "--json", "--recheck"]) == 0
     return capsys.readouterr().out
+
+
+def edit_factor(doc: dict, entry: int, k: int, change) -> None:
+    factors = doc["chain"][entry]["factors"]
+    factors[k] = change(factors[k])
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +481,7 @@ def test_independence_save_and_recheck_file(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(f"saved: {path}\n")
     saved = path.read_text(encoding="utf-8")
     assert saved.endswith("\n")
-    assert json.loads(saved)["format"] == "cfk-independence-certificate v1"
+    assert json.loads(saved)["format"] == "cfk-independence-certificate v2"
 
     assert main(["independence", "--recheck", str(path)]) == 0
     out = capsys.readouterr().out
@@ -523,6 +530,8 @@ def test_independence_recheck_validates_the_embedded_complexes(tmp_path, capsys)
     [
         ({"complex": 5}, {}),
         ({"complex": None}, {}),
+        ({"factors": "cfk v1\n"}, {}),
+        ({"factors": None}, {}),
         ({"expression": 3}, {}),
         ({"a1": "1"}, {}),
         ({"a1": True}, {}),
@@ -536,6 +545,8 @@ def test_independence_recheck_validates_the_embedded_complexes(tmp_path, capsys)
     ids=[
         "complex-int",
         "complex-null",
+        "factors-str",
+        "factors-null",
         "expression-int",
         "a1-str",
         "a1-bool",
@@ -551,7 +562,8 @@ def test_independence_recheck_rejects_mistyped_fields(tmp_path, capsys, entry, l
     path = tmp_path / "chain.json"
     assert main(["independence", "T(2,3)", "T(3,4)", "--out", str(path)]) == 0
     capsys.readouterr()
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(v1_certificate(text) if "complex" in entry else text)
     payload["chain"][0].update(entry)
     payload["links"][0].update(link)
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -619,16 +631,76 @@ def test_independence_json_with_recheck_pipes_into_a_recheck(tmp_path, capsys):
             "links [(99, 1)] do not chain the entries in order",
         ),
         (lambda d: d["chain"][0].update(epsilon=0), "entry 0: epsilon is 1, certificate says 0"),
+        (
+            lambda d: d["chain"][0].update(a2=9),
+            "entry 0: (a1, a2) is (1, 3), certificate says (1, 9)",
+        ),
+        (  # still a knot class with the same invariants, but not the leaf the expression names
+            lambda d: edit_factor(d, 0, 0, lambda text: re.sub(r"\bx0\b", "y0", text)),
+            "entry 0: factors are not the leaves of C(D;3,4) + -T(3,4)",
+        ),
+        (
+            lambda d: edit_factor(d, 0, 1, lambda text: re.sub(r"M=(-?\d+)", "M=7", text, count=1)),
+            "entry 0: not a knot-like complex: arrow x0*->x1* u=1: M(x0*)-1 != M(x1*)-2u",
+        ),
+        (  # C(D;3,4) alone has (epsilon, a1, a2) = (1, 1, 3) too
+            lambda d: d["chain"][0]["factors"].pop(),
+            "entry 0: factors are not the leaves of C(D;3,4) + -T(3,4)",
+        ),
+        (
+            lambda d: d["chain"][0].update(factors=d["chain"][1]["factors"]),
+            "entry 0: factors are not the leaves of C(D;3,4) + -T(3,4)",
+        ),
+        (
+            lambda d: d["chain"][1].update(expression="T(2,4)"),
+            "entry 1: factors are not the leaves of T(2,4): torus parameters (2, 4) share a factor",
+        ),
     ],
-    ids=["link-outside-the-chain", "epsilon-edited"],
+    ids=[
+        "link-outside-the-chain",
+        "epsilon-edited",
+        "a2-edited",
+        "factor-renamed",
+        "factor-maslov-raised",
+        "factor-dropped",
+        "factors-swapped",
+        "expression-unbuildable",
+    ],
 )
 def test_recheck_refuses_an_edited_difference_class_certificate(tmp_path, capsys, edit, message):
+    # the family certificate holds each class as its two leaves
     payload = json.loads(family_certificate(capsys))
     edit(payload)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["independence", "--recheck", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_frozen_v1_certificate_rechecks_and_upgrades_to_v2(tmp_path, capsys):
+    # tests/data/family_v1.json is what `independence FAMILY --out` wrote in
+    # format v1: one built complex per entry
+    path, copy = DATA / "family_v1.json", tmp_path / "copy.json"
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text)["format"] == "cfk-independence-certificate v1"
+    assert main(["independence", *FAMILY]) == 0
+    chain = capsys.readouterr().out
+    assert main(["independence", "--recheck", str(path)]) == 0
+    assert capsys.readouterr().out == chain + "recheck: ok\n"
+    assert main(["independence", "--recheck", str(path), "--out", str(copy)]) == 0
+    assert capsys.readouterr().out == chain + f"recheck: ok\nsaved: {copy}\n"
+    upgraded, old = json.loads(copy.read_text(encoding="utf-8")), json.loads(text)
+    assert upgraded["format"] == "cfk-independence-certificate v2"
+    assert upgraded["links"] == old["links"]
+    # a v1 expression is an unchecked label of a built product, so it is dropped
+    assert len(upgraded["chain"]) == len(old["chain"]) == 2
+    for new, entry in zip(upgraded["chain"], old["chain"]):
+        factors = [entry.pop("complex")]
+        assert new == {**entry, "expression": None, "factors": factors}
+    assert main(["independence", "--recheck", str(copy)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("independence certificate on 2 classes\n  [0] #0  a1=1  a2=3")
+    assert out.endswith("#0 dominates #1 (larger-a2)\nrecheck: ok\n")
 
 
 def test_independence_recheck_file_json(tmp_path, capsys):

@@ -14,11 +14,25 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfkcalc import StaircaseExponents, serialize, staircase
+from cfkcalc import (
+    StaircaseExponents,
+    class_complex,
+    dual,
+    independence_certificate,
+    invariants,
+    parse,
+    regions,
+    serialize,
+    staircase,
+    staircase_exponents,
+    torus_alexander,
+)
 from cfkcalc.cli import main
 from cfkcalc.knots import MAX_DEPTH
 from conftest import tampered_certificate
@@ -121,6 +135,29 @@ def test_adversarial_expressions_keep_the_exit_contract(text):
 
 BIG_STEP = 10**9
 
+
+def edited_certificate(edit) -> str:
+    """The format v2 certificate of C(D;3,4) - T(3,4) > C(D;2,3) - T(2,3)
+    with edit applied to its first entry."""
+    reps = [class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in (3, 2)]
+    payload = json.loads(independence_certificate(reps).to_json())
+    edit(payload["chain"][0])
+    return json.dumps(payload, indent=2)
+
+
+def raise_a_maslov_grading(entry: dict) -> None:
+    text = entry["factors"][0]
+    entry["factors"][0] = re.sub(r"M=(-?\d+)", lambda m: f"M={int(m[1]) + 7}", text, count=1)
+
+
+def oversized_certificate() -> str:
+    """One unlabelled entry whose factors, the leaves of T(2,501) and
+    -T(2,401), have a product of 200,901 generators."""
+    t501, t401 = (staircase(staircase_exponents(torus_alexander(2, q))) for q in (501, 401))
+    entry = {"expression": None, "factors": [serialize(t501), serialize(dual(t401))]}
+    entry.update(a1=1, a2=None, epsilon=1)
+    return json.dumps({"format": "cfk-independence-certificate v2", "chain": [entry], "links": []})
+
 FILES = {
     "empty.cfk": lambda: "cfk v1\n",
     "rank-two.cfk": lambda: "cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n",
@@ -131,6 +168,12 @@ FILES = {
         staircase(StaircaseExponents((2 * BIG_STEP, BIG_STEP, 0)))
     ),
     "tampered.json": tampered_certificate,
+    "factors-empty.json": lambda: edited_certificate(lambda e: e.update(factors=[])),
+    "factors-int.json": lambda: edited_certificate(lambda e: e.update(factors=[5])),
+    "factors-str.json": lambda: edited_certificate(lambda e: e.update(factors="cfk v1\n")),
+    "factors-null.json": lambda: edited_certificate(lambda e: e.update(factors=None)),
+    "factor-maslov.json": lambda: edited_certificate(raise_a_maslov_grading),
+    "oversized.json": oversized_certificate,
 }
 
 
@@ -145,3 +188,33 @@ def test_file_inputs_keep_the_exit_contract(name, tmp_path):
         ["independence", "--recheck"],
     ):
         run(command + [str(path)])
+
+
+@pytest.mark.parametrize("name", [name for name in FILES if name.endswith(".json")])
+def test_defective_certificates_exit_2(name, tmp_path):
+    path = tmp_path / name
+    path.write_text(FILES[name](), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["independence", "--recheck", str(path)])
+    assert (code, out.getvalue(), err.getvalue()[:7]) == (2, "", "error: ")
+
+
+def test_a_certificate_over_the_generator_limit_is_refused_before_any_slice(tmp_path, monkeypatch):
+    def built(*args):
+        raise AssertionError("a slice or an index was built")
+
+    monkeypatch.setattr(invariants, "region_complex", built)
+    monkeypatch.setattr(regions, "region_complex", built)
+    monkeypatch.setattr(regions, "_index", built)
+    path = tmp_path / "oversized.json"
+    path.write_text(oversized_certificate(), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["independence", "--recheck", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (
+        "error: entry 0: a tensor product of 200,901 generators is over the limit of 200,000\n"
+    )

@@ -7,10 +7,12 @@ recheck to notice every edit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from cfkcalc import (
     Arrow,
     Certificate,
     CertificateError,
+    ChainEntry,
     CfkComplex,
     ClassRep,
     DominanceEvidence,
@@ -29,8 +32,11 @@ from cfkcalc import (
     SearchExhausted,
     StaircaseExponents,
     cable_tau,
+    a1,
+    a2,
     class_cmp,
     class_complex,
+    deserialize,
     direct_sum,
     dominance_evidence,
     dominates_by_invariants,
@@ -40,6 +46,7 @@ from cfkcalc import (
     parse,
     recheck_certificate,
     reduce,
+    serialize,
     staircase,
     tensor,
     unknot_complex,
@@ -54,6 +61,7 @@ from conftest import (
     signed_leaf_sums,
     torus_staircase,
     trefoil_complex,
+    v1_certificate,
 )
 
 T23 = ClassRep(trefoil_complex())
@@ -278,10 +286,10 @@ def test_certificate_json_round_trip():
 
 def test_certificate_json_shape():
     payload = json.loads(chain_certificate().to_json())
-    assert payload["format"] == "cfk-independence-certificate v1"
+    assert payload["format"] == "cfk-independence-certificate v2"
     assert set(payload) == {"format", "chain", "links"}
-    assert set(payload["chain"][0]) == {"expression", "complex", "a1", "a2", "epsilon"}
-    assert payload["chain"][0]["complex"].startswith("cfk v1\n")
+    assert set(payload["chain"][0]) == {"expression", "factors", "a1", "a2", "epsilon"}
+    assert [f[:7] for f in payload["chain"][0]["factors"]] == ["cfk v1\n"]
     assert payload["links"][0] == {"above": 0, "below": 1, "criterion": LARGER_A2}
 
 
@@ -317,10 +325,14 @@ def test_chain_rejects_indistinguishable_neighbors():
     assert "does not dominate" in str(exc.value)
 
 
-def tampered(cert: Certificate, mutate) -> Certificate:
-    payload = json.loads(cert.to_json())
+def tampered(cert: Certificate, mutate, form=Certificate.to_json) -> Certificate:
+    payload = json.loads(form(cert))
     mutate(payload)
     return Certificate.from_json(json.dumps(payload))
+
+
+def v1(cert: Certificate) -> str:
+    return v1_certificate(cert.to_json())
 
 
 def test_recheck_notices_an_edited_invariant():
@@ -342,7 +354,7 @@ def test_recheck_refuses_a_certificate_without_entries():
 
 def test_recheck_refuses_an_entry_of_column_rank_two():
     rank_two = "cfk v1\ngen a A=0 M=0\ngen b A=0 M=0\n"
-    cert = tampered(chain_certificate(), lambda p: p["chain"][1].update(complex=rank_two))
+    cert = tampered(chain_certificate(), lambda p: p["chain"][1].update(complex=rank_two), v1)
     message = r"^entry 1: not a knot-like complex: column homology rank 2, expected 1$"
     with pytest.raises(CertificateError, match=message):
         recheck_certificate(cert)
@@ -374,7 +386,7 @@ def test_recheck_notices_a_swapped_complex():
         )
 
     with pytest.raises(CertificateError):
-        recheck_certificate(tampered(chain_certificate(), swap))
+        recheck_certificate(tampered(chain_certificate(), swap, v1))
 
 
 def test_recheck_notices_reordered_links():
@@ -397,7 +409,7 @@ def test_recheck_notices_a_wrong_criterion():
 
 def test_recheck_notices_a_broken_embedded_complex():
     cert = tampered(
-        chain_certificate(), lambda p: p["chain"][0].update(complex="cfk v1\ngen ???\n")
+        chain_certificate(), lambda p: p["chain"][0].update(complex="cfk v1\ngen ???\n"), v1
     )
     with pytest.raises(CertificateError, match="does not parse"):
         recheck_certificate(cert)
@@ -432,6 +444,88 @@ def test_from_json_rejects_garbage():
         Certificate.from_json(
             json.dumps({"format": "cfk-independence-certificate v1", "chain": [{}], "links": []})
         )
+
+
+def family(ps) -> list[ClassRep]:
+    return [class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")) for p in ps]
+
+
+# every certificate tier-1 builds whose link products fit under MAX_GENERATORS:
+# the family up to p = 8 (435 x 325 generators at its last link) and criterion 08's
+CERTIFIED = {
+    "family-2-8": lambda: family(range(2, 9)),
+    "torus": lambda: [class_complex(parse(f"T({i},{i + 1})")) for i in (2, 3, 4)],
+    "cable": lambda: [class_complex(parse(f"C(T({i},{i + 1});2,23)")) for i in (2, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_links_are_ordered_and_the_built_factors_give_the_stated_invariants(name):
+    # domination implies the order: each link's classes compare GT, both as
+    # built and as rebuilt from the certificate's factors by tensor; and the
+    # recheck, which reads the factors through a product view, states what
+    # the built product gives
+    reps = CERTIFIED[name]()
+    cert = Certificate.from_json(independence_certificate(reps).to_json())
+    assert recheck_certificate(cert) is True
+    by_label = {str(r): r for r in reps}
+    rebuilt = [
+        ClassRep(functools.reduce(tensor, map(deserialize, e.factors)))
+        for e in cert.entries
+    ]
+    for entry, rep in zip(cert.entries, rebuilt):
+        assert rep.complex == by_label[entry.expression].complex
+        assert (epsilon(rep.complex), a1(rep.complex), a2(rep.complex)) == (
+            entry.epsilon, entry.a1, entry.a2
+        )
+    for link in cert.links:
+        above, below = cert.entries[link.above], cert.entries[link.below]
+        assert class_cmp(by_label[above.expression], by_label[below.expression]) is Ordering.GT
+        assert class_cmp(rebuilt[link.above], rebuilt[link.below]) is Ordering.GT
+
+
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_an_unknot_factor_changes_no_stated_invariant(place):
+    unknot = serialize(unknot_complex())
+    cert = independence_certificate(family((3, 2)))
+
+    def added(entry: ChainEntry, expression) -> ChainEntry:
+        factors = (unknot, *entry.factors) if place == "first" else (*entry.factors, unknot)
+        return entry._replace(expression=expression, factors=factors)
+
+    unlabelled = cert._replace(entries=tuple(added(e, None) for e in cert.entries))
+    assert recheck_certificate(Certificate.from_json(unlabelled.to_json())) is True
+    # under its expression the entry must hold exactly the leaves
+    labelled = cert._replace(entries=tuple(added(e, e.expression) for e in cert.entries))
+    message = r"^entry 0: factors are not the leaves of C\(D;3,4\) \+ -T\(3,4\)$"
+    with pytest.raises(CertificateError, match=message):
+        recheck_certificate(labelled)
+
+
+def test_a_v1_entry_keeps_its_unchecked_label():
+    # a v1 entry embeds the built product, so checking its label would build
+    # the tensor; it is read as a one-factor entry and the label is left alone
+    path = Path(__file__).resolve().parent / "data" / "family_v1.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["chain"][0]["expression"] = "T(2,3)"
+    cert = Certificate.from_json(json.dumps(payload))
+    assert cert.version == 1 and [len(e.factors) for e in cert.entries] == [1, 1]
+    assert recheck_certificate(cert) is True
+    payload["format"] = "cfk-independence-certificate v2"
+    payload["chain"] = [
+        {**{k: v for k, v in e.items() if k != "complex"}, "factors": [e["complex"]]}
+        for e in payload["chain"]
+    ]
+    message = r"^entry 0: factors are not the leaves of T\(2,3\)$"
+    with pytest.raises(CertificateError, match=message):
+        recheck_certificate(Certificate.from_json(json.dumps(payload)))
+
+
+def test_v2_factors_must_be_a_nonempty_list_of_texts():
+    message = "^malformed certificate body: 'factors' must list one text or more$"
+    for factors in ([], [5], [None, "cfk v1\n"]):
+        with pytest.raises(CertificateError, match=message):
+            tampered(chain_certificate(), lambda p: p["chain"][0].update(factors=factors))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ polynomials against the Euler characteristic of the reduced rank table.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -15,6 +16,7 @@ import pytest
 
 from cfkcalc import (
     Cable,
+    ClassRep,
     ExpressionError,
     LaurentPoly,
     Mirror,
@@ -40,6 +42,7 @@ from cfkcalc import (
     staircase,
     staircase_exponents,
     tau,
+    tensor,
     torus_alexander,
     unknot_complex,
     validate,
@@ -535,6 +538,58 @@ def test_large_torus_leaves_stay_under_the_degree_limit():
     assert knots._work(parse("T(2,199999)"))[2] == 199_998 <= MAX_ALEXANDER_DEGREE
     assert knots._work(parse("T(400,401)"))[2] == 159_600 <= MAX_ALEXANDER_DEGREE
     assert len(class_complex(parse("T(400,401)")).complex) == 799
+
+
+@pytest.mark.parametrize(
+    "text, signs, leaves_only",
+    [
+        ("T(3,4)", "+", True),
+        ("-T(3,4)", "-", True),
+        ("C(D;3,4) + -T(3,4)", "+-", True),
+        ("--T(2,5) + -(T(2,3) + -T(3,4))", "+-+", False),
+    ],
+)
+def test_a_class_keeps_its_signed_leaves_as_factors(monkeypatch, text, signs, leaves_only):
+    # the factors are the leaves the build makes anyway: one staircase per
+    # leaf, and one dual per mirrored leaf when mirrors cover leaves only (a
+    # mirror over a sum or a mirror dualizes its whole product)
+    made = []
+
+    def counting(name):
+        real = getattr(knots, name)
+        return lambda c: made.append(name) or real(c)
+
+    for name in ("staircase", "dual"):
+        monkeypatch.setattr(knots, name, counting(name))
+    rep = class_complex(parse(text))
+    monkeypatch.undo()
+    polys = [knots._lspace_polynomial(e) for e in _leaves(parse(text))]
+    leaves = [staircase(staircase_exponents(poly)) for poly in polys]
+    signed = [leaf if sign == "+" else dual(leaf) for leaf, sign in zip(leaves, signs, strict=True)]
+    assert rep.factors == tuple(signed)
+    assert rep.factors == knots._signed_leaves(parse(text))
+    product = functools.reduce(tensor, rep.factors)
+    assert (len(product), tau(product), epsilon(product)) == (
+        len(rep.complex), tau(rep.complex), epsilon(rep.complex)
+    )
+    if len(signs) == 1:
+        assert rep.factors[0] is rep.complex
+    if leaves_only:
+        assert product == rep.complex
+        assert made.count("staircase") == len(signs) and made.count("dual") == signs.count("-")
+
+
+def _leaves(e):
+    if isinstance(e, Mirror):
+        return _leaves(e.inner)
+    if isinstance(e, Sum):
+        return _leaves(e.left) + _leaves(e.right)
+    return [e]
+
+
+def test_a_class_given_as_one_complex_is_its_own_factor():
+    c = staircase(staircase_exponents(torus_alexander(3, 4)))
+    assert ClassRep(c).factors == (c,) and ClassRep(c, None, (c,)) == ClassRep(c)
 
 
 def _products_made(monkeypatch, build, e) -> int:

@@ -10,6 +10,7 @@ inspect.
 from __future__ import annotations
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -81,7 +82,8 @@ RECORDS = [
     ),
     (
         TREFOIL,
-        "ClassRep(complex=CfkComplex(3 generators, 2 arrows), provenance=Torus(p=2, q=3))",
+        "ClassRep(complex=CfkComplex(3 generators, 2 arrows), provenance=Torus(p=2, q=3), "
+        "factors=(CfkComplex(3 generators, 2 arrows),))",
     ),
     (
         DominationResult(True, "smaller-a1", "r"),
@@ -89,13 +91,13 @@ RECORDS = [
     ),
     (DominanceEvidence(True, 2), "DominanceEvidence(consistent=True, checked=2)"),
     (
-        ChainEntry(None, "cfk v1\n", 1, None, 1),
-        "ChainEntry(expression=None, complex_text='cfk v1\\n', a1=1, a2=None, epsilon=1)",
+        ChainEntry(None, ("cfk v1\n",), 1, None, 1),
+        "ChainEntry(expression=None, factors=('cfk v1\\n',), a1=1, a2=None, epsilon=1)",
     ),
     (ChainLink(0, 1, "larger-a2"), "ChainLink(above=0, below=1, criterion='larger-a2')"),
     (
         Certificate((), (ChainLink(0, 1, "c"),)),
-        "Certificate(entries=(), links=(ChainLink(above=0, below=1, criterion='c'),))",
+        "Certificate(entries=(), links=(ChainLink(above=0, below=1, criterion='c'),), version=2)",
     ),
     (
         WhiteheadModelReport(True, False, True, {(1, 0): 2}),
@@ -184,14 +186,26 @@ def test_validation_report_json_is_unchanged():
 
 
 def test_certificate_json_is_unchanged():
+    # format v2 is written, and format v1 is still read: its one complex is a
+    # one-factor entry, and its unchecked label is not written again
     cert = Certificate(
         (
-            ChainEntry("T(2,5)", "cfk v1\ngen x0 A=1 M=0\n", 1, 2, 1),
-            ChainEntry(None, "cfk v1\n", 1, None, 1),
+            ChainEntry("T(2,5)", ("cfk v1\ngen x0 A=1 M=0\n",), 1, 2, 1),
+            ChainEntry(None, ("cfk v1\n", "cfk v1\n"), 1, None, 1),
         ),
         (ChainLink(0, 1, "larger-a2"),),
     )
     assert cert.to_json() == (
+        '{\n  "format": "cfk-independence-certificate v2",\n  "chain": [\n    {\n'
+        '      "expression": "T(2,5)",\n      "factors": [\n        "cfk v1\\ngen x0 A=1 M=0\\n"\n'
+        '      ],\n      "a1": 1,\n      "a2": 2,\n      "epsilon": 1\n    },\n    {\n'
+        '      "expression": null,\n      "factors": [\n        "cfk v1\\n",\n'
+        '        "cfk v1\\n"\n      ],\n      "a1": 1,\n      "a2": null,\n'
+        '      "epsilon": 1\n    }\n  ],\n  "links": [\n    {\n      "above": 0,\n'
+        '      "below": 1,\n      "criterion": "larger-a2"\n    }\n  ]\n}'
+    )
+    assert Certificate.from_json(cert.to_json()) == cert
+    v1 = (
         '{\n  "format": "cfk-independence-certificate v1",\n  "chain": [\n    {\n'
         '      "expression": "T(2,5)",\n      "complex": "cfk v1\\ngen x0 A=1 M=0\\n",\n'
         '      "a1": 1,\n      "a2": 2,\n      "epsilon": 1\n    },\n    {\n'
@@ -199,7 +213,10 @@ def test_certificate_json_is_unchanged():
         '      "a2": null,\n      "epsilon": 1\n    }\n  ],\n  "links": [\n    {\n'
         '      "above": 0,\n      "below": 1,\n      "criterion": "larger-a2"\n    }\n  ]\n}'
     )
-    assert Certificate.from_json(cert.to_json()) == cert
+    old = Certificate.from_json(v1)
+    one_factor = cert.entries[1]._replace(factors=("cfk v1\n",))
+    assert old == cert._replace(entries=(cert.entries[0], one_factor), version=1)
+    assert json.loads(old.to_json())["chain"][0]["expression"] is None
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
