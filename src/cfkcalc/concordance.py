@@ -54,9 +54,10 @@ class Ordering(enum.Enum):
 
 
 def class_cmp(k: ClassRep, j: ClassRep) -> Ordering:
-    """Position of k against j in the total order: the sign of epsilon on
-    the difference class, read by slices of k and -j, never built."""
-    e = epsilon(_Product((k.complex, dual(j.complex))))
+    """Position of k against j: the sign of epsilon of k - j, or minus that of
+    j - k when j is larger, so the larger class is read by slices, never dualized."""
+    sign, k, j = (1, k, j) if len(k.complex) >= len(j.complex) else (-1, j, k)
+    e = sign * epsilon(_Product((k.complex, dual(j.complex))))
     return {1: Ordering.GT, 0: Ordering.EQ, -1: Ordering.LT}[e]
 
 

@@ -19,13 +19,16 @@ Maslov law every boundary entry lowers it by one.  The invariants read
 homology in one degree d, so a build is one slice: the degree-d elements
 with their boundaries over degree d - 1, and the boundaries of the degree
 d + 1 elements over degree d, so every chain is a mask over one degree.
-The slices trust the grading laws and d^2 = 0: _index checks them once, by
-cfk._math_errors, on an unmarked complex.  validate ranks column and row.
+A slice costs its own elements and arrows: its index cuts them as runs and
+gives their boundary masks.  The slices trust the grading laws and d^2 = 0,
+which _index checks once (cfk._math_errors) on an unmarked complex; validate
+ranks column and row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -155,6 +158,16 @@ class _Sorted:
                 order[bisect_left(order, k0, r1, r2) : bisect_left(order, k1, r1, r2)],
                 order[bisect_left(order, k0, r2, r3) : bisect_left(order, k1, r2, r3)])
 
+    def masks(self, block: list[int], place: dict[int, int]) -> Iterator[int]:
+        """Each boundary as a mask over place (the Maslov law puts every target one degree down)."""
+        tr, off = self.triples, self.offsets
+        for k in block:
+            mask = 0
+            for _, t, _ in tr[off[k] : off[k + 1]]:
+                if t in place:
+                    mask |= 1 << place[t]
+            yield mask
+
 
 class _Digit:
     """A grading read off a product element's key: key // div % radix + low."""
@@ -171,10 +184,10 @@ class _Product:
 
     An element is one generator k_i per factor, with code sum k_i * stride_i;
     A and M add, and the key ((A - a0) * w + M - m0) * size + code orders the
-    elements A-major.  Runs bisect the first factor's, once per element of the
-    others.  An arrow acts on one factor (Leibniz) and moves the key by a step
-    of its own: triples[k : k + 1] gives k's arrows, offsets being the identity
-    on keys, as a complex's are read.  The class degree is the sum (Kuenneth)."""
+    elements A-major.  Runs go over the largest factor's index (the first on a
+    tie), probed once per (A, M) of the others: heads groups their partial key
+    sums by it.  An arrow acts on one factor (Leibniz) and moves the key by a
+    step of its own, kept per generator.  The class degree is the sum (Kuenneth)."""
 
     def __init__(self, factors: tuple[CfkComplex, ...]):
         self.size = size = _product_size(factors)  # tensor's refusal, before any index
@@ -185,29 +198,39 @@ class _Product:
         m0, m1 = (sum(f(g.maslov for g in c.generators) for c in factors) for f in (min, max))
         self.span, w = a1 - a0, m1 - m0 + 1
         self.alexander, self.maslov = _Digit(w * size, self.span + 1, a0), _Digit(size, w, m0)
-        self.heads, self.steps, stride = [(0, 0, -(a0 * w + m0) * size)], [], 1
-        for i, c in enumerate(factors):  # heads: (A, M, key) summed over all but the first
+        run = max(range(len(factors)), key=lambda i: len(factors[i]))  # max keeps the first
+        self.heads, self.steps, stride = {(0, 0): [-(a0 * w + m0) * size]}, [], 1
+        for i, c in enumerate(factors):
             gens, tr, off = c.generators, c.triples, c.offsets
             key = [(g.alexander * w + g.maslov) * size + k * stride for k, g in enumerate(gens)]
-            moves = [[(key[t] - key[s], u) for s, t, u in tr[o:p]] for o, p in zip(off, off[1:])]
-            self.steps.append((stride, len(gens), moves, key))  # arrows as key steps
-            if i:
-                part = [(g.alexander, g.maslov, x) for g, x in zip(gens, key)]
-                self.heads = [(a + b, m + n, v + x) for a, m, v in self.heads for b, n, x in part]
+            steps = [[key[t] - key[s] for s, t, _ in tr[o:p]] for o, p in zip(off, off[1:])]
+            self.steps.append((stride, len(gens), steps))
+            if i == run:
+                self.largest, self.keys = _Sorted(c), key
+            else:
+                heads, self.heads = self.heads, defaultdict(list)
+                for (a, m), vs in heads.items():
+                    for g, x in zip(gens, key):
+                        self.heads[a + g.alexander, m + g.maslov] += map(x.__add__, vs)
             stride *= len(gens)
-        self.first, self.triples = _Sorted(factors[0]), self
-        self.offsets = range(w * size * (self.span + 1) + 1)  # every key, and one past the last
 
     def runs(self, slope: int, key: int, low: float, high: float) -> list[list[int]]:
-        out, keys, first = ([], [], []), self.steps[0][3], self.first.runs
-        for a, m, v in self.heads:
-            for block, run in zip(out, first(slope, key - m + 2 * slope * a, low - a, high - a)):
-                block += (v + keys[k] for k in run)
+        out, keys, probe = ([], [], []), self.keys, self.largest.runs
+        for (a, m), vs in self.heads.items():
+            for block, run in zip(out, probe(slope, key - m + 2 * slope * a, low - a, high - a)):
+                run = [keys[k] for k in run]
+                for v in vs if run else ():
+                    block += map(v.__add__, run)
         return [sorted(block) for block in out]
 
-    def __getitem__(self, keys: slice) -> list[tuple]:
-        k, code = keys.start, keys.start % self.size
-        return [(k, k + step, u) for s, n, ms, _ in self.steps for step, u in ms[code // s % n]]
+    def masks(self, block: list[int], place: dict[int, int]) -> Iterator[int]:
+        for k in block:  # as _Sorted's, with the arrows read off the factors' key steps
+            mask, code = 0, k % self.size
+            for s, n, moves in self.steps:
+                for step in moves[code // s % n]:
+                    if (t := k + step) in place:
+                        mask |= 1 << place[t]
+            yield mask
 
 
 @lru_cache(maxsize=1)
@@ -228,30 +251,21 @@ class RegionComplex:
     boundary[p] is the boundary of element p as a mask over the degree d - 1
     elements (bit j = j-th in order), and above[q] that of the q-th degree
     d + 1 element, U^above_u_power[q], as a mask over positions.  The _index
-    vouches for the Maslov law.  A slice costs its own elements and arrows:
-    each is cut from the _index.
+    vouches for the Maslov law and gives the runs and their boundary masks.
     """
 
     __slots__ = ("gen_index", "u_power", "boundary", "above", "above_u_power")
 
     def __init__(self, source: CfkComplex | _Product, region: Region, degree: int):
         index = _index(source)
-        maslov, tr, off = index.maslov, index.triples, index.offsets
         blocks = below, members, above = [], [], []  # the degree d - 1, d, d + 1 elements
         for low, high, slope, shift in region.pieces():  # of M - 2sA = d - 1 + 2b, ...
             for block, run in zip(blocks, index.runs(slope, degree - 1 + 2 * shift, low, high)):
                 block += run
-        parts = []  # boundaries and U powers of the degree d, then d + 1, elements
+        parts, maslov = [], index.maslov  # boundaries and U powers of the degree d, then d + 1
         for d, lower, block in ((degree, below, members), (degree + 1, members, above)):
-            out, power, place = [], [], {k: p for p, k in enumerate(lower)}
-            for k in block:  # its boundary over the degree d - 1 elements, lower
-                mask = 0  # by the Maslov law an arrow's target lies one degree down,
-                for _, t, _ in tr[off[k] : off[k + 1]]:  # so it is in the region iff in lower
-                    if t in place:
-                        mask |= 1 << place[t]
-                out.append(mask)
-                power.append((maslov[k] - d) >> 1)  # M - 2u is the degree
-            parts += tuple(out), tuple(power)
+            place = {k: p for p, k in enumerate(lower)}
+            parts += tuple(index.masks(block, place)), tuple((maslov[k] - d) >> 1 for k in block)
         self.gen_index = tuple(members)
         self.boundary, self.u_power, self.above, self.above_u_power = parts
 

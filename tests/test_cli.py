@@ -304,6 +304,23 @@ def test_cmp_json(capsys):
     assert payload == {"left": "T(4,5)", "right": "T(3,4)", "order": ">"}
 
 
+@pytest.mark.parametrize(
+    "left, right, order", [("T(2,3)", "T(2,401)", "<"), ("T(2,401)", "T(2,3)", ">")]
+)
+def test_cmp_runs_over_the_larger_class_in_either_order(monkeypatch, capsys, left, right, order):
+    # only the 401-generator staircase's index is probed, never the trefoil's
+    sizes, probe = [], regions._Sorted.runs
+
+    def counted(self, *args):
+        sizes.append(len(self.alexander))
+        return probe(self, *args)
+
+    monkeypatch.setattr(regions._Sorted, "runs", counted)
+    assert main(["cmp", left, right]) == 0
+    assert capsys.readouterr().out == f"{left} {order} {right}\n"
+    assert len(sizes) >= 5 and set(sizes) == {401}
+
+
 # ---------------------------------------------------------------------------
 # dominates
 

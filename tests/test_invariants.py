@@ -35,6 +35,7 @@ from cfkcalc import (
     InconsistentInput,
     Ordering,
     RankNotOne,
+    Row,
     StaircaseExponents,
     TooShort,
     TruncatedHook,
@@ -865,37 +866,54 @@ def slice_invariants(source, region, degree: int) -> tuple:
     index = regions._index(source)
     members = [(index.alexander[k], index.maslov[k], u) for k, u in zip(rc.gen_index, rc.u_power)]
     above = sorted(
-        (u, sorted(members[p] for p in range(len(rc)) if column >> p & 1))
+        (u, sorted(members[p] for p in regions._set_bits(column)))
         for u, column in zip(rc.above_u_power, rc.above)
     )
     ranks = (Gf2Space(rc.boundary).dim, Gf2Space(rc.above).dim)
     return sorted(members), above, ranks
 
 
-def assert_view_matches_the_product(factors: tuple[CfkComplex, ...]) -> None:
+def assert_view_matches_the_product(factors: tuple[CfkComplex, ...], wide: bool) -> None:
+    """The answers, then the slices at tau of every region shape in degrees
+    d - 1, d and d + 1: the finite A ranges of the hooks, the row and the
+    tail are where a run over one factor could be cut wrongly.  Not wide:
+    Column0 and the two hooks in degree d only."""
     built = factors[0]
     for factor in factors[1:]:
         built = tensor(built, factor)
     view = regions._Product(factors)
     assert view._class_degree == built._class_degree
-    assert answers(view) == answers(built), factors
-    t, d = tau(built), built._class_degree
-    for region in (Column0(), FullHook(t), GHook(t)):
-        assert slice_invariants(view, region, d) == slice_invariants(built, region, d), region
+    expected = answers(built)
+    assert answers(view) == expected, factors
+    (t, e, *a), d, span = expected, built._class_degree, view.span
+    width, depth = (a[0], a[1] or span) if e == 1 else (1, span)
+    hooks = (TruncatedHook(t, w) for w in (1, 2, span))
+    shapes = (Column0(), FullHook(t), GHook(t), Row(t), *hooks, HookWithTail(t, width, depth))
+    degrees = (d - 1, d, d + 1) if wide else (d,)
+    cases = [(region, degree) for region in shapes[: 8 if wide else 3] for degree in degrees]
+    seen = [slice_invariants(view, *case) for case in cases]  # one index build per source
+    for case, got, want in zip(cases, seen, [slice_invariants(built, *case) for case in cases]):
+        assert got == want, (factors, case)
 
 
 @pytest.mark.parametrize("n, stride", [(1, 15), (2, 60)])
 def test_product_views_answer_as_the_built_product(n, stride):
     """k against n copies of -j, against the built tensor product: every class
     meets about 106 / stride others on each side, over products of at most
-    2,000 generators, so that the test stays in seconds."""
-    checked = 0
+    2,000 generators, so that the test stays in seconds.  Every other case
+    puts k last, so the largest factor stands first, last and between; a
+    third of the cases of each order compare every shape's slices in three
+    degrees."""
+    checked, orders = 0, set()
     for i, k in enumerate(view_classes()):
         for m, j in enumerate(view_classes()):
             if (i + m) % stride == 0 and len(k) * len(j) ** n <= 2_000:
-                assert_view_matches_the_product((k, *[dual(j)] * n))
+                factors = (k, *[dual(j)] * n) if checked % 2 else (*[dual(j)] * n, k)
+                sizes = [len(f) for f in factors]
+                orders.add(sizes.index(max(sizes)))
+                assert_view_matches_the_product(factors, wide=checked % 6 < 2)
                 checked += 1
-    assert checked >= 2_000 // stride
+    assert checked >= 2_000 // stride and {0, n} <= orders
 
 
 def test_class_cmp_is_epsilon_of_the_built_difference():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -22,6 +23,7 @@ from cfkcalc import (
     class_complex,
     direct_sum,
     dual,
+    epsilon,
     homology_data,
     parse,
     region_complex,
@@ -471,6 +473,34 @@ def test_a_product_view_slice_reads_each_maslov_grading_once(monkeypatch):
     rc = region_complex(regions._Product((k, minus_j, minus_j)), Column0(), 0)
     assert len(rc) > 600 and len(rc.above) > 600
     assert len(reads) == len(rc) + len(rc.above)
+
+
+@pytest.mark.parametrize("n, heads, gradings", [(2, 225, 33), (3, 3_375, 64)])
+def test_a_product_view_probes_its_run_factor_once_per_grading(monkeypatch, n, heads, gradings):
+    # the family's --evidence n product, the larger class first and last: a
+    # run bisects the largest factor's index once per (A, M) of the others
+    k = class_complex(parse("C(D;3,4) + -T(3,4)")).complex
+    minus_j = dual(class_complex(parse("C(D;2,3) + -T(2,3)")).complex)
+    sums = [(sum(g.alexander for g in gs), sum(g.maslov for g in gs))
+            for gs in itertools.product(minus_j.generators, repeat=n)]
+    assert (len(sums), len(set(sums)), len(k), len(minus_j)) == (heads, gradings, 45, 15)
+    calls, runs, probe = [], regions._Product.runs, regions._Sorted.runs
+
+    def counted_runs(self, *args):
+        calls.append([])
+        return runs(self, *args)
+
+    def counted_probe(self, *args):
+        calls[-1].append(len(self.alexander))
+        return probe(self, *args)
+
+    monkeypatch.setattr(regions._Product, "runs", counted_runs)
+    monkeypatch.setattr(regions._Sorted, "runs", counted_probe)
+    for factors in ((k, *[minus_j] * n), (*[minus_j] * n, k)):
+        calls.clear()
+        assert epsilon(regions._Product(factors)) == 1
+        assert len(calls) >= 5 and all(0 < len(c) <= gradings for c in calls)
+        assert {size for c in calls for size in c} == {45}
 
 
 def test_a_slice_is_refused_exactly_when_the_grading_check_refuses():
