@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedExpression,
     parse_int,
 )
-from .invariants import a1, a2, epsilon, tau
+from .invariants import _analysis, a1, a2, epsilon
 from .knots import ClassRep, _signed_leaves, parse
 from .regions import _Product
 
@@ -313,7 +313,7 @@ def _entry_class(i: int, entry: ChainEntry, version: int) -> CfkComplex | _Produ
         raise CertificateError(f"entry {i}: embedded complex does not parse: {exc}") from exc
     _product_size(factors)  # the view's refusal, before any factor is checked
     for c in factors:
-        tau(c)  # the analysis checks the class first, and marks it
+        _analysis(c)  # the analysis checks the class and marks it, building no slice
     if version == 2 and entry.expression is not None:
         refusal = f"entry {i}: factors are not the leaves of {entry.expression}"
         try:

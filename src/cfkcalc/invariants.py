@@ -83,9 +83,9 @@ __all__ = [
 class _Analysis:
     """What the invariants read off one complex c.
 
-    The vertical class of the column, in the degree d a checked class
-    carries, is found on construction; build is the module's one region
-    build, and epsilon, a1 and a2 are computed on first use.
+    Construction checks the class and reads its index, building no slice.
+    tau, read before the others, finds the vertical class of the column in the
+    degree d a checked class carries; build is the module's one region build.
     """
 
     def __init__(self, c: CfkComplex):
@@ -93,6 +93,10 @@ class _Analysis:
             kind, message = errors[0]
             raise (RankNotOne if kind.endswith("-rank") else InconsistentInput)(message)
         self.c, self.degree = c, c._class_degree
+        self.alexander, self.search_bound = _index(c).alexander, _index(c).span
+
+    @functools.cached_property
+    def tau(self) -> int:
         rc = self.build(Column0())
         cycles, space = homology_data(rc)
         z0 = next(k for k in cycles if k not in space)
@@ -101,8 +105,7 @@ class _Analysis:
         zmin = space.reduce(z0)
         self.column, self.boundary_space, self.vclass_mask = rc, space, zmin
         self.class_gens = rc.chain_elements(zmin)  # generator indices, or a view's keys
-        self.alexander, self.search_bound = _index(c).alexander, _index(c).span
-        self.tau = self.alexander[self.class_gens[-1]]
+        return self.alexander[self.class_gens[-1]]
 
     def build(self, region):
         """The degree-d slice of region."""
@@ -207,12 +210,14 @@ def tau(c: CfkComplex) -> int:
 def f_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether the class dies in the full hook at level s (quotient the
     column by j < s, then include)."""
+    tau(c)  # the class comes first
     return _analysis(c).dies(FullHook(s), s)
 
 
 def g_map_trivial(c: CfkComplex, s: int) -> bool:
     """Whether no cycle of the G-hook at level s projects onto a
     non-boundary of the column (drop elements with i < 0)."""
+    tau(c)  # the class comes first
     return _analysis(c).g_trivial(s)
 
 

@@ -19,10 +19,11 @@ Maslov law every boundary entry lowers it by one.  The invariants read
 homology in one degree d, so a build is one slice: the degree-d elements
 with their boundaries over degree d - 1, and the boundaries of the degree
 d + 1 elements over degree d, so every chain is a mask over one degree.
-A slice costs its own elements and arrows: its index cuts them as runs and
-gives their boundary masks.  The slices trust the grading laws and d^2 = 0,
-which _index checks once (cfk._math_errors) on an unmarked complex; validate
-ranks column and row.
+A slice costs its own elements and arrows plus a few bisections per piece
+(two per group of the other factors, in a product view): its index cuts the
+runs and gives their boundary masks.  The slices trust the grading laws and
+d^2 = 0, which _index checks once (cfk._math_errors) on an unmarked complex;
+validate ranks column and row.
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 class _Sorted:
-    """A complex's slice index: A and M per generator, its triples and
-    offsets, and per slope s the generator indices sorted by (M - 2sA, index),
-    so that the generators of one key and one A range are one run."""
+    """A complex's slice index: A and M per generator, its triples and offsets,
+    and per slope s the generator indices sorted by (M - 2sA, index), so the
+    generators of one key and one A range are one run, cut by bisection."""
 
     def __init__(self, c: CfkComplex):
         self.triples, self.offsets, gens = c.triples, c.offsets, c.generators
@@ -184,10 +185,12 @@ class _Product:
 
     An element is one generator k_i per factor, with code sum k_i * stride_i;
     A and M add, and the key ((A - a0) * w + M - m0) * size + code orders the
-    elements A-major.  Runs go over the largest factor's index (the first on a
-    tie), probed once per (A, M) of the others: heads groups their partial key
-    sums by it.  An arrow acts on one factor (Leibniz) and moves the key by a
-    step of its own, kept per generator.  The class degree is the sum (Kuenneth)."""
+    elements A-major.  heads groups the partial key sums of all factors but the
+    largest (the first on a tie) by (A, M); a run costs a group two bisections
+    of the largest's sorted keys plus its generators in the three key runs, so
+    O(log n) on a staircase (one generator per key run at most).  An arrow acts
+    on one factor (Leibniz) and moves the key by a step of its own, kept per
+    generator.  The class degree is the sum (Kuenneth)."""
 
     def __init__(self, factors: tuple[CfkComplex, ...]):
         self.size = size = _product_size(factors)  # tensor's refusal, before any index
@@ -215,12 +218,14 @@ class _Product:
             stride *= len(gens)
 
     def runs(self, slope: int, key: int, low: float, high: float) -> list[list[int]]:
-        out, keys, probe = ([], [], []), self.keys, self.largest.runs
+        out, part, alexander = [[], [], []], self.keys, self.largest.alexander
+        keys, order = self.largest.orders[slope]
         for (a, m), vs in self.heads.items():
-            for block, run in zip(out, probe(slope, key - m + 2 * slope * a, low - a, high - a)):
-                run = [keys[k] for k in run]
-                for v in vs if run else ():
-                    block += map(v.__add__, run)
+            base = key - m + 2 * slope * a
+            r = bisect_left(keys, base)
+            for p in range(r, bisect_left(keys, base + 3, r)):
+                if low - a <= alexander[k := order[p]] <= high - a:
+                    out[keys[p] - base] += map(part[k].__add__, vs)
         return [sorted(block) for block in out]
 
     def masks(self, block: list[int], place: dict[int, int]) -> Iterator[int]:

@@ -49,6 +49,7 @@ from cfkcalc import (
     tensor,
     torus_alexander,
     staircase_exponents,
+    regions,
     unknot_complex,
 )
 from cfkcalc.cfk import ValidationReport, Violation, _odd
@@ -571,6 +572,29 @@ def reference_analysis(c: CfkComplex) -> ReferenceAnalysis:
             None,
         )
     return ReferenceAnalysis(t, eps, width, depth, f, g)
+
+
+def counted_key_bisections(monkeypatch) -> list[list[int]]:
+    """Per _Product.runs call, the length of each list regions.bisect_left
+    searches inside it; bisections elsewhere (a chain's lookup) go uncounted."""
+    calls, inside, runs, bisect = [], [], regions._Product.runs, regions.bisect_left
+
+    def counted_runs(self, *args):
+        calls.append([])
+        inside.append(self)
+        try:
+            return runs(self, *args)
+        finally:
+            inside.pop()
+
+    def counted_bisect(a, *args):
+        if inside:
+            calls[-1].append(len(a))
+        return bisect(a, *args)
+
+    monkeypatch.setattr(regions._Product, "runs", counted_runs)
+    monkeypatch.setattr(regions, "bisect_left", counted_bisect)
+    return calls
 
 
 def unmarked(c: CfkComplex) -> CfkComplex:

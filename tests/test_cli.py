@@ -20,7 +20,13 @@ import pytest
 
 from cfkcalc import Ordering, class_complex, invariants, parse, regions, serialize
 from cfkcalc.cli import _ascii_diagram, _diagram_geometry, _layout_offsets, main
-from conftest import digit_limit_message, tampered_certificate, trefoil_complex, v1_certificate
+from conftest import (
+    counted_key_bisections,
+    digit_limit_message,
+    tampered_certificate,
+    trefoil_complex,
+    v1_certificate,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -308,17 +314,13 @@ def test_cmp_json(capsys):
     "left, right, order", [("T(2,3)", "T(2,401)", "<"), ("T(2,401)", "T(2,3)", ">")]
 )
 def test_cmp_runs_over_the_larger_class_in_either_order(monkeypatch, capsys, left, right, order):
-    # only the 401-generator staircase's index is probed, never the trefoil's
-    sizes, probe = [], regions._Sorted.runs
-
-    def counted(self, *args):
-        sizes.append(len(self.alexander))
-        return probe(self, *args)
-
-    monkeypatch.setattr(regions._Sorted, "runs", counted)
+    # only the 401-generator staircase's key lists are bisected, never the
+    # trefoil's, and twice per run: the trefoil's three generators have three gradings
+    calls = counted_key_bisections(monkeypatch)
     assert main(["cmp", left, right]) == 0
     assert capsys.readouterr().out == f"{left} {order} {right}\n"
-    assert len(sizes) >= 5 and set(sizes) == {401}
+    assert len(calls) >= 5 and all(0 < len(c) <= 2 * 3 for c in calls)
+    assert {size for c in calls for size in c} == {401}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -10,6 +11,7 @@ from collections import Counter
 import pytest
 
 from cfkcalc import cfk, regions
+from cfkcalc.knots import _signed_leaves
 from cfkcalc import (
     CfkComplex,
     Column0,
@@ -33,6 +35,7 @@ from cfkcalc import (
 )
 from conftest import (
     SEED,
+    counted_key_bisections,
     random_staircase,
     random_basis_change,
     randomized_corpus,
@@ -46,6 +49,7 @@ from conftest import (
     with_random_squares,
 )
 
+INF = float("inf")
 ALL_REGIONS = [
     Column0(),
     FullHook(0),
@@ -478,29 +482,54 @@ def test_a_product_view_slice_reads_each_maslov_grading_once(monkeypatch):
 @pytest.mark.parametrize("n, heads, gradings", [(2, 225, 33), (3, 3_375, 64)])
 def test_a_product_view_probes_its_run_factor_once_per_grading(monkeypatch, n, heads, gradings):
     # the family's --evidence n product, the larger class first and last: a
-    # run bisects the largest factor's index once per (A, M) of the others
+    # run bisects the largest factor's key list twice per (A, M) of the others
     k = class_complex(parse("C(D;3,4) + -T(3,4)")).complex
     minus_j = dual(class_complex(parse("C(D;2,3) + -T(2,3)")).complex)
     sums = [(sum(g.alexander for g in gs), sum(g.maslov for g in gs))
             for gs in itertools.product(minus_j.generators, repeat=n)]
     assert (len(sums), len(set(sums)), len(k), len(minus_j)) == (heads, gradings, 45, 15)
-    calls, runs, probe = [], regions._Product.runs, regions._Sorted.runs
-
-    def counted_runs(self, *args):
-        calls.append([])
-        return runs(self, *args)
-
-    def counted_probe(self, *args):
-        calls[-1].append(len(self.alexander))
-        return probe(self, *args)
-
-    monkeypatch.setattr(regions._Product, "runs", counted_runs)
-    monkeypatch.setattr(regions._Sorted, "runs", counted_probe)
+    calls = counted_key_bisections(monkeypatch)
     for factors in ((k, *[minus_j] * n), (*[minus_j] * n, k)):
         calls.clear()
         assert epsilon(regions._Product(factors)) == 1
-        assert len(calls) >= 5 and all(0 < len(c) <= gradings for c in calls)
+        assert len(calls) >= 5 and all(0 < len(c) <= 2 * gradings for c in calls)
         assert {size for c in calls for size in c} == {45}
+
+
+def _assert_runs_match_the_built_tensor(factors: tuple) -> None:
+    """Every run of the view, as (A, M, factor generator indices), against the
+    built tensor's run: slopes 0 and 1, keys from one below the least to one
+    above the largest, and A windows bounded by +-inf and each run-factor A +- 1."""
+    view, built = regions._Product(factors), functools.reduce(tensor, factors)
+    index, run_factor = regions._Sorted(built), max(factors, key=len)
+    tuples = list(itertools.product(*(range(len(f)) for f in factors)))
+    named = {"|".join(f.generators[k].name for f, k in zip(factors, ks)): ks for ks in tuples}
+    assert len(named) == len(built) == view.size
+    label = [(g.alexander, g.maslov, named[g.name]) for g in built.generators]
+    codes = {sum(k * stride for k, (stride, _, _) in zip(ks, view.steps)): ks for ks in tuples}
+    keys = [x + v for vs in view.heads.values() for v in vs for x in view.keys]
+    key_of = {(view.alexander[x], view.maslov[x], codes[x % view.size]): x for x in keys}
+    as_key = [key_of[t] for t in label]  # the oracle's generators as the view's keys
+    bounds = sorted({g.alexander + d for g in run_factor.generators for d in (-1, 0, 1)})
+    windows = [(-INF, INF)] + [w for x in bounds for w in ((-INF, x), (x, INF), (x, x))]
+    for slope, (sorted_keys, _) in enumerate(index.orders):
+        for key in range(sorted_keys[0] - 1, sorted_keys[-1] + 2):
+            for low, high in windows:
+                want = [sorted(as_key[k] for k in run) for run in index.runs(slope, key, low, high)]
+                assert view.runs(slope, key, low, high) == want, (slope, key, low, high)
+
+
+def test_product_runs_are_the_built_tensors_runs():
+    # the family's views for p = 2..6 run over their cable staircase, whose
+    # key runs hold one generator each; the --evidence 2 view runs over the
+    # built 45-generator class, whose key runs are longer
+    for p in range(2, 7):
+        leaves = _signed_leaves(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})"))
+        _assert_runs_match_the_built_tensor(leaves)
+    k = class_complex(parse("C(D;3,4) + -T(3,4)")).complex
+    minus_j = dual(class_complex(parse("C(D;2,3) + -T(2,3)")).complex)
+    assert max(Counter(regions._Sorted(k).orders[1][0]).values()) > 1
+    _assert_runs_match_the_built_tensor((k, minus_j, minus_j))
 
 
 def test_a_slice_is_refused_exactly_when_the_grading_check_refuses():
