@@ -7,8 +7,8 @@ j - i = A(x).  An arrow (x, y, n) records the differential component
 d(x) = U^n y + ...; coefficients live in F2, so arrows are a set and equal
 triples cancel in pairs.
 
-Every structural operation here (tensor, dual, reduce, text round trip)
-is exact and deterministic.
+A complex keeps its generators as name, Alexander and Maslov columns and its
+arrows as index triples; every operation here is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import json
 import math
 import re
 from collections import Counter
-from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, itemgetter, ne
+from operator import eq, gt, itemgetter, neg
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInconsistency, ParseError, UnsupportedExpression, parse_int
@@ -66,8 +65,6 @@ def _odd(keys: Iterable[tuple]) -> set[tuple]:
 
 
 _NAME = re.compile(r"\S+")
-_GEN_KEY = itemgetter(1, 2, 0)  # a generator's (alexander, maslov, name)
-_generator = partial(tuple.__new__, Generator)  # Generator((name, A, M)) in C, for bulk builds
 
 MAX_GENERATORS = 200_000  # the largest tensor product built or indexed
 
@@ -75,20 +72,22 @@ MAX_GENERATORS = 200_000  # the largest tensor product built or indexed
 class CfkComplex:
     """Immutable complex: generators plus an F2 set of arrows.
 
-    Generators are sorted by (alexander, maslov, name).  Each arrow is kept
-    once, as a sorted triple (src, tgt, u) of generator indices and U power:
-    the arrows leaving generator k are ``triples[offsets[k]:offsets[k + 1]]``.
+    Generator k is entry k of the tuples names, alexander and maslov, sorted by
+    (alexander, maslov, name); the generators property makes Generators of these
+    columns when first read.  Each arrow is kept once, as a sorted triple (src,
+    tgt, u) of generator indices and U power: the arrows leaving k are
+    ``triples[offsets[k]:offsets[k + 1]]``.  Equality reads columns and triples.
 
     The constructor checks structure only (names usable and unique, arrow
-    endpoints present, U-exponents nonnegative) in the order given; _store
-    sorts once and cancels duplicate triples mod 2.  validate() checks the rest.
-    _class_degree marks a knot class by the column's homology degree: one
-    that _class_errors, the knot-class check of validate, passed, a staircase,
-    or one that tensor, dual or reduce made of such.  It is None on any other
-    complex, and it is not part of equality.
+    endpoints present, U-exponents nonnegative) in the order given; _store sorts
+    columns that do not ascend and cancels equal triples mod 2; validate() checks
+    the rest.  _class_degree marks a knot class by the column's homology degree:
+    one that _class_errors, the knot-class check of validate, passed, a staircase,
+    or one that tensor, dual or reduce made of such, else None.
     """
 
-    __slots__ = ("generators", "triples", "offsets", "_hash", "_class_degree")
+    __slots__ = ("names", "alexander", "maslov", "triples", "offsets", "_hash", "_class_degree",
+                 "_generators")
 
     def __init__(self, generators: Iterable[Generator], arrows: Iterable[Arrow] = ()):
         gens = list(generators)
@@ -106,54 +105,64 @@ class CfkComplex:
             if a.source not in index or a.target not in index:
                 raise ValueError(f"arrow {a} references a missing generator")
             triples.append((index[a.source], index[a.target], a.u_exp))
-        self._store(gens, triples)
+        self._store(*(zip(*gens) if gens else ((), (), ())), triples)
 
-    def _store(self, gens: list[Generator], triples: Iterable[tuple[int, int, int]]) -> None:
-        """Sort gens, rank the triples to match as read, cancel equal ones mod 2."""
-        order = sorted(range(len(gens)), key=lambda k: _GEN_KEY(gens[k]))
-        if any(map(ne, order, count())):  # gens not already sorted
-            rank = sorted(range(len(gens)), key=order.__getitem__)  # order's inverse
+    def _store(self, names, alexander, maslov, triples: Iterable[tuple[int, int, int]]) -> None:
+        """Sort the columns by (A, M, name), rank the triples to match, cancel equal ones mod 2."""
+        keys = zip(alexander, maslov, names)
+        if any(map(gt, keys, islice(zip(alexander, maslov, names), 1, None))):  # not ascending
+            alexander, maslov, names, order = zip(*sorted(zip(alexander, maslov, names, count())))
+            rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
             triples = ((rank[s], rank[t], u) for s, t, u in triples)
-            gens = map(gens.__getitem__, order)
         triples = sorted(triples)
         if any(map(eq, triples, islice(triples, 1, None))):  # equal triples are neighbours
             triples = sorted(_odd(triples))
-        self.generators = tuple(gens)
+        self.names, self.alexander, self.maslov = tuple(names), tuple(alexander), tuple(maslov)
         self.triples = tuple(triples)
         # the arrows leaving k start after those leaving 0 .. k - 1
         leaving = Counter(map(itemgetter(0), triples))
-        self.offsets = tuple(accumulate(map(leaving.get, range(len(order)), repeat(0)), initial=0))
-        self._hash = self._class_degree = None
+        self.offsets = tuple(accumulate(map(leaving.get, range(len(self)), repeat(0)), initial=0))
+        self._hash = self._class_degree = self._generators = None
+
+    @property
+    def generators(self) -> tuple[Generator, ...]:
+        """The generators in stored order, built on first access and kept."""
+        if self._generators is None:
+            self._generators = tuple(map(Generator, self.names, self.alexander, self.maslov))
+        return self._generators
 
     @property
     def arrows(self) -> tuple[Arrow, ...]:
         """Named arrows in (source, target, u_exp) order, built on each access."""
-        names = [g.name for g in self.generators]
+        names = self.names
         return tuple(Arrow(*k) for k in sorted((names[s], names[t], u) for s, t, u in self.triples))
+
+    def _columns(self) -> tuple[tuple, tuple, tuple]:
+        return self.names, self.alexander, self.maslov
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CfkComplex):
             return NotImplemented
-        return self.generators == other.generators and self.triples == other.triples
+        return self.triples == other.triples and self._columns() == other._columns()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.generators, self.triples))
+            self._hash = hash((self._columns(), self.triples))
         return self._hash
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.names)
 
     def __reduce__(self) -> tuple:
         # rebuilt, not restored: the cached hash depends on the string-hash seed
-        return _indexed, (list(self.generators), self.triples, self._class_degree)
+        return _indexed, (*self._columns(), self.triples, self._class_degree)
 
     def __repr__(self) -> str:
-        return f"CfkComplex({len(self.generators)} generators, {len(self.triples)} arrows)"
+        return f"CfkComplex({len(self)} generators, {len(self.triples)} arrows)"
 
     def grading_table(self) -> dict[tuple[int, int], int]:
         """Generator count per (alexander, maslov) pair."""
-        return dict(Counter(map(itemgetter(1, 2), self.generators)))
+        return dict(Counter(zip(self.alexander, self.maslov)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +203,10 @@ def _math_errors(c: CfkComplex) -> list[Violation]:
     """Errors of the arrows raising the Alexander grading or breaking the Maslov
     law, in (source, target, u) name order, sorted only when one fails; then
     each (source, target, U power) that d^2 reaches an odd number of times."""
-    gens, tr, off, errors = c.generators, c.triples, c.offsets, []
-    alexander, maslov = [g.alexander for g in gens], [g.maslov for g in gens]
+    (names, alexander, maslov), tr, off, errors = c._columns(), c.triples, c.offsets, []
     if not all(alexander[s] + u >= alexander[t] and maslov[s] + 2 * u == maslov[t] + 1
                for s, t, u in tr):
-        for src, tgt, u, s, t in sorted((gens[s].name, gens[t].name, u, s, t) for s, t, u in tr):
+        for src, tgt, u, s, t in sorted((names[s], names[t], u, s, t) for s, t, u in tr):
             if alexander[s] + u < alexander[t]:
                 rise = alexander[t] - alexander[s] - u
                 errors.append(Violation("j-drop", f"arrow {src}->{tgt} u={u} rises by {rise}"))
@@ -206,7 +214,7 @@ def _math_errors(c: CfkComplex) -> list[Violation]:
                 message = f"arrow {src}->{tgt} u={u}: M({src})-1 != M({tgt})-2u"
                 errors.append(Violation("maslov", message))
     paths = _odd((s, z, u + v) for s, t, u in tr for _, z, v in tr[off[t] : off[t + 1]])
-    for src, tgt, n in sorted((gens[s].name, gens[z].name, n) for s, z, n in paths):
+    for src, tgt, n in sorted((names[s], names[z], n) for s, z, n in paths):
         message = f"d^2 sends {src} to U^{n} {tgt} with odd multiplicity"
         errors.append(Violation("d-squared", message))
     return errors
@@ -218,7 +226,7 @@ def _degree_ranks(c: CfkComplex, slope: int) -> dict[int, int]:
     one: by the Maslov law, those with u = 0 for slope 0 (the vertical complex) and
     no Alexander drop for slope 2 (the horizontal one).  Bit j names the j-th
     element of a degree, and the cost is the sum of squared degree sizes."""
-    degree = [g.maslov - slope * g.alexander for g in c.generators]
+    degree = [m - slope * a for a, m in zip(c.alexander, c.maslov)]
     sizes, slot = {}, []  # elements per degree; place of each in its degree
     for k in degree:
         slot.append(sizes.get(k, 0))
@@ -278,11 +286,11 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
 # operations
 
 
-def _indexed(gens: list[Generator], triples: Iterable, degree: int | None = None) -> CfkComplex:
-    """Complex on gens (usable, unique names) and (src, tgt, u) triples over
-    their list order, recording degree as its class degree."""
+def _indexed(names, alexander, maslov, triples: Iterable, degree: int | None = None) -> CfkComplex:
+    """Complex on the generator columns (usable, unique names) and (src, tgt, u)
+    triples over their order, recording degree as its class degree."""
     c = CfkComplex.__new__(CfkComplex)
-    c._store(gens, triples)
+    c._store(names, alexander, maslov, triples)
     c._class_degree = degree
     return c
 
@@ -307,26 +315,25 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     raises UnsupportedExpression before anything is built.
     """
     size = _product_size((c1, c2))
-    gens: list[Generator] = []
+    names: list[str] = []
     used: set[str] = set()
-    for g1 in c1.generators:
-        for g2 in c2.generators:
-            base = candidate = f"{g1.name}|{g2.name}"
-            tie = 2
-            while candidate in used:
-                candidate = f"{base}#{tie}"
-                tie += 1
-            used.add(candidate)
-            gens.append(_generator((candidate, g1.alexander + g2.alexander, g1.maslov + g2.maslov)))
+    for base in (f"{x1}|{x2}" for x1 in c1.names for x2 in c2.names):
+        candidate, tie = base, 2
+        while candidate in used:
+            candidate, tie = f"{base}#{tie}", tie + 1
+        used.add(candidate)
+        names.append(candidate)
+    alexander = [a1 + a2 for a1 in c1.alexander for a2 in c2.alexander]
+    maslov = [m1 + m2 for m1 in c1.maslov for m2 in c2.maslov]
     # the pair (k1, k2) sits at k1 * n2 + k2; _store ranks triples as they are made
-    n2 = len(c2.generators)
+    n2 = len(c2)
     runs = chain(
         (zip(range(s * n2, s * n2 + n2), range(t * n2, t * n2 + n2), repeat(u))
          for s, t, u in c1.triples),
         (zip(range(s, size, n2), range(t, size, n2), repeat(u)) for s, t, u in c2.triples),
     )
-    d1, d2 = c1._class_degree, c2._class_degree
-    return _indexed(gens, chain.from_iterable(runs), None if None in (d1, d2) else d1 + d2)
+    degree = None if None in (ds := (c1._class_degree, c2._class_degree)) else sum(ds)
+    return _indexed(names, alexander, maslov, chain.from_iterable(runs), degree)
 
 
 def _dual_name(name: str) -> str:
@@ -338,15 +345,16 @@ def dual(c: CfkComplex) -> CfkComplex:
 
     Names gain or lose a trailing '*' so that dual(dual(c)) == c.  The
     column of the dual is the dual of the column: class degree d becomes -d.
+    Generator k of the dual is c's generator n - 1 - k: a staircase's dual comes sorted.
     """
-    gens = [_generator((_dual_name(g.name), -g.alexander, -g.maslov)) for g in c.generators]
-    names = {g.name for g in gens}
-    if len(names) != len(gens):
+    names, last = list(map(_dual_name, reversed(c.names))), len(c) - 1
+    if len(set(names)) != len(names):
         raise ValueError("generator names collide under dualization")
     if "" in names:  # the dual of '*'
         raise ValueError("unusable generator name ''")
-    d = c._class_degree
-    return _indexed(gens, [(t, s, u) for s, t, u in c.triples], None if d is None else -d)
+    d, flip = c._class_degree, [(last - t, last - s, u) for s, t, u in c.triples]
+    gradings = (list(map(neg, reversed(x))) for x in (c.alexander, c.maslov))
+    return _indexed(names, *gradings, flip, None if d is None else -d)
 
 
 def reduce(c: CfkComplex) -> CfkComplex:
@@ -362,18 +370,15 @@ def reduce(c: CfkComplex) -> CfkComplex:
     target) name.  When nothing cancels, c itself is returned.  The ends of
     a flat arrow share a lattice point in every region: the class degree stays.
     """
-    gens = c.generators
-    alex = [g.alexander for g in gens]
+    names, alex = c.names, c.alexander
     if not any(u == 0 and alex[s] == alex[t] for s, t, u in c.triples):
         return c
-    out: list[set[tuple[int, int]]] = [set() for _ in gens]
-    into: list[set[tuple[int, int]]] = [set() for _ in gens]
+    out, into = [set() for _ in names], [set() for _ in names]  # (target, u), (source, u) sets
     for s, t, u in c.triples:
         out[s].add((t, u))
         into[t].add((s, u))
-    names = [g.name for g in gens]
     dead: set[int] = set()  # arrows touching a dead generator are stale, not removed
-    for x in sorted(range(len(gens)), key=names.__getitem__):
+    for x in sorted(range(len(names)), key=names.__getitem__):
         flat = [t for t, u in out[x] if u == 0 and alex[t] == alex[x] and t not in dead]
         if x in dead or not flat:
             continue
@@ -384,10 +389,10 @@ def reduce(c: CfkComplex) -> CfkComplex:
         for w, z, n in _odd((w, z, n1 + n2) for w, n1 in into_y for z, n2 in out_x):
             out[w] ^= {(z, n)}
             into[z] ^= {(w, n)}
-    live = [k for k in range(len(gens)) if k not in dead]
+    live = [k for k in range(len(names)) if k not in dead]
     new = {k: i for i, k in enumerate(live)}
     triples = [(new[s], new[t], u) for s in live for t, u in out[s] if t not in dead]
-    return _indexed([gens[k] for k in live], triples, c._class_degree)
+    return _indexed(*([x[k] for k in live] for x in c._columns()), triples, c._class_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +437,12 @@ def square_complex(
 
 def direct_sum(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Disjoint union; generator names must not collide."""
-    overlap = set(g.name for g in c1.generators) & set(g.name for g in c2.generators)
+    overlap = set(c1.names) & set(c2.names)
     if overlap:
         raise ValueError(f"direct summands share names: {sorted(overlap)}")
     n1 = len(c1)
     shifted = [(s + n1, t + n1, u) for s, t, u in c2.triples]
-    return _indexed([*c1.generators, *c2.generators], [*c1.triples, *shifted])
+    return _indexed(*map(tuple.__add__, c1._columns(), c2._columns()), [*c1.triples, *shifted])
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +456,7 @@ _ARR_RE = re.compile(r"^arr\s+(\S+)\s+(\S+)\s+u=(\d+)\s*$")
 
 def serialize(c: CfkComplex) -> str:
     """Canonical text: header, generators by (A, M, name), arrows sorted."""
-    lines = [_HEADER]
-    names = [g.name for g in c.generators]
-    for g in c.generators:
-        lines.append(f"gen {g.name} A={g.alexander} M={g.maslov}")
+    names, lines = c.names, [_HEADER, *map("gen {} A={} M={}".format, *c._columns())]
     for src, tgt, u in sorted((names[s], names[t], u) for s, t, u in c.triples):
         lines.append(f"arr {src} {tgt} u={u}")
     return "\n".join(lines) + "\n"
@@ -498,7 +500,7 @@ def deserialize(text: str) -> CfkComplex:
     lineno, header = next(((k, line) for k, line in lines if line.strip()), (1, ""))
     if header.strip() != _HEADER:  # the first nonblank line
         raise ParseError(f"expected {_HEADER!r} header", line=lineno, column=1)
-    gens, seen, triples = [], {}, []  # generators; name -> index; (source, target, u) triples
+    gens, seen, triples = [], {}, []  # (name, A, M) rows; name -> index; (source, target, u)
     for lineno, line in lines:
         fields = line.split()
         if not fields:
@@ -512,10 +514,10 @@ def deserialize(text: str) -> CfkComplex:
             if (kind == "gen" and line[0] == "g" and first not in seen
                     and second[:2] == "A=" and a.removeprefix("-").isdecimal()
                     and last[:2] == "M=" and m.removeprefix("-").isdecimal()):
-                gens.append(_generator((first, int(a), int(m))))
+                gens.append((first, int(a), int(m)))
                 seen[first] = len(gens) - 1
                 continue
         except (KeyError, ValueError):  # a missing name, a literal past the digit limit
             pass
         _refuse(line, lineno, seen)
-    return _indexed(gens, triples)
+    return _indexed(*(zip(*gens) if gens else ((), (), ())), triples)

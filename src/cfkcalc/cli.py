@@ -71,12 +71,10 @@ def _cmd_invariants(args: argparse.Namespace) -> _Output:
     else:
         expr = parse(args.source)
         kind, label, c = "expression", str(expr), class_complex(expr).complex
-    generators = len(c.generators)
-    try:  # first: it checks a file's class, and rejects the empty complex, which has no max_alex
+    try:  # first: it checks a file's class, and rejects the empty complex, which has no grading
         t = tau(c)
     except InconsistentInput as exc:
         raise InconsistentInput(f"{label}: {exc}") from exc
-    max_alex = max(g.alexander for g in c.generators)
     e = epsilon(c)
     a1_value = a2_value = None
     a1_reason = a2_reason = None
@@ -90,8 +88,8 @@ def _cmd_invariants(args: argparse.Namespace) -> _Output:
     payload: dict[str, object] = {
         "kind": kind,
         "source": label,
-        "generators": generators,
-        "max_alexander": max_alex,
+        "generators": len(c),
+        "max_alexander": c.alexander[-1],  # the columns ascend in A
         "tau": t,
         "epsilon": e,
         "a1": a1_value,
@@ -103,8 +101,8 @@ def _cmd_invariants(args: argparse.Namespace) -> _Output:
         payload["a2_reason"] = a2_reason
     return 0, payload, [
         f"{kind}: {label}",
-        f"generators: {generators}",
-        f"max alexander grading: {max_alex}",
+        f"generators: {len(c)}",
+        f"max alexander grading: {c.alexander[-1]}",
         f"tau: {t}",
         f"epsilon: {EPSILON_TEXT[e]}",
         f"a1: {a1_value}" if a1_value is not None else f"a1: n/a ({a1_reason})",
@@ -200,7 +198,7 @@ def _layout_offsets(c: CfkComplex) -> list[int]:
     (u > 0, no Alexander drop) or vertical (u = 0), and offsets add under
     tensor products: they agree around every cycle.
     """
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in c.generators]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in c.names]
     for s, t, u in c.triples:
         adjacency[s].append((t, u))
         adjacency[t].append((s, -u))
@@ -227,7 +225,7 @@ def _diagram_geometry(
 ]:
     """Dots plus horizontal (i1, i2, j) and vertical (i, j1, j2) segments,
     shifted so both coordinates start at 0."""
-    pos = [(-k, g.alexander - k) for g, k in zip(c.generators, _layout_offsets(c))]
+    pos = [(-k, a - k) for a, k in zip(c.alexander, _layout_offsets(c))]
     di = min(i for i, _ in pos)
     dj = min(j for _, j in pos)
     pos = [(i - di, j - dj) for i, j in pos]

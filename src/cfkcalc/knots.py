@@ -19,10 +19,11 @@ no small model determines).  A class keeps its signed leaves as factors.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain, repeat
 from typing import Iterator, NamedTuple, Union
 
 from ._value import Value
-from .cfk import MAX_GENERATORS, CfkComplex, _generator, _indexed, dual, reduce, tensor, validate
+from .cfk import MAX_GENERATORS, CfkComplex, _indexed, dual, reduce, tensor, validate
 from .errors import (
     ExpressionError,
     InconsistentInput,
@@ -296,13 +297,14 @@ def staircase(exps: StaircaseExponents) -> CfkComplex:
     M = 0, so it carries class degree 0.
     """
     n, g, last = exps.exponents, exps.genus, len(exps.exponents) - 1
-    maslov = [0]
-    for i in range(1, len(n)):
-        maslov.append(maslov[-1] + (1 - 2 * (n[i - 1] - n[i]) if i % 2 else -1))
+    drops = [a - b for a, b in zip(n[0::2], n[1::2])]  # U powers: M(x_2j+2) = M(x_2j) - 2 drop_j
+    even, maslov = list(accumulate((-2 * d for d in drops), initial=0)), [0] * len(n)
+    maslov[0::2], maslov[1::2] = even, [m + 1 for m in even[1:]]  # M(x_2j+1) = M(x_2j+2) + 1
     # x_i sits at index last - i: A ascends, so _store permutes nothing
-    gens = [_generator((f"x{i}", n[i] - g, maslov[i])) for i in range(last, -1, -1)]
-    steps = ((last - i, n[i - 1] - n[i]) for i in range(last - 1, 0, -2))  # odd i; k ascends
-    return _indexed(gens, [a for k, u in steps for a in ((k, k - 1, 0), (k, k + 1, u))], 0)
+    names, alexander = [f"x{i}" for i in range(last, -1, -1)], [e - g for e in reversed(n)]
+    ks = range(1, last, 2)  # x_i for odd i at k = last - i ascending, arrows to k - 1 then k + 1
+    steps = zip(zip(ks, range(0, last, 2), repeat(0)), zip(ks, range(2, last + 1, 2), drops[::-1]))
+    return _indexed(names, alexander, maslov[::-1], chain.from_iterable(steps), 0)
 
 
 def alexander(e: KnotExpr) -> LaurentPoly:
@@ -446,7 +448,7 @@ class ClassRep(Value):
     def __str__(self) -> str:
         if self.provenance is not None:
             return str(self.provenance)
-        return f"<class on {len(self.complex.generators)} generators>"
+        return f"<class on {len(self.complex)} generators>"
 
 
 def class_complex(e: KnotExpr) -> ClassRep:

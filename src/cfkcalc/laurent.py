@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add, gt
 from typing import Iterator, Mapping
 
 from ._value import Value
@@ -216,14 +217,14 @@ class StaircaseExponents(Value):
         object.__setattr__(self, "exponents", exps)
         if len(exps) % 2 == 0 or not exps:
             raise NotStaircaseForm("even number of terms")
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise NotStaircaseForm("negative exponent")
-        if any(a <= b for a, b in zip(exps, exps[1:])):
+        if not all(map(gt, exps, exps[1:])):
             raise NotStaircaseForm("exponents not strictly decreasing")
         if exps[-1] != 0:
             raise NotStaircaseForm("lowest exponent is not 0")
         top = exps[0]
-        if any(exps[i] + exps[len(exps) - 1 - i] != top for i in range(len(exps))):
+        if set(map(add, exps, reversed(exps))) != {top}:
             raise NotStaircaseForm("exponents not symmetric")
         # symmetry pins the middle term to top/2, so top is even
         assert top % 2 == 0
@@ -254,15 +255,13 @@ def staircase_exponents(poly: LaurentPoly) -> StaircaseExponents:
     at +1 from the top, an odd number of terms, lowest exponent 0, and the
     palindromic exponent symmetry; otherwise NotStaircaseForm is raised.
     """
-    terms = sorted(poly, reverse=True)
-    if not terms:
+    exps = sorted(poly._coeffs, reverse=True)
+    if not exps:
         raise NotStaircaseForm("zero polynomial")
-    exps = []
-    for idx, (e, c) in enumerate(terms):
-        want = 1 if idx % 2 == 0 else -1
-        if c != want:
-            raise NotStaircaseForm(f"coefficient {c} at t^{e}, expected {want}")
-        exps.append(e)
+    signs = list(map(poly._coeffs.__getitem__, exps))
+    if set(signs[0::2]) != {1} or not set(signs[1::2]) <= {-1}:
+        k = next(k for k, c in enumerate(signs) if c != (-1) ** k)  # the first bad one
+        raise NotStaircaseForm(f"coefficient {signs[k]} at t^{exps[k]}, expected {(-1) ** k}")
     return StaircaseExponents(tuple(exps))
 
 

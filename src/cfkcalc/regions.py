@@ -141,10 +141,9 @@ class _Sorted:
     generators of one key and one A range are one run, cut by bisection."""
 
     def __init__(self, c: CfkComplex):
-        self.triples, self.offsets, gens = c.triples, c.offsets, c.generators
-        ks = list(range(len(gens)))  # both orders share these ints
-        self.alexander, self.maslov = [g.alexander for g in gens], [g.maslov for g in gens]
-        self.span, self.orders = gens[-1].alexander - gens[0].alexander if gens else 0, []
+        self.triples, self.offsets = c.triples, c.offsets
+        self.alexander, self.maslov, ks = c.alexander, c.maslov, list(range(len(c)))  # shared ints
+        self.span, self.orders = c.alexander[-1] - c.alexander[0] if len(c) else 0, []
         for key in (self.maslov, [m - 2 * a for a, m in zip(self.alexander, self.maslov)]):
             order = sorted(ks, key=key.__getitem__)
             self.orders.append(([key[k] for k in order], order))
@@ -197,25 +196,25 @@ class _Product:
         if any(c._class_degree is None for c in factors):
             raise InconsistentInput("a product view takes checked classes only")
         self._class_degree = sum(c._class_degree for c in factors)
-        a0, a1 = (sum(c.generators[i].alexander for c in factors) for i in (0, -1))
-        m0, m1 = (sum(f(g.maslov for g in c.generators) for c in factors) for f in (min, max))
+        a0, a1 = (sum(c.alexander[i] for c in factors) for i in (0, -1))
+        m0, m1 = (sum(map(f, (c.maslov for c in factors))) for f in (min, max))
         self.span, w = a1 - a0, m1 - m0 + 1
         self.alexander, self.maslov = _Digit(w * size, self.span + 1, a0), _Digit(size, w, m0)
         run = max(range(len(factors)), key=lambda i: len(factors[i]))  # max keeps the first
         self.heads, self.steps, stride = {(0, 0): [-(a0 * w + m0) * size]}, [], 1
         for i, c in enumerate(factors):
-            gens, tr, off = c.generators, c.triples, c.offsets
-            key = [(g.alexander * w + g.maslov) * size + k * stride for k, g in enumerate(gens)]
+            tr, off, gradings = c.triples, c.offsets, list(zip(c.alexander, c.maslov))
+            key = [(a * w + m) * size + k * stride for k, (a, m) in enumerate(gradings)]
             steps = [[key[t] - key[s] for s, t, _ in tr[o:p]] for o, p in zip(off, off[1:])]
-            self.steps.append((stride, len(gens), steps))
+            self.steps.append((stride, len(c), steps))
             if i == run:
                 self.largest, self.keys = _Sorted(c), key
             else:
                 heads, self.heads = self.heads, defaultdict(list)
                 for (a, m), vs in heads.items():
-                    for g, x in zip(gens, key):
-                        self.heads[a + g.alexander, m + g.maslov] += map(x.__add__, vs)
-            stride *= len(gens)
+                    for (a2, m2), x in zip(gradings, key):
+                        self.heads[a + a2, m + m2] += map(x.__add__, vs)
+            stride *= len(c)
 
     def runs(self, slope: int, key: int, low: float, high: float) -> list[list[int]]:
         out, part, alexander = [[], [], []], self.keys, self.largest.alexander

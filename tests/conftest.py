@@ -350,10 +350,10 @@ def reference_tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
         triples = sorted(_odd(triples))
     counts = Counter(map(itemgetter(0), triples))
     c = CfkComplex.__new__(CfkComplex)
-    c.generators = tuple(gens[k] for k in order)
+    c.names, c.alexander, c.maslov = (tuple(gens[k][i] for k in order) for i in range(3))
     c.triples = tuple(triples)
     c.offsets = tuple(accumulate(map(counts.__getitem__, range(len(gens))), initial=0))
-    c._hash = c._class_degree = None
+    c._hash = c._class_degree = c._generators = None
     return c
 
 

@@ -83,6 +83,37 @@ def test_construction_sorts_and_indexes():
         assert x.offsets[0] == 0 and [s for s, _, _ in x.triples] == sources, x
 
 
+def test_one_name_or_grading_apart_is_unequal():
+    gens = [Generator("x0", 1, 0), Generator("x1", 0, -1), Generator("x2", -1, -2)]
+    c = CfkComplex(gens, [Arrow("x1", "x0", 1), Arrow("x1", "x2", 0)])
+    for k, g in enumerate(gens):
+        for other in (g._replace(name=g.name + "'"), g._replace(alexander=g.alexander + 1),
+                      g._replace(maslov=g.maslov + 1)):
+            names = {g.name: other.name}
+            arrows = [Arrow(names.get(a.source, a.source), names.get(a.target, a.target), a.u_exp)
+                      for a in c.arrows]
+            d = CfkComplex([*gens[:k], other, *gens[k + 1 :]], arrows)
+            # the same order and triples: one entry of one column tells them apart
+            assert d.triples == c.triples and d.offsets == c.offsets, other
+            assert sum(x != y for x, y in zip(d._columns(), c._columns())) == 1, other
+            assert d != c and c != d, other
+
+
+def test_the_columns_are_the_generators():
+    corpus = randomized_corpus(random.Random(SEED))
+    corpus += [dual(c) for c in corpus]
+    corpus += [tensor(c, d) for c, d in zip(corpus[:12], corpus[1:13])]
+    corpus += [reduce(with_flat_pairs(random.Random(k), c, 2)) for k, c in enumerate(corpus[::5])]
+    corpus += [deserialize(serialize(class_complex(parse(text)).complex)) for text in GOLDEN_DIGESTS]
+    for c in corpus:
+        assert all(type(x) is tuple for x in c._columns()), c
+        assert list(zip(c.alexander, c.maslov, c.names)) == sorted(zip(c.alexander, c.maslov, c.names))
+        assert c.generators == tuple(map(Generator, c.names, c.alexander, c.maslov)), c
+        gens = [f"gen {g.name} A={g.alexander} M={g.maslov}" for g in c.generators]
+        arrows = [f"arr {a.source} {a.target} u={a.u_exp}" for a in c.arrows]
+        assert serialize(c) == "\n".join(["cfk v1", *gens, *arrows]) + "\n", c
+
+
 def test_construction_rejects_bad_input():
     g = [Generator("a", 0, 0)]
     with pytest.raises(ValueError):
@@ -224,6 +255,13 @@ def test_a_class_degree_keeps_equality_hash_and_copies():
         assert twin == product and hash(twin) == hash(product)
         assert twin._class_degree == 4
         assert (tau(twin), epsilon(twin)) == (6, 1)
+    assert product.generators  # a copy rebuilds from the columns, not from the Generator cache
+    for original in (product, plain, dual(product), class_complex(parse("T(2,5)")).complex):
+        for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert twin == original and hash(twin) == hash(original)
+            assert twin._class_degree == original._class_degree
+            assert twin.names == original.names and twin.offsets == original.offsets
+            assert twin.generators == original.generators
 
 
 def test_an_unpickled_complex_hashes_under_the_loading_seed():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from cfkcalc import Ordering, class_complex, invariants, parse, regions, serialize
+from cfkcalc import CfkComplex, Ordering, class_complex, invariants, parse, regions, serialize
 from cfkcalc.cli import _ascii_diagram, _diagram_geometry, _layout_offsets, main
 from conftest import (
     counted_key_bisections,
@@ -893,6 +893,47 @@ def test_every_crossing_without_a_dot_is_drawn_as_a_plus():
             assert rows[(top - j) * 2][i * 4] == "+", (text, i, j)
             crossed += 1
     assert crossed > 0
+
+
+
+# ---------------------------------------------------------------------------
+# the library reads a complex's generator columns, never its Generator tuples
+
+
+def test_no_command_builds_generator_tuples(tmp_path, monkeypatch, capsys):
+    # each command prints, saves and exits as it does when generators may be read
+    pairs, broken = tmp_path / "pairs.cfk", tmp_path / "broken.cfk"
+    pairs.write_text(TREFOIL_BESIDE_PAIRS, encoding="utf-8")
+    broken.write_text("cfk v1\ngen a A=1 M=0\ngen b A=0 M=-1\narr b a u=0\n", encoding="utf-8")
+    certificate = tmp_path / "family.json"
+    argvs = [
+        ["invariants", "T(4,5)"],
+        ["invariants", "--", "-T(2,3) + T(2,5)"],
+        ["invariants", "T(4,5)", "--json"],
+        ["invariants", str(pairs)],
+        ["show", "T(2,5) + -T(4,5)"],
+        ["cmp", *FAMILY],
+        ["dominates", *FAMILY, "--evidence", "2"],
+        ["independence", *FAMILY, "--out", str(certificate)],
+        ["independence", "--recheck", str(certificate)],
+        ["validate", str(pairs), "--knot-class"],
+        ["validate", str(broken)],
+    ]
+
+    def outcomes() -> list[tuple]:
+        seen = [(argv, main(argv), *capsys.readouterr()) for argv in argvs]
+        seen.append(certificate.read_text(encoding="utf-8"))
+        certificate.unlink()
+        return seen
+
+    today = outcomes()
+    assert [code for _, code, *_ in today[:-1]] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+
+    def refuse(c: CfkComplex):
+        raise AssertionError("a library path built the Generator tuples")
+
+    monkeypatch.setattr(CfkComplex, "generators", property(refuse))
+    assert outcomes() == today
 
 
 # ---------------------------------------------------------------------------

@@ -425,9 +425,10 @@ def test_staircases_come_sorted_and_equal_the_named_build(monkeypatch):
     # _store permutes nothing; the complex and its offsets are the named build's
     emitted = []
 
-    def indexed(gens, triples, degree=None):
-        emitted.append((gens, triples))
-        return cfk._indexed(gens, triples, degree)
+    def indexed(names, alexander, maslov, triples, degree=None):
+        triples = list(triples)  # an iterator, read once
+        emitted.append((list(zip(alexander, maslov, names)), triples))
+        return cfk._indexed(names, alexander, maslov, triples, degree)
 
     monkeypatch.setattr(knots, "_indexed", indexed)
     checked = 0
@@ -437,9 +438,9 @@ def test_staircases_come_sorted_and_equal_the_named_build(monkeypatch):
         except UnsupportedExpression:
             continue
         built, reference = staircase(exps), reference_staircase(exps)
-        gens, triples = emitted.pop()
-        assert [g.name for g in gens] == [f"x{i}" for i in reversed(range(len(exps)))]
-        assert gens == sorted(gens, key=lambda g: (g.alexander, g.maslov, g.name)), text
+        keys, triples = emitted.pop()  # (A, M, name) per emitted generator
+        assert [name for _, _, name in keys] == [f"x{i}" for i in reversed(range(len(exps)))]
+        assert keys == sorted(keys), text
         assert triples == sorted(triples), text
         assert built == reference and built.offsets == reference.offsets, text
         checked += 1

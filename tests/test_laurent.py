@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,18 +203,45 @@ def test_staircase_exponents_of_one():
 
 
 def test_staircase_exponents_rejects_bad_shapes():
-    for text in ["t^2 + t + 1", "t^2 - 2t + 1", "t^3 - t + 1", "t^2 - t"]:
-        with pytest.raises(NotStaircaseForm):
+    # the signs are read before the shape, and the first bad coefficient is named
+    for text, message in [
+        ("0", "zero polynomial"),
+        ("t^2 + t + 1", "coefficient 1 at t^1, expected -1"),
+        ("t^2 - 2t + 1", "coefficient -2 at t^1, expected -1"),
+        ("-t^2 + t - 1", "coefficient -1 at t^2, expected 1"),
+        ("t^2 - t + 2", "coefficient 2 at t^0, expected 1"),
+        ("t^4 - t^3 + 3t^2 + 2t + 1", "coefficient 3 at t^2, expected 1"),
+        ("t^2 + 2t + 3", "coefficient 2 at t^1, expected -1"),
+        ("t^2 + t", "coefficient 1 at t^1, expected -1"),
+        ("t^2 - t", "even number of terms"),
+        ("t - 1 + t^-1", "negative exponent"),
+        ("t^3 - t^2 + t", "lowest exponent is not 0"),
+        ("t^3 - t + 1", "exponents not symmetric"),
+        ("t^6 - t^5 + t^4 - t + 1", "exponents not symmetric"),
+    ]:
+        with pytest.raises(NotStaircaseForm, match=f"^{re.escape(message)}$"):
             staircase_exponents(P(text))
 
 
 def test_staircase_exponents_validation():
-    with pytest.raises(NotStaircaseForm):
-        StaircaseExponents((2, 1))  # even length
-    with pytest.raises(NotStaircaseForm):
-        StaircaseExponents((2, 1, 1))  # not strictly decreasing to 0
-    with pytest.raises(NotStaircaseForm):
-        StaircaseExponents((4, 1, 0))  # not symmetric
+    # each message, and which wins when an input has more than one fault
+    for exps, message in [
+        ((), "even number of terms"),
+        ((2, 1), "even number of terms"),
+        ((-1,), "negative exponent"),
+        ((2, 2, -1), "negative exponent"),
+        ((2, 1, 1), "exponents not strictly decreasing"),
+        ((0, 1, 2), "exponents not strictly decreasing"),
+        ((5, 3, 3, 1, 1), "exponents not strictly decreasing"),
+        ((3, 2, 1), "lowest exponent is not 0"),
+        ((4, 1, 0), "exponents not symmetric"),
+        ((6, 5, 4, 1, 0), "exponents not symmetric"),
+        ((6, 5, 3, 2, 0), "exponents not symmetric"),
+    ]:
+        with pytest.raises(NotStaircaseForm, match=f"^{re.escape(message)}$"):
+            StaircaseExponents(exps)
+    for exps in [(0,), (2, 1, 0), (6, 5, 3, 1, 0), (12, 11, 8, 6, 4, 1, 0)]:
+        assert StaircaseExponents(list(exps)).exponents == exps
 
 
 def test_torus_exponent_prefixes():
