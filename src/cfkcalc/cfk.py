@@ -21,7 +21,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, gt, itemgetter, neg
 from typing import Iterable, NamedTuple
 
-from .errors import InternalInconsistency, ParseError, UnsupportedExpression, parse_int
+from .errors import ParseError, UnsupportedExpression, parse_int
 from .gf2 import block_ranks
 
 __all__ = [
@@ -462,62 +462,42 @@ def serialize(c: CfkComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _refuse(line: str, lineno: int, seen: dict[str, int]) -> None:
-    """Raise the ParseError of a line the split reading refused, placed by the regexes."""
-    if line.startswith("gen"):
-        m = _GEN_RE.match(line)
-        if m is None:
-            raise ParseError("malformed gen line", line=lineno, column=1)
-        if m[1] in seen:
-            raise ParseError(f"duplicate generator {m[1]!r}", line=lineno, column=m.start(1) + 1)
-        fields = (2, 3)
-    elif line.startswith("arr"):
-        m = _ARR_RE.match(line)
-        if m is None:
-            raise ParseError("malformed arr line", line=lineno, column=1)
-        for k in (1, 2):
-            if m[k] not in seen:
-                raise ParseError(f"unknown generator {m[k]!r}", line=lineno, column=m.start(k) + 1)
-        fields = (3,)
-    elif line[0].isspace():
-        raise ParseError("unexpected leading whitespace", line=lineno, column=1)
-    else:
-        raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
-    for k in fields:  # all that is left to refuse: a literal past the digit limit
-        parse_int(m[k], lineno, m.start(k) + 1)
-    raise InternalInconsistency(f"line {lineno}: the split reading refuses what the regexes read")
-
-
 def deserialize(text: str) -> CfkComplex:
     """Parse the cfk v1 format; structural problems raise ParseError.
 
-    Grading violations are left to validate().  Each line is split at
-    whitespace and read to the grammar of _GEN_RE and _ARR_RE, which place the
-    error of a line the split reading refuses, such as an arrow naming an
-    unknown generator; duplicate arrow lines cancel mod 2.
+    Grading violations are left to validate().  Each gen or arr line is one match of
+    _GEN_RE or _ARR_RE, which places its error at column 1 or at the field at fault;
+    blank lines are skipped, and duplicate arrow lines cancel mod 2.
     """
     lines = enumerate(text.splitlines(), start=1)
     lineno, header = next(((k, line) for k, line in lines if line.strip()), (1, ""))
     if header.strip() != _HEADER:  # the first nonblank line
         raise ParseError(f"expected {_HEADER!r} header", line=lineno, column=1)
-    gens, seen, triples = [], {}, []  # (name, A, M) rows; name -> index; (source, target, u)
+    names, alexander, maslov, seen, triples = [], [], [], {}, []  # seen: name -> index
     for lineno, line in lines:
-        fields = line.split()
-        if not fields:
-            continue
-        try:  # an integer is an optional '-' (not in u) and decimal digits, as -?\d+ reads
-            kind, first, second, last = fields  # the kind at column 1
-            a, m = second[2:], last[2:]
-            if kind == "arr" and line[0] == "a" and last[:2] == "u=" and m.isdecimal():
-                triples.append((seen[first], seen[second], int(m)))
-                continue
-            if (kind == "gen" and line[0] == "g" and first not in seen
-                    and second[:2] == "A=" and a.removeprefix("-").isdecimal()
-                    and last[:2] == "M=" and m.removeprefix("-").isdecimal()):
-                gens.append((first, int(a), int(m)))
-                seen[first] = len(gens) - 1
-                continue
-        except (KeyError, ValueError):  # a missing name, a literal past the digit limit
-            pass
-        _refuse(line, lineno, seen)
-    return _indexed(*(zip(*gens) if gens else ((), (), ())), triples)
+        if line.startswith("arr"):
+            match = _ARR_RE.match(line)
+            if match is None:
+                raise ParseError("malformed arr line", line=lineno, column=1)
+            source, target, u = match.groups()
+            if source not in seen or target not in seen:  # the source is named first
+                k, name = (1, source) if source not in seen else (2, target)
+                raise ParseError(f"unknown generator {name!r}", lineno, match.start(k) + 1)
+            u = parse_int(u, lineno, match.start(3) + 1)
+            triples.append((seen[source], seen[target], u))
+        elif line.startswith("gen"):
+            match = _GEN_RE.match(line)
+            if match is None:
+                raise ParseError("malformed gen line", line=lineno, column=1)
+            name, a, m = match.groups()
+            if name in seen:  # a name before its literals, and A before M
+                raise ParseError(f"duplicate generator {name!r}", lineno, match.start(1) + 1)
+            seen[name] = len(names)
+            names.append(name)
+            alexander.append(parse_int(a, lineno, match.start(2) + 1))
+            maslov.append(parse_int(m, lineno, match.start(3) + 1))
+        elif line and not line.isspace():  # blank lines are skipped
+            if line[0].isspace():
+                raise ParseError("unexpected leading whitespace", line=lineno, column=1)
+            raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno, column=1)
+    return _indexed(names, alexander, maslov, triples)
