@@ -18,7 +18,7 @@ import math
 import re
 from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, gt, itemgetter, neg
+from operator import eq, gt, itemgetter, lt, neg, sub
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnsupportedExpression, parse_int
@@ -80,10 +80,11 @@ class CfkComplex:
 
     The constructor checks structure only (names usable and unique, arrow
     endpoints present, U-exponents nonnegative) in the order given; _store sorts
-    columns that do not ascend and cancels equal triples mod 2; validate() checks
-    the rest.  _class_degree marks a knot class by the column's homology degree:
-    one that _class_errors, the knot-class check of validate, passed, a staircase,
-    or one that tensor, dual or reduce made of such, else None.
+    columns that do not ascend and cancels equal triples mod 2, comparing no key
+    tuple when A strictly ascends and no triple when the triples strictly ascend;
+    validate() checks the rest.  _class_degree marks a knot class by the column's
+    homology degree: one that _class_errors, the knot-class check of validate,
+    passed, a staircase, or one that tensor, dual or reduce made of such, else None.
     """
 
     __slots__ = ("names", "alexander", "maslov", "triples", "offsets", "_hash", "_class_degree",
@@ -107,21 +108,27 @@ class CfkComplex:
             triples.append((index[a.source], index[a.target], a.u_exp))
         self._store(*(zip(*gens) if gens else ((), (), ())), triples)
 
-    def _store(self, names, alexander, maslov, triples: Iterable[tuple[int, int, int]]) -> None:
-        """Sort the columns by (A, M, name), rank the triples to match, cancel equal ones mod 2."""
+    def _store(self, names, alexander, maslov, triples: Iterable[tuple[int, int, int]],
+               offsets: Iterable[int] | None = None) -> None:
+        """Sort the columns by (A, M, name), rank the triples to match, cancel equal ones mod 2.
+        A strictly ascending A column is in order, and strictly ascending triples are sorted
+        with no two equal; offsets, when given, are those of such triples."""
         keys = zip(alexander, maslov, names)
-        if any(map(gt, keys, islice(zip(alexander, maslov, names), 1, None))):  # not ascending
+        rises = all(map(lt, alexander, islice(alexander, 1, None)))
+        if not rises and any(map(gt, keys, islice(zip(alexander, maslov, names), 1, None))):
             alexander, maslov, names, order = zip(*sorted(zip(alexander, maslov, names, count())))
             rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
             triples = ((rank[s], rank[t], u) for s, t, u in triples)
-        triples = sorted(triples)
-        if any(map(eq, triples, islice(triples, 1, None))):  # equal triples are neighbours
-            triples = sorted(_odd(triples))
+        if not all(map(lt, triples := tuple(triples), islice(triples, 1, None))):
+            triples = sorted(triples)
+            if any(map(eq, triples, islice(triples, 1, None))):  # equal triples are neighbours
+                triples = sorted(_odd(triples))
         self.names, self.alexander, self.maslov = tuple(names), tuple(alexander), tuple(maslov)
         self.triples = tuple(triples)
-        # the arrows leaving k start after those leaving 0 .. k - 1
-        leaving = Counter(map(itemgetter(0), triples))
-        self.offsets = tuple(accumulate(map(leaving.get, range(len(self)), repeat(0)), initial=0))
+        if offsets is None:  # the arrows leaving k start after those leaving 0 .. k - 1
+            leaving = Counter(map(itemgetter(0), triples))
+            offsets = accumulate(map(leaving.get, range(len(self)), repeat(0)), initial=0)
+        self.offsets = tuple(offsets)
         self._hash = self._class_degree = self._generators = None
 
     @property
@@ -259,6 +266,14 @@ def _class_errors(c: CfkComplex) -> list[Violation]:
     return errors
 
 
+def _plainly_symmetric(c: CfkComplex) -> bool:
+    """Whether A strictly ascends, holding each (A, M) once, and the grading table is
+    symmetric: then exactly when A[k] = -A[n - 1 - k] and M - A is a palindrome."""
+    a, shift = c.alexander, list(map(sub, c.maslov, c.alexander))
+    rises = all(map(lt, a, islice(a, 1, None)))
+    return rises and all(map(eq, a, map(neg, reversed(a)))) and shift == shift[::-1]
+
+
 def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     """Report every grading or d^2 violation; never raises on bad math.
 
@@ -266,13 +281,14 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
     and when the report has no error, records the column's degree on c.  A
     complex with that mark is trusted: it has no error, and none is sought.
     A symmetry warning compares generator counts of the reduced complex at
-    (s, m) and (-s, m - 2s); it is only attempted on error-free complexes.
+    (s, m) and (-s, m - 2s); it is only attempted on error-free complexes, and
+    reads no table when _plainly_symmetric (a staircase or its dual) holds.
     """
     marked = c._class_degree is not None
     errors = [] if marked else _class_errors(c) if knot_class else _math_errors(c)
     warnings: list[Violation] = []
-    if not errors:
-        table = reduce(c).grading_table()
+    if not errors and not _plainly_symmetric(r := reduce(c)):
+        table = r.grading_table()
         for (s, m), n in sorted(table.items()):
             other = table.get((-s, m - 2 * s), 0)
             if n != other:
@@ -286,11 +302,12 @@ def validate(c: CfkComplex, knot_class: bool = False) -> ValidationReport:
 # operations
 
 
-def _indexed(names, alexander, maslov, triples: Iterable, degree: int | None = None) -> CfkComplex:
+def _indexed(names, alexander, maslov, triples: Iterable, degree: int | None = None,
+             offsets: Iterable[int] | None = None) -> CfkComplex:
     """Complex on the generator columns (usable, unique names) and (src, tgt, u)
-    triples over their order, recording degree as its class degree."""
+    triples over their order, recording degree as its class degree; offsets as in _store."""
     c = CfkComplex.__new__(CfkComplex)
-    c._store(names, alexander, maslov, triples)
+    c._store(names, alexander, maslov, triples, offsets)
     c._class_degree = degree
     return c
 

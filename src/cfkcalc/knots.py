@@ -294,17 +294,32 @@ def staircase(exps: StaircaseExponents) -> CfkComplex:
     generator emits one horizontal arrow (to the previous generator, U
     power equal to the exponent drop) and one vertical arrow (to the next).
     Valid exponents make it a reduced knot class whose column keeps x0 at
-    M = 0, so it carries class degree 0.
+    M = 0, so it carries class degree 0.  Its triples and offsets share the
+    ints of one index list, and it comes sorted: _store compares no key tuple.
     """
+    return _staircase(exps, False)
+
+
+def _staircase(exps: StaircaseExponents, mirrored: bool) -> CfkComplex:
+    """staircase(exps), or when mirrored its dual, built from its own columns in
+    stored order: every arrow joins an odd index to a neighbour, and every index
+    is an int of the one list index, which the triples and offsets share."""
     n, g, last = exps.exponents, exps.genus, len(exps.exponents) - 1
     drops = [a - b for a, b in zip(n[0::2], n[1::2])]  # U powers: M(x_2j+2) = M(x_2j) - 2 drop_j
     even, maslov = list(accumulate((-2 * d for d in drops), initial=0)), [0] * len(n)
     maslov[0::2], maslov[1::2] = even, [m + 1 for m in even[1:]]  # M(x_2j+1) = M(x_2j+2) + 1
-    # x_i sits at index last - i: A ascends, so _store permutes nothing
-    names, alexander = [f"x{i}" for i in range(last, -1, -1)], [e - g for e in reversed(n)]
-    ks = range(1, last, 2)  # x_i for odd i at k = last - i ascending, arrows to k - 1 then k + 1
-    steps = zip(zip(ks, range(0, last, 2), repeat(0)), zip(ks, range(2, last + 1, 2), drops[::-1]))
-    return _indexed(names, alexander, maslov[::-1], chain.from_iterable(steps), 0)
+    index = list(range(len(n)))
+    odd, evens = index[1::2], index[0::2]
+    if mirrored:  # x_i* at index i, M negated: x_2j* and x_2j+2* reach x_2j+1*
+        names, maslov = [f"x{i}*" for i in index], [-m for m in maslov]
+        steps = zip(zip(evens, odd, drops), zip(evens[1:], odd, repeat(0)))
+        offsets = [0, *chain.from_iterable(zip(odd, odd)), last]
+    else:  # x_i at index last - i: x_i for odd i at k = last - i reaches k - 1, then k + 1
+        names, maslov = [f"x{i}" for i in reversed(index)], maslov[::-1]
+        steps = zip(zip(odd, evens, repeat(0)), zip(odd, evens[1:], reversed(drops)))
+        offsets = chain.from_iterable(zip(evens, evens))
+    alexander = [e - g for e in reversed(n)]  # ascending; n_i + n_last-i = 2g makes it the dual's
+    return _indexed(names, alexander, maslov, chain.from_iterable(steps), 0, offsets)
 
 
 def alexander(e: KnotExpr) -> LaurentPoly:
@@ -414,7 +429,7 @@ def _signed_leaves(e: KnotExpr) -> tuple[CfkComplex, ...]:
     leaves = _staircases(e)
     size = math.prod(len(exps.exponents) for exps, _ in leaves)
     _check(size, MAX_GENERATORS, "a class of {:,} generators")
-    return tuple(dual(staircase(x)) if mirrored else staircase(x) for x, mirrored in leaves)
+    return tuple(_staircase(x, mirrored) for x, mirrored in leaves)
 
 
 def _class_of(e: KnotExpr, leaves: Iterator[CfkComplex], outer: bool = False) -> CfkComplex:

@@ -134,6 +134,29 @@ def test_duplicate_arrows_cancel_mod_2():
     assert c.arrows == (Arrow("b", "a", 0),)
 
 
+def test_shuffled_input_builds_the_ordered_complex():
+    # _store takes a strictly ascending A or triples as proof of order and sorts
+    # the rest: shuffled generators and arrows give what the ordered ones give
+    rng = random.Random(SEED)
+    family = [
+        class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex for p in range(2, 6)
+    ]
+    assert all(len(set(c.alexander)) < len(c) for c in family)  # A has ties
+    gens, arrows = trefoil_complex().generators, trefoil_complex().arrows
+    once, twice, thrice = Arrow("x0", "x2", 4), arrows[1], arrows[0]
+    cancelled = CfkComplex(gens, [thrice, once])
+    cases = [(c, list(c.generators), list(c.arrows)) for c in randomized_corpus(rng) + family]
+    cases.append((cancelled, list(gens), sorted([once, *[twice] * 2, *[thrice] * 3])))
+    for c, gens, arrows in cases:
+        for shuffle in (False, True):
+            if shuffle:
+                rng.shuffle(gens)
+                rng.shuffle(arrows)
+            built = CfkComplex(gens, arrows)
+            assert built._columns() == c._columns() and built.triples == c.triples, c
+            assert built.offsets == c.offsets and hash(built) == hash(c) and built == c, c
+
+
 def test_grading_table():
     assert trefoil_complex().grading_table() == {(1, 0): 1, (0, -1): 1, (-1, -2): 1}
 
@@ -172,13 +195,32 @@ def test_validate_knot_class_flag():
     assert not report.ok
 
 
+def asymmetric_ascending() -> list[CfkComplex]:
+    """Lawful complexes whose Alexander column strictly ascends but whose grading
+    table is not symmetric: T(2,5) with A raised by one, which breaks A[k] =
+    -A[n - 1 - k], and the trefoil beside an arrow from (2, 4) to (-2, 3), whose
+    A keeps that law but whose M - A is no palindrome."""
+    t25 = torus_staircase(2, 5)
+    raised = [g._replace(alexander=g.alexander + 1) for g in t25.generators]
+    shifted = CfkComplex(raised, t25.arrows)
+    pair = CfkComplex([Generator("p", 2, 4), Generator("q", -2, 3)], [Arrow("p", "q", 0)])
+    return [shifted, direct_sum(trefoil_complex(), pair)]
+
+
 def test_validate_matches_the_check_by_check_reference():
     corpus = randomized_corpus(random.Random(SEED))
     classes = [
         class_complex(parse(f"C(D;{p},{p + 1}) + -T({p},{p + 1})")).complex for p in range(2, 7)
     ]
+    shifted, beside = asymmetric = asymmetric_ascending()
+    for c in asymmetric:  # each reduced already, with warnings but no error
+        report = validate(unmarked(c))
+        assert reduce(c) is c and list(c.alexander) == sorted(set(c.alexander)), c
+        assert report.ok and report.warnings, c
+    assert shifted.alexander != tuple(-a for a in reversed(shifted.alexander))
+    assert beside.alexander == tuple(-a for a in reversed(beside.alexander))
     kinds = set()
-    for c in corpus + [dual(c) for c in corpus] + classes + validate_breakers():
+    for c in corpus + [dual(c) for c in corpus] + classes + asymmetric + validate_breakers():
         for knot_class in (False, True):
             fresh = CfkComplex(c.generators, c.arrows)  # no recorded class degree
             report = validate(fresh, knot_class=knot_class)

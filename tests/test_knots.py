@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import re
 
@@ -405,6 +406,28 @@ def test_staircases_carry_the_class_degree_that_validate_finds():
         assert built._class_degree == fresh._class_degree == 0, exps
 
 
+def test_validate_reads_no_grading_table_on_a_staircase_or_its_dual(monkeypatch):
+    # their A strictly ascends and is antisymmetric and M - A is a palindrome,
+    # which proves the symmetry that the table would show
+    leaves = []
+    for text in [*LEAF_GRID, "T(2,4005)", "T(400,401)"]:
+        try:
+            built = staircase(staircase_exponents(knots._lspace_polynomial(parse(text))))
+        except UnsupportedExpression:
+            continue
+        leaves += [built, dual(built)]
+    assert len(leaves) == 2 * 774
+
+    def refuse(c):
+        raise AssertionError("a grading table was built")
+
+    monkeypatch.setattr(cfk.CfkComplex, "grading_table", refuse)
+    for c in leaves:
+        for checked, knot_class in ((c, False), (c, True), (unmarked(c), True)):
+            report = validate(checked, knot_class=knot_class)
+            assert report.ok and report.warnings == () and str(report) == "ok", c
+
+
 def test_every_leaf_the_lspace_walk_accepts_has_a_staircase():
     # the walk accepts only L-space knots (Hedden, Hom), whose polynomials
     # are in staircase form, so class_complex builds each one
@@ -421,14 +444,16 @@ def test_every_leaf_the_lspace_walk_accepts_has_a_staircase():
 
 
 def test_staircases_come_sorted_and_equal_the_named_build(monkeypatch):
-    # x_i is emitted at index k - i, in ascending A with its arrows sorted, so
-    # _store permutes nothing; the complex and its offsets are the named build's
+    # x_i is emitted at index k - i, in strictly ascending A with its arrows
+    # strictly ascending and their offsets, so _store permutes nothing; the
+    # complex is the named build's.  A mirrored leaf is emitted as x_i* at
+    # index i, in the same way, and is the dual of that build.
     emitted = []
 
-    def indexed(names, alexander, maslov, triples, degree=None):
-        triples = list(triples)  # an iterator, read once
-        emitted.append((list(zip(alexander, maslov, names)), triples))
-        return cfk._indexed(names, alexander, maslov, triples, degree)
+    def indexed(names, alexander, maslov, triples, degree=None, offsets=None):
+        triples, offsets = list(triples), list(offsets)  # iterators, read once
+        emitted.append((list(zip(alexander, maslov, names)), triples, offsets))
+        return cfk._indexed(names, alexander, maslov, triples, degree, offsets)
 
     monkeypatch.setattr(knots, "_indexed", indexed)
     checked = 0
@@ -437,12 +462,18 @@ def test_staircases_come_sorted_and_equal_the_named_build(monkeypatch):
             exps = staircase_exponents(knots._lspace_polynomial(parse(text)))
         except UnsupportedExpression:
             continue
-        built, reference = staircase(exps), reference_staircase(exps)
-        keys, triples = emitted.pop()  # (A, M, name) per emitted generator
-        assert [name for _, _, name in keys] == [f"x{i}" for i in reversed(range(len(exps)))]
-        assert keys == sorted(keys), text
-        assert triples == sorted(triples), text
-        assert built == reference and built.offsets == reference.offsets, text
+        reference = reference_staircase(exps)
+        for built, expected, suffix, order in (
+            (staircase(exps), reference, "", reversed),
+            (knots._staircase(exps, True), dual(reference), "*", list),
+        ):
+            keys, triples, offsets = emitted.pop(0)  # (A, M, name) per emitted generator
+            names = [f"x{i}{suffix}" for i in order(range(len(exps)))]
+            assert [name for _, _, name in keys] == names, text
+            assert all(map(operator.lt, keys, keys[1:])), text
+            assert all(map(operator.lt, triples, triples[1:])), text
+            assert built == expected and built.offsets == tuple(offsets) == expected.offsets, text
+            assert built._class_degree == 0 and hash(built) == hash(expected), text
         checked += 1
     assert checked == 774
 
@@ -455,7 +486,7 @@ def test_classes_over_the_limit_are_refused_before_any_build(monkeypatch, text, 
     def built(*args):
         raise AssertionError("a staircase or tensor product was built")
 
-    monkeypatch.setattr(knots, "staircase", built)
+    monkeypatch.setattr(knots, "_staircase", built)
     monkeypatch.setattr(knots, "tensor", built)
     with pytest.raises(UnsupportedExpression, match=f"class of {size} generators"):
         class_complex(parse(text))
@@ -552,15 +583,16 @@ def test_large_torus_leaves_stay_under_the_degree_limit():
 )
 def test_a_class_keeps_its_signed_leaves_as_factors(monkeypatch, text, signs, leaves_only):
     # the factors are the leaves the build makes anyway: one staircase per
-    # leaf, and one dual per mirrored leaf when mirrors cover leaves only (a
-    # mirror over a sum or a mirror dualizes its whole product)
+    # leaf, a mirrored leaf built as its dual directly, and no dual when
+    # mirrors cover leaves only (a mirror over a sum or a mirror dualizes its
+    # whole product)
     made = []
 
     def counting(name):
         real = getattr(knots, name)
-        return lambda c: made.append(name) or real(c)
+        return lambda *args: made.append((name, *args[1:])) or real(*args)
 
-    for name in ("staircase", "dual"):
+    for name in ("_staircase", "dual"):
         monkeypatch.setattr(knots, name, counting(name))
     rep = class_complex(parse(text))
     monkeypatch.undo()
@@ -575,9 +607,10 @@ def test_a_class_keeps_its_signed_leaves_as_factors(monkeypatch, text, signs, le
     )
     if len(signs) == 1:
         assert rep.factors[0] is rep.complex
+    builds = [("_staircase", sign == "-") for sign in signs]
+    assert [m for m in made if m[0] == "_staircase"] == builds
     if leaves_only:
-        assert product == rep.complex
-        assert made.count("staircase") == len(signs) and made.count("dual") == signs.count("-")
+        assert product == rep.complex and made == builds
 
 
 def _leaves(e):
