@@ -146,7 +146,7 @@ def _cmd_independence(args: argparse.Namespace) -> _Output:
             )
         cert = Certificate.from_json(_read_file(args.recheck))
     elif args.exprs:
-        cert = independence_certificate([class_complex(parse(text)) for text in args.exprs])
+        cert = independence_certificate(class_complex(parse(text)) for text in args.exprs)
     else:
         raise InconsistentInput("no expressions given")
     doc = cert.to_json()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .cfk import MAX_GENERATORS, CfkComplex, _product_size, deserialize, dual, serialize
 from .errors import (
@@ -94,8 +94,8 @@ def _summarize(c: CfkComplex | _Product) -> _Summary:
     return _Summary(e, a1(c), a2(c))
 
 
-def _compare_summaries(k: _Summary, j: _Summary) -> DominationResult:
-    """Domination test on precomputed invariant summaries."""
+def _compare_summaries(k: _Summary | ChainEntry, j: _Summary | ChainEntry) -> DominationResult:
+    """Domination test on precomputed invariants: summaries or certificate entries."""
     if k.epsilon != 1 or j.epsilon != 1:
         return DominationResult(False, None, "test applies only when both classes have epsilon +1")
     assert k.a1 is not None and j.a1 is not None
@@ -264,38 +264,37 @@ class Certificate(NamedTuple):
         return "\n".join(lines)
 
 
-def _chain_sort_key(summary: _Summary) -> tuple[int, int, int]:
-    assert summary.a1 is not None
-    if summary.a2 is None:
-        return (summary.a1, 1, 0)
-    return (summary.a1, 0, -summary.a2)
+def _chain_sort_key(entry: ChainEntry) -> tuple[int, int, int]:
+    return (entry.a1, 1, 0) if entry.a2 is None else (entry.a1, 0, -entry.a2)
 
 
-def independence_certificate(reps: Sequence[ClassRep]) -> Certificate:
+def independence_certificate(reps: Iterable[ClassRep]) -> Certificate:
     """Arrange the classes into a dominance chain and certify every link.
 
-    The classes must all have epsilon +1 and pairwise distinct (a1, a2);
-    otherwise some adjacent pair fails the domination test and NotAChain
-    reports it.  Each entry carries the factors of its class.
+    One pass keeps each class's entry, not the class.  The classes must have
+    epsilon +1 (else NotAChain names the first that has not, once all are
+    read) and pairwise distinct (a1, a2) (else some adjacent pair fails the
+    domination test and NotAChain reports it).  Each entry carries its factors.
     """
-    if not reps:
-        raise InconsistentInput("certificate needs at least one class")
-    summaries = [_summarize(r.complex) for r in reps]
-    for rep, summary in zip(reps, summaries):
+    entries, refusal = [], None
+    for rep in reps:
+        summary = _summarize(rep.complex)
         if summary.epsilon != 1:
-            raise NotAChain(f"{rep} has epsilon {summary.epsilon}, not +1", (str(rep),))
-    order = sorted(range(len(reps)), key=lambda i: _chain_sort_key(summaries[i]))
-    entries = []
-    for i in order:
-        summary = summaries[i]
-        expression = str(reps[i].provenance) if reps[i].provenance is not None else None
+            message = f"{rep} has epsilon {summary.epsilon}, not +1"
+            refusal = refusal or NotAChain(message, (str(rep),))
+            continue
         assert summary.a1 is not None
-        factors = tuple(map(serialize, reps[i].factors))
+        expression = str(rep.provenance) if rep.provenance is not None else None
+        factors = tuple(map(serialize, rep.factors))
         entries.append(ChainEntry(expression, factors, summary.a1, summary.a2, summary.epsilon))
+    if refusal is not None:
+        raise refusal
+    if not entries:
+        raise InconsistentInput("certificate needs at least one class")
+    entries.sort(key=_chain_sort_key)
     links = []
-    for pos in range(len(order) - 1):
-        above, below = summaries[order[pos]], summaries[order[pos + 1]]
-        result = _compare_summaries(above, below)
+    for pos in range(len(entries) - 1):
+        result = _compare_summaries(entries[pos], entries[pos + 1])
         if not result.proved:
             pair = (entries[pos].label(pos), entries[pos + 1].label(pos + 1))
             raise NotAChain(f"{pair[0]} does not dominate {pair[1]}: {result.reason}", pair)

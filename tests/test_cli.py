@@ -423,6 +423,15 @@ def test_classes_over_the_limit_exit_2_at_once(capsys, text, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_a_later_build_refusal_wins_over_an_earlier_class_without_epsilon_plus_one(capsys):
+    # independence builds its classes one at a time, but refuses no class for
+    # its epsilon until every class is built
+    big = " + ".join(["T(2,5)"] * 12)
+    assert main(["independence", "--", "-T(2,3)", big]) == 2
+    message = "a class of 244,140,625 generators is over the limit of 200,000"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_literals_past_the_digit_limit_exit_2_without_a_traceback(capsys, tmp_path, too_many_digits):
     digits = too_many_digits
     vertex = tmp_path / "vertex.cfk"

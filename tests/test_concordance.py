@@ -268,6 +268,8 @@ def chain_certificate() -> Certificate:
 
 def test_certificate_orders_the_chain_by_invariants():
     cert = chain_certificate()
+    # one pass over any iterable: a generator gives what the list gives
+    assert independence_certificate(rep for rep in (T23, WIDE, T34)) == cert
     assert [(e.a1, e.a2) for e in cert.entries] == [(1, 2), (1, 1), (2, 2)]
     assert [l.criterion for l in cert.links] == [LARGER_A2, SMALLER_A1]
     assert [(l.above, l.below) for l in cert.links] == [(0, 1), (1, 2)]
@@ -316,6 +318,12 @@ def test_chain_rejects_entries_without_epsilon_plus_one():
     with pytest.raises(NotAChain) as exc:
         independence_certificate([T23, MIRROR_T23])
     assert exc.value.pair == ("<class on 3 generators>",)
+    # of two such classes, the first in input order is named
+    for texts, first in ((["T(2,3)", "-T(3,4)", "U"], "-T(3,4)"), (["U", "-T(3,4)"], "U")):
+        with pytest.raises(NotAChain) as exc:
+            independence_certificate(class_complex(parse(text)) for text in texts)
+        assert exc.value.pair == (first,)
+    assert str(exc.value) == "U has epsilon 0, not +1"
 
 
 def test_chain_rejects_indistinguishable_neighbors():

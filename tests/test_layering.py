@@ -3,8 +3,9 @@
 Each module of cfkcalc is read with ast, not imported.  No import statement
 sits inside a function or method, and the imports between the package's
 modules at module level (skipping ``if TYPE_CHECKING:`` bodies, which never
-run) form an acyclic graph.  Every module-level import is used, and every
-public name has a use outside its own definition.
+run) form an acyclic graph, in the order the README's Layout block lists.
+Every module-level import is used, and every public name has a use outside
+its own definition.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def test_module_level_imports_form_an_acyclic_graph():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_each_module_imports_only_modules_above_it_in_the_readme_layout():
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Layout", 1)[1]
+    order = re.findall(r"^  (\w+)\.py ", block.split("```")[1], re.M)
+    assert sorted(order) == sorted(set(MODULES) - {"__init__"})
+    below = {name: _runtime_imports(MODULES[name]) & set(order[i:]) for i, name in enumerate(order)}
+    assert {name: sorted(hits) for name, hits in below.items() if hits} == {}
 
 
 def test_the_complex_core_imports_no_region_code():
